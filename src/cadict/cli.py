@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -77,9 +78,10 @@ def _manifest(command: str, rng_seed: int | None, inputs: dict[str, str | Path],
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
+    # NaN and infinity are not JSON: fail (as a data error) before the file is opened
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_sidecar(out_path: str | Path, manifest: RunManifest) -> None:
@@ -153,6 +155,8 @@ def _load_predictions(path: str | Path, fold_case: bool) -> dict[str, float]:
                 if rowno == 0:
                     continue  # header
                 raise DataError(f"{path}: line {rowno + 1}: unparseable rating {value_field!r}")
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {rowno + 1}: non-finite rating {value_field!r}")
             token = fields[0].strip()
             if fold_case:
                 token = token.lower()

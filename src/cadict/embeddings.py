@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -255,24 +256,42 @@ def save_cache(store: VectorStore, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path: Path, what: str) -> bytes:
+    # checked before reading, so a corrupt length never becomes a huge allocation
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"{path}: cache truncated in the {what}")
+    return fh.read(size)
+
+
 def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> VectorStore:
-    """Load a binary cache written by `save_cache`."""
+    """Load a binary cache written by `save_cache`.
+
+    A truncated or corrupt file is a DataError naming the file and the part
+    that is unreadable.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
             raise DataError(f"{path}: not a cadict vector cache (bad magic)")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        (token_len,) = struct.unpack("<Q", fh.read(8))
-        token_blob = fh.read(token_len).decode("utf-8")
+        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
+        try:
+            header = json.loads(_read_exact(fh, header_len, path, "header").decode("utf-8"))
+            count, dim = int(header["count"]), int(header["dimension"])
+            source_id = str(header["source_id"])
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: corrupt cache header: {exc}") from exc
+        if count < 0 or dim < 1:
+            raise DataError(f"{path}: corrupt cache header: count={count}, dimension={dim}")
+        (token_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "token length"))
+        try:
+            token_blob = _read_exact(fh, token_len, path, "token list").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: corrupt cache token list: {exc}") from exc
         tokens = token_blob.split("\n") if token_blob else []
-        count, dim = header["count"], header["dimension"]
         if len(tokens) != count:
             raise DataError(f"{path}: cache token count mismatch")
-        data = fh.read(count * dim * 8)
-        if len(data) != count * dim * 8:
-            raise DataError(f"{path}: cache truncated")
+        data = _read_exact(fh, count * dim * 8, path, "vector data")
         matrix = np.frombuffer(data, dtype="<f8").reshape(count, dim)
 
     filtered = 0
@@ -285,8 +304,7 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
             raise DataError(f"{path}: vocab filter removed every cached vector")
     report = LoadReport(accepted=len(tokens), zero_norm_skipped=0,
                         duplicates_ignored=0, filtered_out=filtered)
-    return VectorStore(tokens, np.array(matrix), source_id=header["source_id"],
-                       load_report=report)
+    return VectorStore(tokens, np.array(matrix), source_id=source_id, load_report=report)
 
 
 def open_store(path: str | Path, vocab_filter: set[str] | None = None,

@@ -232,12 +232,18 @@ def load_core(path: str | Path) -> tuple[SemanticCore, dict]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid core file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a valid core file: expected a JSON object")
+    for name in ("seed_abstract", "seed_concrete"):
+        seed = doc.get(name)
+        if not isinstance(seed, list) or not all(isinstance(t, str) for t in seed):
+            raise DataError(f"{path}: not a valid core file: {name} must be an array of strings")
     try:
         core = SemanticCore(
             seed_abstract=tuple(doc["seed_abstract"]),
             seed_concrete=tuple(doc["seed_concrete"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: not a valid core file: {exc}") from exc
     if "z" in doc and doc["z"] != core.z:
         raise DataError(f"{path}: declared z={doc['z']} but seeds have length {core.z}")

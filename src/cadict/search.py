@@ -7,6 +7,13 @@ budget, otherwise uniformly without repetition), scores each core by Spearman
 correlation between its ratings and the expert ratings, and keeps the best
 core per cell.
 
+A cell is scored in two steps. A batched screen rates all of its cores with
+one matrix product and correlates their ranks in one matrix-vector product;
+then every flagged core (one whose screened ranks could differ from the
+exact ones) and the best unflagged cores are settled through the one exact
+path (`raw_ratings` plus the fsum Pearson), so every reported r_s is that
+path's.
+
 Reproducibility contract: every cell draws from its own RNG stream keyed by
 (rng_seed, X, Y, Z), and the best-core reduction breaks score ties by the
 lexicographically smallest sorted core, so reports are bit-identical across
@@ -37,9 +44,17 @@ from cadict.lexicon import (
     select_base,
     select_pools,
 )
-from cadict.rater import SemanticCore, raw_ratings
+from cadict.rater import SIMILARITY_FLOOR, SemanticCore, raw_ratings
 
 logger = logging.getLogger(__name__)
+
+# cores whose screened r is this close to the cell's screened maximum are
+# re-scored exactly. The screen's correlation sums are exact below ~300k words
+# (n^3 / 3 < 2^53); past that the margin covers their rounding.
+SETTLE_MARGIN = 1e-9
+# the screen works on blocks of cores of at most this many (core, word)
+# ratings, so its arrays stay near 16 MB each however many words are scored
+SCREEN_BLOCK = 1 << 21
 
 
 class EvaluationScope(str, Enum):
@@ -162,6 +177,8 @@ class _EvalContext:
         self.store = store
         self.matrix = store.rows(tokens)
         self.gold_ranks = metrics.average_ranks(gold)
+        # ranks are half-integers with mean (n+1)/2, so deviations are exact
+        self.gold_dev = self.gold_ranks - (len(tokens) + 1) / 2
 
     def evaluate(self, core: SemanticCore) -> float | None:
         """Spearman of the core's raw ratings against gold; None when undefined."""
@@ -213,19 +230,83 @@ def _core_sort_key(core: SemanticCore) -> tuple[str, ...]:
     return tuple(sorted(core.seed_abstract)) + tuple(sorted(core.seed_concrete))
 
 
+def _screen_cell(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], z: int,
+                 pools: CandidatePools, ctx: _EvalContext) -> tuple[np.ndarray, np.ndarray]:
+    """Screened Spearman r of every core in a cell (NaN when undefined) and a
+    mask of the cores whose screened ranks may differ from the exact path's.
+
+    The screen forms the seed means with 0/1 selection matrices and all
+    similarities with one product, so its sums run in another order than
+    `raw_ratings`. Each raw rating therefore carries an error bound; a core
+    whose sorted ratings have two neighbours closer than their bounds allow
+    is flagged. Every other core has exactly the exact path's ranks, and its
+    correlation sums are exact too: rank deviations are half-integers.
+    """
+    k, y = len(pairs), len(pools.abstract)
+    rows = np.arange(k)[:, None]
+    sel_a = np.zeros((k, y))
+    sel_c = np.zeros((k, y))
+    sel_a[rows, [a for a, _ in pairs]] = 1.0
+    sel_c[rows, [c for _, c in pairs]] = 1.0
+    means = np.vstack((sel_c @ ctx.store.rows(pools.concrete),
+                       sel_a @ ctx.store.rows(pools.abstract))) / z
+    sims = np.clip(means @ ctx.matrix.T, -1.0, 1.0)
+    sims_c, sims_a = sims[:k], sims[k:]
+    num = np.maximum(sims_c, SIMILARITY_FLOOR)
+    den = np.maximum(sims_a, SIMILARITY_FLOOR)
+    raw = num / den
+
+    # Each path gets a similarity within (d + y + 1) * eps / 2 of its true
+    # value (unit rows, d components, means over at most y rows), so the two
+    # paths differ by at most delta / 2. A similarity more than delta below
+    # the floor is floored on both paths and adds no error; any other adds at
+    # most 2 * delta relative to its floored value, with room to spare for
+    # rounding the ratio.
+    n, d = ctx.matrix.shape
+    delta = 4 * (d + y) * np.finfo(np.float64).eps
+    rel = 2 * delta * ((sims_c > SIMILARITY_FLOOR - delta) / num
+                       + (sims_a > SIMILARITY_FLOOR - delta) / den)
+    order = np.argsort(raw, axis=1)
+    ordered = np.take_along_axis(raw, order, axis=1)
+    err = np.take_along_axis(raw * rel, order, axis=1)
+    gaps = np.diff(ordered, axis=1)
+    slack = err[:, 1:] + err[:, :-1]
+    unsure = np.any((gaps <= slack) & (slack > 0), axis=1)
+
+    ranks = np.empty_like(raw)
+    np.put_along_axis(ranks, order, np.arange(1.0, n + 1), axis=1)
+    for i in np.flatnonzero(np.any(gaps == 0, axis=1) & ~unsure):
+        ranks[i] = metrics.average_ranks(raw[i])
+    dev = ranks - (n + 1) / 2
+    sxx = np.einsum("ij,ij->i", dev, dev)
+    syy = float(ctx.gold_dev @ ctx.gold_dev)
+    sxy = dev @ ctx.gold_dev
+    with np.errstate(invalid="ignore"):
+        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    return np.where(sxx > 0, r, np.nan), unsure
+
+
 def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalContext,
                    cfg: SearchConfig, force_sampling: bool = False) -> CellResult | SkippedCell:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
+    pairs = list(_seed_pairs(y, z, cfg.samples_per_cell, rng, force_sampling))
+    step = max(1, SCREEN_BLOCK // len(ctx.gold_dev))
+    blocks = [_screen_cell(pairs[i:i + step], z, pools, ctx) for i in range(0, len(pairs), step)]
+    screened = np.concatenate([r for r, _ in blocks])
+    unsure = np.concatenate([u for _, u in blocks])
+    # flagged cores are all re-scored, and their screened r may be off, so the
+    # settle threshold comes from the unflagged ones, whose screened r is exact
+    sure = ~np.isnan(screened) & ~unsure
+    top = screened[sure].max() if sure.any() else np.inf
     best_r: float | None = None
     best_key: tuple[str, ...] | None = None
     best_core: SemanticCore | None = None
-    evaluated = 0
-    for a_idx, c_idx in _seed_pairs(y, z, cfg.samples_per_cell, rng, force_sampling):
+    for i in np.flatnonzero(unsure | (screened >= top - SETTLE_MARGIN)):
+        a_idx, c_idx = pairs[i]
         core = SemanticCore(
-            seed_abstract=tuple(pools.abstract[i] for i in a_idx),
-            seed_concrete=tuple(pools.concrete[i] for i in c_idx),
+            seed_abstract=tuple(pools.abstract[j] for j in a_idx),
+            seed_concrete=tuple(pools.concrete[j] for j in c_idx),
         )
-        evaluated += 1
         r = ctx.evaluate(core)
         if r is None:
             continue
@@ -236,16 +317,17 @@ def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalCont
         return SkippedCell(x=x, y=y, z=z,
                            reason="correlation undefined for every evaluated core")
     return CellResult(x=x, y=y, z=z, best_core=best_core, best_r_s=best_r,
-                      cores_evaluated=evaluated)
+                      cores_evaluated=len(pairs))
 
 
 def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
                 cfg: SearchConfig, workers: int = 1) -> SearchReport:
     """Run the full (X, Y, Z) sweep and return the per-cell and overall best cores.
 
-    Infeasible X values (intersection smaller than X) are skipped with a
-    recorded reason, not fatal. With `workers` > 1 cells run in parallel;
-    results are identical and identically ordered regardless of worker count.
+    Infeasible X values (intersection smaller than X, or no (Y, Z) cell
+    within X/3) are skipped with a recorded reason, not fatal. With
+    `workers` > 1 cells run in parallel; results are identical and
+    identically ordered regardless of worker count.
     """
     t0 = time.perf_counter()
     jobs: list[tuple[int, int, int, CandidatePools, _EvalContext]] = []
@@ -266,10 +348,15 @@ def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
             skipped.append(SkippedCell(x=x, y=None, z=None, reason=str(exc)))
             continue
         n_before = len(jobs)
-        for y in range(cfg.y_start, base.x // 3 + 1, cfg.y_step):
+        y_max = base.x // 3
+        for y in range(cfg.y_start, y_max + 1, cfg.y_step):
             pools = select_pools(base, y)
             for z in range(cfg.z_min, y + 1, cfg.z_step):
                 jobs.append((x, y, z, pools, ctx))
+        if len(jobs) == n_before:
+            skipped.append(SkippedCell(x=x, y=None, z=None, reason=(
+                f"no (Y, Z) cell: X/3 = {y_max}, y_start = {cfg.y_start}, "
+                f"z_min = {cfg.z_min}")))
         logger.info("x=%d: %d cell(s) queued", x, len(jobs) - n_before)
 
     if workers > 1 and len(jobs) > 1:

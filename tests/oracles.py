@@ -1,11 +1,18 @@
 """Independent reference implementations used to check the real ones.
 
-Everything here is deliberately brute force and shares no code with the
-package: counting-based fractional ranks, textbook Pearson sums, and the
-tie-free Spearman d^2 shortcut.
+Everything here is deliberately brute force. The metric references share no
+code with the package: counting-based fractional ranks, textbook Pearson sums,
+and the tie-free Spearman d^2 shortcut. The cell reference is the per-core
+search loop; it reuses the package's seed draws and exact core score, so it
+checks exactly the batched screen that replaced it.
 """
 
 import math
+
+import numpy as np
+
+from cadict.rater import SemanticCore
+from cadict.search import CellResult, SkippedCell, _core_sort_key, _seed_pairs
 
 
 def brute_ranks(values):
@@ -39,3 +46,28 @@ def spearman_d2(x, y):
     n = len(x)
     d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
     return 1 - 6 * d2 / (n * (n * n - 1))
+
+
+def evaluate_cell_loop(x, y, z, pools, ctx, cfg, force_sampling=False):
+    """Score every drawn core of one search cell through the exact path and keep
+    the best, breaking equal scores by the smallest sorted core."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
+    best_r = best_key = best_core = None
+    evaluated = 0
+    for a_idx, c_idx in _seed_pairs(y, z, cfg.samples_per_cell, rng, force_sampling):
+        core = SemanticCore(
+            seed_abstract=tuple(pools.abstract[i] for i in a_idx),
+            seed_concrete=tuple(pools.concrete[i] for i in c_idx),
+        )
+        evaluated += 1
+        r = ctx.evaluate(core)
+        if r is None:
+            continue
+        key = _core_sort_key(core)
+        if best_r is None or r > best_r or (r == best_r and key < best_key):
+            best_r, best_key, best_core = r, key, core
+    if best_core is None:
+        return SkippedCell(x=x, y=y, z=z,
+                           reason="correlation undefined for every evaluated core")
+    return CellResult(x=x, y=y, z=z, best_core=best_core, best_r_s=best_r,
+                      cores_evaluated=evaluated)

@@ -9,6 +9,7 @@ from cadict.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _parse_x_values,
+    _write_json,
     main,
 )
 
@@ -135,6 +136,12 @@ class TestSearchCommand:
         args[args.index("--x") + 1] = "5000"
         assert run(args) == EXIT_INFEASIBLE
 
+    def test_x_without_feasible_y_gives_reason(self, corpus, tmp_path, capsys):
+        args = search_args(corpus, tmp_path)
+        args[args.index("--x") + 1] = "3"
+        assert run(args) == EXIT_INFEASIBLE
+        assert "no (Y, Z) cell: X/3 = 1, y_start = 10, z_min = 2" in capsys.readouterr().err
+
     def test_partially_skipped_sweep_still_succeeds(self, corpus, tmp_path):
         args = search_args(corpus, tmp_path)
         args[args.index("--x") + 1] = "60,5000"
@@ -232,6 +239,24 @@ class TestEvaluateCommand:
         pred = tmp_path / "pred.tsv"
         pred.write_text("x\t1.5\ny\t4.5\n", encoding="utf-8")
         assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_prediction_is_data_error(self, tmp_path, capsys, value):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\t1.5\nb\t2.5\nc\t3.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(f"a\t1.0\nb\t{value}\nc\t3.0\n", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold),
+                    "--out", str(out)]) == EXIT_DATA
+        assert f"line 2: non-finite rating '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        out = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            _write_json(out, {"rho": float("nan")})
+        assert not out.exists()
 
     def test_dictionary_tsv_as_predictions(self, corpus, tmp_path):
         assert run(search_args(corpus, tmp_path)) == EXIT_OK

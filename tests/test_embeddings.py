@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from cadict.embeddings import (
+    CACHE_MAGIC,
     VectorStore,
     cosine,
     load_cache,
@@ -190,6 +192,47 @@ class TestCache:
         blob = cache.read_bytes()
         cache.write_bytes(blob[:-8])
         with pytest.raises(DataError, match="truncated"):
+            load_cache(cache)
+
+    @pytest.mark.parametrize("keep", [10, 12, 20, 40])
+    def test_cache_cut_anywhere_is_data_error(self, tmp_path, keep):
+        store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2])])
+        cache = tmp_path / "store.cavs"
+        save_cache(store, cache)
+        cache.write_bytes(cache.read_bytes()[:keep])
+        with pytest.raises(DataError, match="truncated"):
+            load_cache(cache)
+
+    @staticmethod
+    def _cache_bytes(header: bytes, tokens: bytes, data: bytes = b"") -> bytes:
+        return (CACHE_MAGIC + struct.pack("<I", len(header)) + header
+                + struct.pack("<Q", len(tokens)) + tokens + data)
+
+    @pytest.mark.parametrize("header", [
+        b"{not json",
+        b"\xff\xfe",
+        b'{"count": 1, "source_id": "x"}',
+        b'{"count": "many", "dimension": 2, "source_id": "x"}',
+        b"[1, 2]",
+        b'{"count": 1, "dimension": 0, "source_id": "x"}',
+    ])
+    def test_corrupt_header_is_data_error(self, tmp_path, header):
+        cache = tmp_path / "store.cavs"
+        cache.write_bytes(self._cache_bytes(header, b"a", np.zeros(2).tobytes()))
+        with pytest.raises(DataError, match="corrupt cache header"):
+            load_cache(cache)
+
+    def test_undecodable_tokens_are_data_error(self, tmp_path):
+        header = b'{"count": 1, "dimension": 2, "source_id": "x"}'
+        cache = tmp_path / "store.cavs"
+        cache.write_bytes(self._cache_bytes(header, b"\xff", np.array([1.0, 0.0]).tobytes()))
+        with pytest.raises(DataError, match="token list"):
+            load_cache(cache)
+
+    def test_huge_declared_length_is_truncation_not_allocation(self, tmp_path):
+        cache = tmp_path / "store.cavs"
+        cache.write_bytes(CACHE_MAGIC + struct.pack("<I", 2**32 - 1) + b"{}")
+        with pytest.raises(DataError, match=str(cache)):
             load_cache(cache)
 
     def test_open_store_sniffs_format(self, tmp_path):

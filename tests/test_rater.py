@@ -311,3 +311,17 @@ class TestCoreFiles:
         }))
         with pytest.raises(DataError):
             load_core(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"seed_abstract": "ab", "seed_concrete": ["c", "d"]},
+        {"seed_abstract": ["a", "b"], "seed_concrete": "cd"},
+        {"seed_abstract": ["a", 1], "seed_concrete": ["c", "d"]},
+        {"seed_abstract": {"a": 1}, "seed_concrete": ["c"]},
+        {"seed_concrete": ["c"]},
+        ["a", "b"],
+    ])
+    def test_seeds_must_be_arrays_of_strings(self, tmp_path, doc):
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="not a valid core file"):
+            load_core(path)

@@ -1,9 +1,12 @@
 import json
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cadict import search
+from cadict.embeddings import VectorStore
 from cadict.errors import DataError
 from cadict.lexicon import FrequencyList, RatingLexicon, select_base, select_pools
 from cadict.rater import SemanticCore
@@ -11,14 +14,17 @@ from cadict.search import (
     CellResult,
     EvaluationScope,
     SearchConfig,
+    SkippedCell,
     _EvalContext,
     _evaluate_cell,
+    _screen_cell,
     _seed_pairs,
     evaluate_core,
     search_grid,
 )
 
 from conftest import clustered_dataset, store_from_records
+from oracles import evaluate_cell_loop
 
 
 def report_fingerprint(report):
@@ -169,6 +175,13 @@ class TestSearchGrid:
         assert skip.x == 1000 and skip.y is None
         assert "only 30" in skip.reason
 
+    def test_x_without_feasible_y_records_reason(self, tmp_path):
+        store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
+        report = search_grid(lex, freq, store, toy_config(x_values=(3, 30)))
+        assert len(report.cells) == 6
+        assert report.skipped == (SkippedCell(
+            x=3, y=None, z=None, reason="no (Y, Z) cell: X/3 = 1, y_start = 9, z_min = 2"),)
+
     def test_constant_gold_slice_skipped(self, tmp_path):
         store, _, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
         flat = RatingLexicon({t: 3.0 for t in store.tokens})
@@ -256,3 +269,87 @@ class TestTieBreak:
         assert z1.cores_evaluated == 9
         assert z1.best_core.seed_abstract == ("ab",)
         assert z1.best_core.seed_concrete == ("cb",)
+
+
+def _assert_unflagged_screen_exact(pairs, z, pools, ctx):
+    screened, unsure = _screen_cell(pairs, z, pools, ctx)
+    for (a_idx, c_idx), r, flagged in zip(pairs, screened, unsure):
+        if flagged:
+            continue
+        core = SemanticCore(tuple(pools.abstract[i] for i in a_idx),
+                            tuple(pools.concrete[i] for i in c_idx))
+        exact = ctx.evaluate(core)
+        assert (exact is None and np.isnan(r)) or exact == r
+
+
+class TestBatchedKernelOracle:
+    """The batched cell against the per-core loop it replaced."""
+
+    def test_unflagged_screen_scores_are_exact_on_integer_palettes(self):
+        # duplicate rows of small-integer directions: the batched product may
+        # round them apart where the per-core product does not
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n, d = rng.integers(6, 13), rng.integers(2, 5)
+            palette = rng.integers(-2, 3, size=(rng.integers(1, n + 1), d))
+            palette = palette[np.any(palette != 0, axis=1)]
+            if not len(palette):
+                continue
+            tokens = [f"w{i:02d}" for i in range(n)]
+            store = VectorStore.from_raw(tokens, palette[rng.integers(0, len(palette), n)])
+            ratings = rng.choice([1.0, 2.0, 3.0, 4.5, 5.0], n)
+            if np.all(ratings == ratings[0]):
+                continue
+            base = select_base(RatingLexicon(dict(zip(tokens, ratings))),
+                               FrequencyList({t: 1 for t in tokens}), store, n)
+            ctx = _EvalContext(base.tokens, base.ratings, store)
+            y = int(rng.integers(1, n // 3 + 1))
+            z = int(rng.integers(1, y + 1))
+            pairs = list(_seed_pairs(y, z, 10, rng))
+            _assert_unflagged_screen_exact(pairs, z, select_pools(base, y), ctx)
+
+    def test_inflated_flagged_core_does_not_hide_the_best(self, tmp_path):
+        # a flagged core's screened r is not trusted: one that screens far above
+        # its exact r must not push the best unflagged core out of the settle
+        store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
+        base = select_base(lex, freq, store, 30)
+        ctx = _EvalContext(base.tokens, base.ratings, store)
+        pools = select_pools(base, 9)
+        cfg = toy_config(samples_per_cell=20)
+
+        def inflated_screen(pairs, z, pools, ctx):
+            exact = np.array([ctx.evaluate(SemanticCore(
+                tuple(pools.abstract[i] for i in a_idx),
+                tuple(pools.concrete[i] for i in c_idx))) for a_idx, c_idx in pairs],
+                dtype=float)
+            assert np.nanmax(exact) < 1.0 and np.nanmin(exact) < np.nanmax(exact)
+            unsure = np.zeros(len(pairs), dtype=bool)
+            worst = np.nanargmin(exact)
+            unsure[worst], exact[worst] = True, 1.0
+            return exact, unsure
+
+        with mock.patch.object(search, "_screen_cell", inflated_screen):
+            cell = _evaluate_cell(30, 9, 2, pools, ctx, cfg)
+        assert cell == evaluate_cell_loop(30, 9, 2, pools, ctx, cfg)
+
+    def test_screen_blocks_do_not_change_cells(self, tmp_path):
+        store, lex, freq = clustered_dataset(tmp_path, n_words=60, d=6, seed=6)
+        cfg = toy_config(x_values=(60,), y_start=5, y_step=5, samples_per_cell=30)
+        whole = search_grid(lex, freq, store, cfg)
+        with mock.patch.object(search, "SCREEN_BLOCK", 7 * 60):  # 7 cores per block
+            blocked = search_grid(lex, freq, store, cfg)
+        assert report_fingerprint(whole) == report_fingerprint(blocked)
+
+    def test_every_core_undefined_is_skipped(self):
+        # one shared direction: every core rates every word identically
+        tokens = [f"w{i}" for i in range(9)]
+        store = VectorStore.from_raw(tokens, [[1.0, 2.0]] * 9)
+        lex = RatingLexicon({t: 1.0 + i / 2 for i, t in enumerate(tokens)})
+        freq = FrequencyList({t: 1 for t in tokens})
+        base = select_base(lex, freq, store, 9)
+        ctx = _EvalContext(base.tokens, base.ratings, store)
+        cfg = toy_config(samples_per_cell=4)
+        cell = _evaluate_cell(9, 3, 2, select_pools(base, 3), ctx, cfg)
+        assert cell == evaluate_cell_loop(9, 3, 2, select_pools(base, 3), ctx, cfg)
+        assert isinstance(cell, SkippedCell)
+        assert cell.reason == "correlation undefined for every evaluated core"
