@@ -6,7 +6,7 @@ expert-rated words, then extrapolate ratings to any vocabulary through
 cosine-similarity ratios against the core.
 """
 
-from cadict.embeddings import VectorStore, WordVector, cosine, load_vectors, open_store
+from cadict.embeddings import VectorStore, load_vectors, open_store
 from cadict.errors import CadictError, DataError, InfeasibleError
 from cadict.lexicon import (
     BaseDictionary,
@@ -32,7 +32,6 @@ from cadict.rater import (
     SemanticCore,
     build_dictionary,
     load_core,
-    mean_similarity,
     rate_all,
     rate_word,
     save_core,
@@ -67,19 +66,16 @@ __all__ = [
     "SemanticCore",
     "SkippedCell",
     "VectorStore",
-    "WordVector",
     "__version__",
     "average_ranks",
     "binary_accuracy",
     "build_dictionary",
-    "cosine",
     "evaluate_core",
     "evaluate_ratings",
     "load_core",
     "load_frequencies",
     "load_ratings",
     "load_vectors",
-    "mean_similarity",
     "open_store",
     "pearson",
     "rate_all",

@@ -22,8 +22,8 @@ from pathlib import Path
 
 from cadict import __version__
 from cadict.embeddings import load_vectors, open_store, save_cache
-from cadict.errors import DataError, InfeasibleError
-from cadict.lexicon import load_frequencies, load_ratings
+from cadict.errors import DataError, InfeasibleError, open_text
+from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
 from cadict.search import EvaluationScope, SearchConfig, search_grid
@@ -78,7 +78,7 @@ def _manifest(command: str, rng_seed: int | None, inputs: dict[str, str | Path],
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
-    # NaN and infinity are not JSON: fail (as a data error) before the file is opened
+    # NaN and infinity are not JSON: fail before the file is opened
     text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -124,9 +124,16 @@ def _unsigned_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _read_word_list(path: str | Path, fold_case: bool) -> list[str]:
     words = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             token = line.strip()
             if token:
@@ -134,34 +141,24 @@ def _read_word_list(path: str | Path, fold_case: bool) -> list[str]:
     return words
 
 
+def _parse_prediction(fields: list[str]) -> float:
+    if len(fields) < 2:
+        raise DataError("need at least 2 tab-separated columns")
+    try:
+        value = float(fields[1])
+    except ValueError:
+        raise DataError(f"unparseable rating {fields[1]!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite rating {fields[1]!r}")
+    return value
+
+
 def _load_predictions(path: str | Path, fold_case: bool) -> dict[str, float]:
     """Read predicted ratings from a 2-column ratings TSV or the 4-column
     dictionary TSV. Dictionary files contribute the raw-ratio column: it keeps
     full rank fidelity, while the scaled column is quantized to 3 decimals
     (and the correlations are affine-invariant, so the choice costs nothing)."""
-    path = Path(path)
-    preds: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for rowno, line in enumerate(fh):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").rstrip("\r").split("\t")
-            if len(fields) < 2:
-                raise DataError(f"{path}: line {rowno + 1}: need at least 2 tab-separated columns")
-            value_field = fields[1]
-            try:
-                value = float(value_field)
-            except ValueError:
-                if rowno == 0:
-                    continue  # header
-                raise DataError(f"{path}: line {rowno + 1}: unparseable rating {value_field!r}")
-            if not math.isfinite(value):
-                raise DataError(f"{path}: line {rowno + 1}: non-finite rating {value_field!r}")
-            token = fields[0].strip()
-            if fold_case:
-                token = token.lower()
-            if token and token not in preds:
-                preds[token] = value
+    preds, _report = read_table(path, fold_case, _parse_prediction)
     if not preds:
         raise DataError(f"{path}: no predictions found")
     return preds
@@ -255,9 +252,15 @@ def _cmd_evaluate(args) -> int:
     if len(joined) < 2:
         detail = "empty join" if not joined else f"join of only {len(joined)} token(s)"
         raise DataError(f"prediction/gold {detail}; need at least 2 shared tokens")
+    pred_values = [preds[t] for t in joined]
+    gold_values = [gold.rating(t) for t in joined]
+    for path, values in ((args.pred, pred_values), (args.gold, gold_values)):
+        if min(values) == max(values):
+            raise DataError(f"{path}: every rating over the {len(joined)} shared tokens is "
+                            f"{values[0]}; correlations are undefined")
     report = evaluate_ratings(
-        [preds[t] for t in joined],
-        [gold.rating(t) for t in joined],
+        pred_values,
+        gold_values,
         threshold_gold=args.threshold_gold,
         threshold_pred=args.threshold_pred,
     )
@@ -291,11 +294,9 @@ def _cmd_cache_vectors(args) -> int:
     manifest = _manifest("cache-vectors", None, {"vectors": args.vectors},
                          {"fold_case": args.fold_case})
     _write_sidecar(out, manifest)
-    report = store.load_report
     print(f"cached {len(store)} vector(s) of dimension {store.dimension} -> {out}")
-    if report.zero_norm_skipped or report.duplicates_ignored:
-        print(f"skipped {report.zero_norm_skipped} zero-norm record(s), "
-              f"ignored {report.duplicates_ignored} duplicate(s)")
+    if store.load_report.drops():
+        print(f"dropped {store.load_report.drops()}")
     return EXIT_OK
 
 
@@ -359,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True,
                    help="predictions: dictionary TSV or token TAB rating TSV")
     p.add_argument("--gold", required=True, help="gold ratings TSV")
-    p.add_argument("--threshold-gold", type=float, default=3.0)
-    p.add_argument("--threshold-pred", type=float, default=None,
+    p.add_argument("--threshold-gold", type=_finite_float, default=3.0)
+    p.add_argument("--threshold-pred", type=_finite_float, default=None,
                    help="default: median of the evaluated predictions")
     p.add_argument("--out", default=None, help="optional JSON report path")
     _add_fold_flag(p)
@@ -389,10 +390,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

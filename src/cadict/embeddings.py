@@ -1,4 +1,4 @@
-"""Static word vectors: text-format parsing, unit normalization, cosine similarity.
+"""Static word vectors: text-format parsing, unit normalization, a binary cache.
 
 Vectors are L2-normalized once at load so that every later similarity is a
 plain dot product; the seed search downstream evaluates millions of them.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cadict.errors import DataError
+from cadict.errors import DataError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -26,21 +27,26 @@ CACHE_MAGIC = b"CAVS0001"
 
 
 @dataclass(frozen=True)
-class WordVector:
-    """A token paired with its dense vector (unit-normalized once stored)."""
-
-    token: str
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class LoadReport:
-    """Bookkeeping from one load pass over a vector file."""
+    """Records kept from one input file, and the records dropped, by cause."""
 
     accepted: int
-    zero_norm_skipped: int
-    duplicates_ignored: int
-    filtered_out: int
+    rejected: int = 0
+    multiword_excluded: int = 0
+    duplicates_ignored: int = 0
+    zero_norm_skipped: int = 0
+    non_finite_skipped: int = 0
+    filtered_out: int = 0
+
+    @property
+    def rows(self) -> int:
+        """Every record read: the accepted ones plus the dropped ones."""
+        return sum(vars(self).values())
+
+    def drops(self) -> str:
+        """The non-zero drop counts by cause, e.g. ``zero_norm_skipped=2, duplicates_ignored=1``."""
+        return ", ".join(f"{cause}={count}" for cause, count in vars(self).items()
+                         if cause != "accepted" and count)
 
 
 class VectorStore:
@@ -70,7 +76,7 @@ class VectorStore:
         matrix.setflags(write=False)
         self._matrix = matrix
         self._source_id = source_id
-        self._load_report = load_report or LoadReport(len(self._tokens), 0, 0, 0)
+        self._load_report = load_report or LoadReport(len(self._tokens))
 
     @classmethod
     def from_raw(cls, tokens: Sequence[str], matrix, source_id: str = "in-memory") -> "VectorStore":
@@ -121,9 +127,6 @@ class VectorStore:
             raise DataError(f"token not in vector store: {token!r}")
         return self._matrix[i]
 
-    def get(self, token: str) -> WordVector:
-        return WordVector(token, self.vector(token))
-
     def rows(self, tokens: Iterable[str]) -> np.ndarray:
         """Stacked unit vectors for `tokens`, in the given order."""
         idx = []
@@ -133,24 +136,6 @@ class VectorStore:
                 raise DataError(f"token not in vector store: {t!r}")
             idx.append(i)
         return self._matrix[np.asarray(idx, dtype=np.intp)]
-
-
-def cosine(a: WordVector, b: WordVector) -> float:
-    """Cosine similarity of two word vectors, clamped to [-1, 1].
-
-    Store-resident vectors are already unit length, so this reduces to a dot
-    product; the norms are still divided out to stay correct for raw vectors.
-    """
-    if a.values.shape != b.values.shape:
-        raise ValueError(
-            f"dimension mismatch: {a.token!r} has {a.values.shape[0]}, "
-            f"{b.token!r} has {b.values.shape[0]}"
-        )
-    na = np.linalg.norm(a.values)
-    nb = np.linalg.norm(b.values)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero-norm vector")
-    return float(np.clip(np.dot(a.values, b.values) / (na * nb), -1.0, 1.0))
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -170,9 +155,9 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     Format: optional first line ``N d`` (two integers), then one
     ``token v1 ... vd`` record per line, whitespace separated, UTF-8.
     The dimension is inferred from the first record; any later record with a
-    different component count is a hard error naming the line. Zero-norm (or
-    non-finite) vectors are dropped and counted; on duplicate tokens the first
-    occurrence wins. Tokens are folded to lowercase unless `fold_case` is off;
+    different component count is a hard error naming the line. Zero-norm and
+    non-finite vectors are dropped and counted apart; on duplicate tokens the
+    first occurrence wins. Tokens are folded to lowercase unless `fold_case` is off;
     `vocab_filter`, when given, is matched after folding.
     """
     path = Path(path)
@@ -183,9 +168,9 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     rows: list[np.ndarray] = []
     index: dict[str, int] = {}
     dimension: int | None = None
-    zero_norm = duplicates = filtered = 0
+    zero_norm = non_finite = duplicates = filtered = 0
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -213,8 +198,11 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: unparseable vector component") from exc
             norm = float(np.linalg.norm(vec))
-            if norm == 0.0 or not np.isfinite(norm):
+            if norm == 0.0:
                 zero_norm += 1
+                continue
+            if not math.isfinite(norm):
+                non_finite += 1
                 continue
             index[token] = len(tokens)
             tokens.append(token)
@@ -225,15 +213,16 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     report = LoadReport(
         accepted=len(tokens),
         zero_norm_skipped=zero_norm,
+        non_finite_skipped=non_finite,
         duplicates_ignored=duplicates,
         filtered_out=filtered,
     )
-    if zero_norm or duplicates:
-        logger.warning(
-            "%s: skipped %d zero-norm record(s), ignored %d duplicate token(s)",
-            path, zero_norm, duplicates,
-        )
-    return VectorStore(tokens, np.vstack(rows), source_id=str(path), load_report=report)
+    if zero_norm or non_finite or duplicates:
+        logger.warning("%s: dropped %s", path, report.drops())
+    try:
+        return VectorStore(tokens, np.vstack(rows), source_id=str(path), load_report=report)
+    except ValueError as exc:  # rows too small to normalize to unit length
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_cache(store: VectorStore, path: str | Path) -> None:
@@ -279,9 +268,9 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
             header = json.loads(_read_exact(fh, header_len, path, "header").decode("utf-8"))
             count, dim = int(header["count"]), int(header["dimension"])
             source_id = str(header["source_id"])
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise DataError(f"{path}: corrupt cache header: {exc}") from exc
-        if count < 0 or dim < 1:
+        if count < 1 or dim < 1:
             raise DataError(f"{path}: corrupt cache header: count={count}, dimension={dim}")
         (token_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "token length"))
         try:
@@ -302,9 +291,11 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
         matrix = matrix[np.asarray(keep, dtype=np.intp)] if keep else matrix[:0]
         if not tokens:
             raise DataError(f"{path}: vocab filter removed every cached vector")
-    report = LoadReport(accepted=len(tokens), zero_norm_skipped=0,
-                        duplicates_ignored=0, filtered_out=filtered)
-    return VectorStore(tokens, np.array(matrix), source_id=source_id, load_report=report)
+    report = LoadReport(accepted=len(tokens), filtered_out=filtered)
+    try:
+        return VectorStore(tokens, np.array(matrix), source_id=source_id, load_report=report)
+    except ValueError as exc:  # blank or duplicate tokens, rows not unit length
+        raise DataError(f"{path}: corrupt cache: {exc}") from exc
 
 
 def open_store(path: str | Path, vocab_filter: set[str] | None = None,

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 text opener that maps
+undecodable input onto them."""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator
 
 
 class CadictError(Exception):
@@ -13,3 +20,14 @@ class DataError(CadictError):
 class InfeasibleError(CadictError):
     """The data is fine but the requested configuration cannot be satisfied,
     e.g. a base dictionary larger than the available vocabulary."""
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
+    """Open an input file as UTF-8 text; bytes that do not decode while it is
+    read become a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc

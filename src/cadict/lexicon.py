@@ -10,35 +10,25 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from cadict.embeddings import VectorStore
-from cadict.errors import DataError, InfeasibleError
+from cadict.embeddings import LoadReport, VectorStore
+from cadict.errors import DataError, InfeasibleError, open_text
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TableReport:
-    """Row bookkeeping from loading one TSV."""
-
-    accepted: int
-    rejected: int
-    multiword_excluded: int
-    duplicates_ignored: int
 
 
 class RatingLexicon:
     """Token -> expert rating on the 1 (most abstract) .. 5 (most concrete) scale."""
 
-    def __init__(self, entries: dict[str, float], report: TableReport | None = None):
+    def __init__(self, entries: dict[str, float], report: LoadReport | None = None):
         for token, rating in entries.items():
             if not 1.0 <= rating <= 5.0:
                 raise ValueError(f"rating out of [1, 5] for {token!r}: {rating}")
         self._entries = dict(entries)
-        self.report = report or TableReport(len(self._entries), 0, 0, 0)
+        self.report = report or LoadReport(len(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,12 +53,12 @@ class RatingLexicon:
 class FrequencyList:
     """Token -> corpus count, used to rank words by frequency."""
 
-    def __init__(self, entries: dict[str, int], report: TableReport | None = None):
+    def __init__(self, entries: dict[str, int], report: LoadReport | None = None):
         for token, count in entries.items():
             if count < 0:
                 raise ValueError(f"negative count for {token!r}: {count}")
         self._entries = dict(entries)
-        self.report = report or TableReport(len(self._entries), 0, 0, 0)
+        self.report = report or LoadReport(len(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,11 +85,6 @@ class BaseDictionary:
     def x(self) -> int:
         return len(self.tokens)
 
-    @property
-    def words(self) -> tuple[tuple[str, float], ...]:
-        """(token, rating) pairs in base order."""
-        return tuple(zip(self.tokens, (float(r) for r in self.ratings)))
-
 
 @dataclass(frozen=True)
 class CandidatePools:
@@ -113,8 +98,67 @@ class CandidatePools:
         return len(self.abstract)
 
 
-def _split_row(line: str) -> list[str]:
-    return line.rstrip("\n").rstrip("\r").split("\t")
+def read_table(path: str | Path, fold_case: bool,
+               parse: Callable[[list[str]], Any]) -> tuple[dict[str, Any], LoadReport]:
+    """Read a `token TAB value ...` UTF-8 table into a token -> value map.
+
+    Blank lines are skipped, and the first line is a header when its second
+    field is not a number. Tokens are stripped, and lowercased when
+    `fold_case` is on; the first row of a token wins. `parse` maps one row's
+    tab-separated fields to its value. It may instead return the name of the
+    LoadReport field that counts the row as dropped, or raise DataError to
+    reject the file; the message then gets the file and line prefixed.
+    """
+    entries: dict[str, Any] = {}
+    drops: dict[str, int] = {}
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\r\n").split("\t")
+            if lineno == 1 and len(fields) >= 2:
+                try:
+                    float(fields[1])
+                except ValueError:
+                    continue  # header
+            try:
+                value = parse(fields)
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            token = fields[0].strip()
+            if isinstance(value, str) or not token:
+                cause = value if token else "rejected"
+                drops[cause] = drops.get(cause, 0) + 1
+                continue
+            if fold_case:
+                token = token.lower()
+            if token in entries:
+                drops["duplicates_ignored"] = drops.get("duplicates_ignored", 0) + 1
+                continue
+            entries[token] = value
+    return entries, LoadReport(accepted=len(entries), **drops)
+
+
+def _parse_rating(fields: list[str]) -> float | str:
+    if len(fields) != 2:
+        return "rejected"
+    if len(fields[0].split()) > 1:
+        return "multiword_excluded"
+    try:
+        rating = float(fields[1])
+    except ValueError:
+        return "rejected"
+    return rating if 1.0 <= rating <= 5.0 else "rejected"
+
+
+def _parse_count(fields: list[str]) -> int | str:
+    if len(fields) != 2:
+        return "rejected"
+    try:
+        count = int(fields[1])
+    except ValueError:
+        return "rejected"
+    return count if count >= 0 else "rejected"
 
 
 def load_ratings(path: str | Path, fold_case: bool = True) -> RatingLexicon:
@@ -125,101 +169,22 @@ def load_ratings(path: str | Path, fold_case: bool = True) -> RatingLexicon:
     outside [1, 5] or that do not parse are rejected and counted. More than
     10% rejected rows is a hard error: the file is probably the wrong one.
     """
-    path = Path(path)
-    entries: dict[str, float] = {}
-    rejected = multiword = duplicates = data_rows = 0
-
-    with open(path, encoding="utf-8") as fh:
-        for rowno, line in enumerate(fh):
-            if not line.strip():
-                continue
-            fields = _split_row(line)
-            if rowno == 0 and len(fields) >= 2:
-                try:
-                    float(fields[1])
-                except ValueError:
-                    continue  # header
-            data_rows += 1
-            if len(fields) != 2:
-                rejected += 1
-                continue
-            token = fields[0].strip()
-            if not token:
-                rejected += 1
-                continue
-            if len(token.split()) > 1:
-                multiword += 1
-                continue
-            try:
-                rating = float(fields[1])
-            except ValueError:
-                rejected += 1
-                continue
-            if not (1.0 <= rating <= 5.0):
-                rejected += 1
-                continue
-            if fold_case:
-                token = token.lower()
-            if token in entries:
-                duplicates += 1
-                continue
-            entries[token] = rating
-
-    if rejected * 10 > data_rows:
+    entries, report = read_table(path, fold_case, _parse_rating)
+    if report.rejected * 10 > report.rows:
         raise DataError(
-            f"{path}: {rejected} of {data_rows} rows rejected (>10%); "
+            f"{path}: {report.rejected} of {report.rows} rows rejected (>10%); "
             "this does not look like a ratings file"
         )
-    if data_rows == 0:
+    if report.rows == 0:
         logger.warning("%s: empty ratings file", path)
-    report = TableReport(accepted=len(entries), rejected=rejected,
-                         multiword_excluded=multiword, duplicates_ignored=duplicates)
     return RatingLexicon(entries, report)
 
 
 def load_frequencies(path: str | Path, fold_case: bool = True) -> FrequencyList:
     """Load a `token TAB count` TSV; negative or non-integer counts are rejected."""
-    path = Path(path)
-    entries: dict[str, int] = {}
-    rejected = duplicates = data_rows = 0
-
-    with open(path, encoding="utf-8") as fh:
-        for rowno, line in enumerate(fh):
-            if not line.strip():
-                continue
-            fields = _split_row(line)
-            if rowno == 0 and len(fields) >= 2:
-                try:
-                    float(fields[1])
-                except ValueError:
-                    continue  # header
-            data_rows += 1
-            if len(fields) != 2:
-                rejected += 1
-                continue
-            token = fields[0].strip()
-            if not token:
-                rejected += 1
-                continue
-            try:
-                count = int(fields[1])
-            except ValueError:
-                rejected += 1
-                continue
-            if count < 0:
-                rejected += 1
-                continue
-            if fold_case:
-                token = token.lower()
-            if token in entries:
-                duplicates += 1
-                continue
-            entries[token] = count
-
-    if data_rows == 0:
+    entries, report = read_table(path, fold_case, _parse_count)
+    if report.rows == 0:
         logger.warning("%s: empty frequency file", path)
-    report = TableReport(accepted=len(entries), rejected=rejected,
-                         multiword_excluded=0, duplicates_ignored=duplicates)
     return FrequencyList(entries, report)
 
 

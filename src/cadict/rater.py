@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from cadict.embeddings import VectorStore
-from cadict.errors import DataError
+from cadict.errors import DataError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -61,19 +61,22 @@ class SemanticCore:
 
 @dataclass(frozen=True)
 class RatedWord:
-    """One rated token. `scaled_rating` is None until a batch rescale assigns it."""
+    """One word rated on its own: the raw ratio, unscaled, and its flags."""
 
     token: str
     raw_rating: float
-    scaled_rating: float | None = None
     flags: frozenset[str] = field(default_factory=frozenset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchRating:
-    """rate_all output: rated words in input order plus the OOV skip report."""
+    """rate_all output: the rated words in input order, one array entry per
+    word, plus the OOV skip report."""
 
-    rated: tuple[RatedWord, ...]
+    tokens: tuple[str, ...]
+    raw: np.ndarray
+    scaled: np.ndarray
+    floored: np.ndarray
     skipped: tuple[str, ...]
 
 
@@ -93,18 +96,6 @@ def _mean_seed_vector(seed: Iterable[str], store: VectorStore) -> np.ndarray:
     ordered = sorted(seed)
     rows = store.rows(ordered)
     return rows.sum(axis=0) / len(ordered)
-
-
-def mean_similarity(w: str, seed: Iterable[str], store: VectorStore) -> float:
-    """Mean cosine of `w` against the seed members, clamped to [-1, 1].
-
-    If `w` itself is a seed member it is included like any other member.
-    """
-    seed = tuple(seed)
-    if not seed:
-        raise ValueError("seed must be non-empty")
-    wv = store.vector(w)
-    return float(np.clip(np.dot(wv, _mean_seed_vector(seed, store)), -1.0, 1.0))
 
 
 def raw_ratings(matrix: np.ndarray, core: SemanticCore,
@@ -129,7 +120,7 @@ def rate_word(w: str, core: SemanticCore, store: VectorStore) -> RatedWord:
     matrix = store.vector(w).reshape(1, -1)
     raw, floored = raw_ratings(matrix, core, store)
     flags = frozenset({FLAG_DENOMINATOR_FLOORED}) if floored[0] else frozenset()
-    return RatedWord(token=w, raw_rating=float(raw[0]), scaled_rating=None, flags=flags)
+    return RatedWord(token=w, raw_rating=float(raw[0]), flags=flags)
 
 
 def _min_max_scale(raw: np.ndarray) -> np.ndarray:
@@ -159,27 +150,18 @@ def rate_all(words: Iterable[str], core: SemanticCore, store: VectorStore) -> Ba
 
     Scaled ratings are the batch min-max rescale of the raw ratio onto [1, 5]
     (an all-equal batch maps to 3.0), so rank order is preserved exactly.
-    Output order equals input order.
+    `floored` flags the words whose denominator was floored. Output order
+    equals input order.
     """
     core.require_in_store(store)
     found, idx, skipped = _resolve(words, store)
     if not found:
         raise DataError("empty resolvable word set: no input word is in the vector store")
-    matrix = store.matrix[np.asarray(idx, dtype=np.intp)]
-    raw, floored = raw_ratings(matrix, core, store)
-    scaled = _min_max_scale(raw)
-    rated = tuple(
-        RatedWord(
-            token=t,
-            raw_rating=float(r),
-            scaled_rating=float(s),
-            flags=frozenset({FLAG_DENOMINATOR_FLOORED}) if f else frozenset(),
-        )
-        for t, r, s, f in zip(found, raw, scaled, floored)
-    )
+    raw, floored = raw_ratings(store.matrix[np.asarray(idx, dtype=np.intp)], core, store)
     if skipped:
         logger.info("rate_all: %d token(s) out of vocabulary", len(skipped))
-    return BatchRating(rated=rated, skipped=tuple(skipped))
+    return BatchRating(tokens=tuple(found), raw=raw, scaled=_min_max_scale(raw),
+                       floored=floored, skipped=tuple(skipped))
 
 
 def build_dictionary(core: SemanticCore, vocab: Iterable[str] | None,
@@ -189,23 +171,16 @@ def build_dictionary(core: SemanticCore, vocab: Iterable[str] | None,
     Row format: token, raw rating (9 significant digits), scaled rating
     (3 decimals), flags (`-` when none), tab separated.
     """
-    core.require_in_store(store)
-    tokens = list(vocab) if vocab is not None else list(store.tokens)
-    found, idx, skipped = _resolve(tokens, store)
-    if not found:
-        raise DataError("empty resolvable word set: no vocab word is in the vector store")
-    matrix = store.matrix[np.asarray(idx, dtype=np.intp)]
-    raw, floored = raw_ratings(matrix, core, store)
-    scaled = _min_max_scale(raw)
+    batch = rate_all(store.tokens if vocab is None else vocab, core, store)
     with open(out, "w", encoding="utf-8") as fh:
-        for t, r, s, f in zip(found, raw, scaled, floored):
+        for t, r, s, f in zip(batch.tokens, batch.raw, batch.scaled, batch.floored):
             flags = FLAG_DENOMINATOR_FLOORED if f else "-"
             fh.write(f"{t}\t{r:.9g}\t{s:.3f}\t{flags}\n")
     return DictionarySummary(
-        rated=len(found),
-        skipped=len(skipped),
-        floored=int(floored.sum()),
-        skipped_tokens=tuple(skipped),
+        rated=len(batch.tokens),
+        skipped=len(batch.skipped),
+        floored=int(batch.floored.sum()),
+        skipped_tokens=batch.skipped,
     )
 
 
@@ -228,9 +203,9 @@ def load_core(path: str | Path) -> tuple[SemanticCore, dict]:
     """Read a core file written by `save_core`; returns (core, provenance)."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"{path}: not a valid core file: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a valid core file: expected a JSON object")

@@ -78,19 +78,20 @@ def test_criterion_2_rating_invariances(tmp_path):
             tuple(rng.permutation(core.seed_abstract).tolist()),
             tuple(rng.permutation(core.seed_concrete).tolist()))
 
-        r_plain = np.array([w.raw_rating for w in rate_all(tokens, core, plain).rated])
-        r_scaled = np.array([w.raw_rating for w in rate_all(tokens, core, scaled).rated])
+        r_plain = rate_all(tokens, core, plain).raw
+        r_scaled = rate_all(tokens, core, scaled).raw
         worst_scale = max(worst_scale, float(np.max(np.abs(r_plain - r_scaled))))
 
-        r_perm = np.array([w.raw_rating for w in rate_all(tokens, shuffled, plain).rated])
+        r_perm = rate_all(tokens, shuffled, plain).raw
         worst_perm = max(worst_perm, float(np.max(np.abs(r_plain - r_perm))))
 
-        fwd = rate_all(tokens, core, plain).rated
-        bwd = rate_all(tokens, core.swapped(), plain).rated
-        for a, b in zip(fwd, bwd):
-            if not a.flags and not b.flags:
-                worst_swap = max(worst_swap, abs(b.raw_rating - 1.0 / a.raw_rating))
-                swap_checked += 1
+        fwd = rate_all(tokens, core, plain)
+        bwd = rate_all(tokens, core.swapped(), plain)
+        unfloored = ~fwd.floored & ~bwd.floored
+        if unfloored.any():
+            worst_swap = max(worst_swap,
+                             float(np.max(np.abs(bwd.raw - 1.0 / fwd.raw)[unfloored])))
+        swap_checked += int(unfloored.sum())
     ok = worst_scale <= 1e-9 and worst_perm <= 1e-12 and worst_swap <= 1e-9 \
         and swap_checked > 500
     _verdict(2, "rating invariances", ok,

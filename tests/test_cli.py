@@ -1,8 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from cadict import cli
+from cadict.embeddings import CACHE_MAGIC
 from cadict.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
@@ -294,3 +297,78 @@ class TestCacheCommand:
         monkeypatch.setenv("CADICT_CACHE_DIR", str(cache_dir))
         assert run(["cache-vectors", "--vectors", str(corpus["vectors"])]) == EXIT_OK
         assert (cache_dir / "vectors.cavs").exists()
+
+
+def _cache_bytes(tokens: list[str], rows) -> bytes:
+    """A cache file as save_cache lays it out, with any tokens and rows."""
+    rows = np.asarray(rows, dtype="<f8")
+    header = json.dumps({"count": len(tokens), "dimension": rows.shape[1],
+                         "source_id": "x"}).encode()
+    blob = "\n".join(tokens).encode()
+    return (CACHE_MAGIC + struct.pack("<I", len(header)) + header
+            + struct.pack("<Q", len(blob)) + blob + rows.tobytes())
+
+
+BAD_INPUTS = {
+    # case: (file name, file bytes, the argv that reads it)
+    "ratings not utf-8": ("r.tsv", b"dog\t4.5\n\xff\t3\n",
+                          ["search", "--ratings", "{bad}", "--freq", "{freq}",
+                           "--vectors", "{vectors}", "--out-report", "{out}"]),
+    "freq not utf-8": ("f.tsv", b"dog\t4\n\xc3\t3\n",
+                       ["search", "--ratings", "{ratings}", "--freq", "{bad}",
+                        "--vectors", "{vectors}", "--out-report", "{out}"]),
+    "predictions not utf-8": ("p.tsv", b"w001\t1.0\n\xfe\t2.0\n",
+                              ["evaluate", "--pred", "{bad}", "--gold", "{ratings}",
+                               "--out", "{out}"]),
+    "vectors text not utf-8": ("v.txt", b"a 1 0\n\xff 0 1\n",
+                               ["cache-vectors", "--vectors", "{bad}", "--out", "{out}"]),
+    "word list not utf-8": ("words.txt", b"w001\n\xff\n",
+                            ["rate", "--core", "{core}", "--vectors", "{vectors}",
+                             "--words", "{bad}", "--out", "{out}"]),
+    "core not utf-8": ("core.json", b'{"seed_abstract": ["\xff"], "seed_concrete": ["a"]}',
+                       ["rate", "--core", "{bad}", "--vectors", "{vectors}", "--out", "{out}"]),
+    "cache duplicate token": ("c.cavs", _cache_bytes(["a", "a"], [[1, 0], [0, 1]]),
+                              ["rate", "--core", "{core}", "--vectors", "{bad}", "--out", "{out}"]),
+    "cache blank token": ("c.cavs", _cache_bytes(["a", ""], [[1, 0], [0, 1]]),
+                          ["rate", "--core", "{core}", "--vectors", "{bad}", "--out", "{out}"]),
+    "cache rows not unit": ("c.cavs", _cache_bytes(["a", "b"], [[2, 0], [0, 1]]),
+                            ["rate", "--core", "{core}", "--vectors", "{bad}", "--out", "{out}"]),
+    "cache rows not finite": ("c.cavs", _cache_bytes(["a", "b"], [[np.nan, 0], [0, 1]]),
+                              ["rate", "--core", "{core}", "--vectors", "{bad}", "--out", "{out}"]),
+    "constant predictions": ("p.tsv", b"w001\t2.0\nw030\t2.0\nw059\t2.0\n",
+                             ["evaluate", "--pred", "{bad}", "--gold", "{ratings}",
+                              "--out", "{out}"]),
+    "constant gold": ("g.tsv", b"w001\t2.0\nw030\t2.0\nw059\t2.0\n",
+                      ["evaluate", "--pred", "{ratings}", "--gold", "{bad}", "--out", "{out}"]),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_is_one_line_data_error(self, corpus, tmp_path, capsys, case):
+        name, blob, argv = BAD_INPUTS[case]
+        bad = tmp_path / name
+        bad.write_bytes(blob)
+        core = tmp_path / "good-core.json"
+        core.write_text(json.dumps({"seed_abstract": ["w000"], "seed_concrete": ["w059"]}))
+        paths = {"bad": bad, "core": core, "out": tmp_path / "out",
+                 **{k: corpus[k] for k in ("ratings", "freq", "vectors")}}
+        assert run([a.format(**paths) for a in argv]) == EXIT_DATA
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}")
+
+    @pytest.mark.parametrize("flag", ["--threshold-gold", "--threshold-pred"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, corpus, tmp_path, flag, value):
+        argv = ["evaluate", "--pred", str(corpus["ratings"]), "--gold", str(corpus["ratings"]),
+                "--out", str(tmp_path / "eval.json"), f"{flag}={value}"]
+        assert run(argv) == EXIT_USAGE
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_value_error_in_a_command_propagates(self, corpus, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+        monkeypatch.setattr(cli, "evaluate_ratings", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["evaluate", "--pred", str(corpus["ratings"]), "--gold", str(corpus["ratings"])])

@@ -7,13 +7,19 @@ import pytest
 from cadict.embeddings import (
     CACHE_MAGIC,
     VectorStore,
-    cosine,
     load_cache,
     load_vectors,
     open_store,
     save_cache,
 )
 from cadict.errors import DataError
+from cadict.rater import (
+    FLAG_DENOMINATOR_FLOORED,
+    SIMILARITY_FLOOR,
+    SemanticCore,
+    rate_word,
+    raw_ratings,
+)
 
 from conftest import store_from_records, write_vec_file
 
@@ -51,6 +57,16 @@ class TestLoadVectors:
         assert len(store) == 2
         assert "z" not in store
         assert store.load_report.zero_norm_skipped == 1
+
+    def test_non_finite_counted_apart_from_zero_norm(self, tmp_path, caplog):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text("a 1 0\nb nan 1\nc 0 0\nd inf 1\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            store = load_vectors(path)
+        assert store.tokens == ("a",)
+        assert store.load_report.zero_norm_skipped == 1
+        assert store.load_report.non_finite_skipped == 2
+        assert "zero_norm_skipped=1, non_finite_skipped=2" in caplog.text
 
     def test_duplicate_first_wins(self, tmp_path):
         path = tmp_path / "dup.txt"
@@ -107,34 +123,56 @@ class TestLoadVectors:
 
 
 class TestCosine:
+    """Cosine similarity as every rating computes it: `raw_ratings` takes the dot
+    product of load-normalized rows, one per seed when the seeds are single words."""
+
     def test_orthogonal(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 1])])
-        assert cosine(store.get("a"), store.get("b")) == 0.0
+        # numerator cos(a, b) = 0 floors; denominator cos(a, a) = 1
+        raw, floored = raw_ratings(store.rows(["a"]), SemanticCore(("a",), ("b",)), store)
+        assert raw[0] == SIMILARITY_FLOOR
+        assert not floored[0]
 
     def test_colinear_scales(self, tmp_path):
-        store = store_from_records(tmp_path, [("a", [1, 2]), ("b", [2, 4])])
-        assert cosine(store.get("a"), store.get("b")) == pytest.approx(1.0, abs=1e-9)
+        store = store_from_records(tmp_path, [("a", [1, 2]), ("b", [2, 4]), ("c", [1, 0])])
+        # a and b point the same way, so c is equally similar to both
+        rated = rate_word("c", SemanticCore(("a",), ("b",)), store)
+        assert rated.raw_rating == pytest.approx(1.0, abs=1e-9)
 
     def test_known_value(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [1, 1])])
-        expected = 1 / math.sqrt(2)
-        assert cosine(store.get("a"), store.get("b")) == pytest.approx(expected, abs=1e-9)
+        rated = rate_word("b", SemanticCore(("b",), ("a",)), store)
+        assert rated.raw_rating == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+    @staticmethod
+    def _store_with_ref(tmp_path, seed):
+        """Random words plus "ref", which sits on an extra axis no word uses: under
+        the core (ref; s) a word w rates max(cos(w, s), floor) / floor."""
+        rng = np.random.default_rng(seed)
+        records = [(f"w{i:02d}", np.append(rng.normal(size=8), 0.0)) for i in range(20)]
+        records.append(("ref", np.eye(9)[8]))
+        return store_from_records(tmp_path, records)
 
     def test_symmetry_exact(self, tmp_path):
-        rng = np.random.default_rng(1)
-        records = [(f"w{i}", rng.normal(size=8)) for i in range(20)]
-        store = store_from_records(tmp_path, records)
-        for i in range(0, 20, 3):
-            for j in range(1, 20, 4):
-                a, b = store.get(f"w{i}"), store.get(f"w{j}")
-                assert cosine(a, b) == cosine(b, a)
+        store = self._store_with_ref(tmp_path, 1)
+        words = store.tokens[:-1]
+        checked = 0
+        for a in words:
+            for b in words:
+                if a == b:
+                    continue
+                ab, _ = raw_ratings(store.rows([a]), SemanticCore(("ref",), (b,)), store)
+                ba, _ = raw_ratings(store.rows([b]), SemanticCore(("ref",), (a,)), store)
+                assert ab[0] == ba[0]
+                checked += ab[0] > 1.0
+        assert checked > 100
 
     def test_self_similarity(self, tmp_path):
-        rng = np.random.default_rng(2)
-        records = [(f"w{i}", rng.normal(size=8)) for i in range(30)]
-        store = store_from_records(tmp_path, records)
-        for t in store.tokens:
-            assert cosine(store.get(t), store.get(t)) == pytest.approx(1.0, abs=1e-9)
+        store = self._store_with_ref(tmp_path, 2)
+        for t in store.tokens[:-1]:
+            rated = rate_word(t, SemanticCore(("ref",), (t,)), store)
+            assert rated.raw_rating * SIMILARITY_FLOOR == pytest.approx(1.0, abs=1e-9)
+            assert FLAG_DENOMINATOR_FLOORED in rated.flags
 
     def test_scale_invariance_through_load(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -146,15 +184,17 @@ class TestCosine:
         s2 = store_from_records(tmp_path, scaled, name="scaled.txt")
         for i in range(15):
             for j in range(15):
-                c1 = cosine(s1.get(f"w{i}"), s1.get(f"w{j}"))
-                c2 = cosine(s2.get(f"w{i}"), s2.get(f"w{j}"))
-                assert c1 == pytest.approx(c2, abs=1e-9)
+                if i == j:
+                    continue
+                core = SemanticCore((f"w{i}",), (f"w{j}",))
+                r1, _ = raw_ratings(s1.matrix, core, s1)
+                r2, _ = raw_ratings(s2.matrix, core, s2)
+                assert np.allclose(r1, r2, rtol=1e-9, atol=0.0)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
-        a = store_from_records(tmp_path, [("a", [1, 0])], name="d2.txt").get("a")
-        b = store_from_records(tmp_path, [("b", [1, 0, 0])], name="d3.txt").get("b")
-        with pytest.raises(ValueError, match="dimension"):
-            cosine(a, b)
+        store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 1])])
+        with pytest.raises(ValueError):
+            raw_ratings(np.ones((1, 3)) / math.sqrt(3), SemanticCore(("a",), ("b",)), store)
 
 
 class TestCache:
@@ -215,6 +255,9 @@ class TestCache:
         b'{"count": "many", "dimension": 2, "source_id": "x"}',
         b"[1, 2]",
         b'{"count": 1, "dimension": 0, "source_id": "x"}',
+        pytest.param(b'{"count": 0, "dimension": 99999999999999999999, "source_id": "x"}',
+                     id="empty-with-huge-dimension"),
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
     ])
     def test_corrupt_header_is_data_error(self, tmp_path, header):
         cache = tmp_path / "store.cavs"
@@ -242,9 +285,8 @@ class TestCache:
         cache = tmp_path / "v.cavs"
         save_cache(store, cache)
         via_cache = open_store(cache)
-        assert set(via_cache.tokens) == set(store.tokens)
-        assert cosine(via_cache.get("a"), via_cache.get("b")) == \
-            cosine(store.get("a"), store.get("b"))
+        assert via_cache.tokens == store.tokens
+        assert np.array_equal(via_cache.matrix, store.matrix)
 
 
 class TestStoreConstruction:

@@ -140,6 +140,26 @@ class TestPearson:
             assert -1.0 <= pearson(x, y) <= 1.0
 
 
+class TestScipyOracle:
+    """Both correlations against scipy.stats on tie-heavy inputs; skipped without scipy."""
+
+    def test_spearman_and_pearson_match_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(9)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            levels = int(rng.integers(2, 6))
+            x = rng.integers(0, levels, size=n) * rng.uniform(0.1, 3.0)
+            y = rng.integers(0, levels, size=n) + rng.normal(0.0, 1e-3) * x
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                continue
+            assert spearman(x, y) == pytest.approx(stats.spearmanr(x, y)[0], abs=1e-12)
+            assert pearson(x, y) == pytest.approx(stats.pearsonr(x, y)[0], abs=1e-12)
+            checked += 1
+        assert checked > 200
+
+
 class TestBinaryAccuracy:
     def test_identity(self):
         gold = [1.0, 2.0, 4.0, 5.0]

@@ -64,9 +64,8 @@ def full_grid_report(corpus):
 def _score_against_lexicon(core, lex, store):
     tokens = [t for t in lex.tokens if t in store]
     batch = rate_all(tokens, core, store)
-    pred = [w.raw_rating for w in batch.rated]
-    gold = [lex.rating(w.token) for w in batch.rated]
-    return spearman(pred, gold), len(pred)
+    gold = [lex.rating(t) for t in batch.tokens]
+    return spearman(batch.raw, gold), len(gold)
 
 
 @needs_data

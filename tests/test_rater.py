@@ -12,7 +12,6 @@ from cadict.rater import (
     SemanticCore,
     build_dictionary,
     load_core,
-    mean_similarity,
     rate_all,
     rate_word,
     save_core,
@@ -53,23 +52,30 @@ class TestSemanticCore:
 
 
 class TestMeanSimilarity:
-    def test_self_similarity(self, tiny_store):
-        assert mean_similarity("east", ["east"], tiny_store) == 1.0
+    """Mean seed similarity as `rate_word` computes it: the dot product of the
+    word's unit row with the mean of the seed rows."""
 
-    def test_mean_of_two(self, tiny_store):
-        # mean of cos(east,east)=1 and cos(east,north)=0
-        assert mean_similarity("east", ["east", "north"], tiny_store) == 0.5
+    def test_self_similarity(self, tiny_store):
+        # abstract seed {east}: the denominator is cos(east, east) = 1
+        rated = rate_word("east", SemanticCore(("east",), ("northeast",)), tiny_store)
+        assert rated.raw_rating == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+
+    def test_mean_of_two(self, tmp_path):
+        store = store_from_records(tmp_path, [("east", [1, 0]), ("east2", [2, 0]),
+                                              ("east3", [3, 0]), ("north", [0, 1])])
+        # mean of cos(east,east)=1 and cos(east,north)=0, over a denominator of 1
+        rated = rate_word("east", SemanticCore(("east2", "east3"), ("east", "north")), store)
+        assert rated.raw_rating == 0.5
 
     def test_orthogonal(self, tiny_store):
-        assert mean_similarity("north", ["east"], tiny_store) == 0.0
-
-    def test_empty_seed_rejected(self, tiny_store):
-        with pytest.raises(ValueError):
-            mean_similarity("east", [], tiny_store)
+        # cos(north, east) = 0 floors the numerator; cos(north, north) = 1
+        rated = rate_word("north", SemanticCore(("north",), ("east",)), tiny_store)
+        assert rated.raw_rating == SIMILARITY_FLOOR
+        assert not rated.flags
 
     def test_oov_named(self, tiny_store):
         with pytest.raises(DataError, match="'ghost'"):
-            mean_similarity("ghost", ["east"], tiny_store)
+            rate_word("ghost", SemanticCore(("north",), ("east",)), tiny_store)
 
 
 class TestRateWord:
@@ -78,7 +84,6 @@ class TestRateWord:
         rated = rate_word("east", core, tiny_store)
         assert rated.raw_rating == pytest.approx(math.sqrt(2), abs=1e-8)
         assert not rated.flags
-        assert rated.scaled_rating is None
 
     def test_equidistant_is_one(self, tiny_store):
         core = SemanticCore(seed_abstract=("north",), seed_concrete=("east",))
@@ -107,26 +112,22 @@ class TestRateAll:
         store = store_from_records(tmp_path, records)
         core = SemanticCore(seed_abstract=("e2",), seed_concrete=("e1",))
         batch = rate_all(["low", "mid", "high"], core, store)
-        raws = [w.raw_rating for w in batch.rated]
-        assert raws[0] == pytest.approx(0.5, abs=1e-12)
-        assert raws[1] == pytest.approx(1.0, abs=1e-12)
-        assert raws[2] == pytest.approx(1.5, abs=1e-12)
-        scaled = [w.scaled_rating for w in batch.rated]
-        assert scaled[0] == 1.0
-        assert scaled[1] == pytest.approx(3.0, abs=1e-9)
-        assert scaled[2] == 5.0
+        assert batch.raw == pytest.approx([0.5, 1.0, 1.5], abs=1e-12)
+        assert batch.scaled[0] == 1.0
+        assert batch.scaled[1] == pytest.approx(3.0, abs=1e-9)
+        assert batch.scaled[2] == 5.0
 
     def test_single_word_is_midpoint(self, tiny_store):
         core = SemanticCore(("north",), ("east",))
         batch = rate_all(["northeast"], core, tiny_store)
-        assert batch.rated[0].scaled_rating == 3.0
+        assert batch.scaled.tolist() == [3.0]
 
     def test_oov_skipped_not_fatal(self, tiny_store):
         core = SemanticCore(("north",), ("east",))
         batch = rate_all(["northeast", "ghost", "south"], core, tiny_store)
-        assert len(batch.rated) == 2
+        assert batch.tokens == ("northeast", "south")
+        assert len(batch.raw) == len(batch.scaled) == len(batch.floored) == 2
         assert batch.skipped == ("ghost",)
-        assert [w.token for w in batch.rated] == ["northeast", "south"]
 
     def test_empty_resolvable_rejected(self, tiny_store):
         core = SemanticCore(("north",), ("east",))
@@ -141,7 +142,9 @@ class TestRateAll:
     def test_order_preserved(self, tiny_store):
         core = SemanticCore(("north",), ("east",))
         batch = rate_all(["south", "east", "northeast"], core, tiny_store)
-        assert [w.token for w in batch.rated] == ["south", "east", "northeast"]
+        assert batch.tokens == ("south", "east", "northeast")
+        for token, raw in zip(batch.tokens, batch.raw):
+            assert raw == rate_word(token, core, tiny_store).raw_rating
 
     def test_raw_and_scaled_rank_orders_agree(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -149,9 +152,8 @@ class TestRateAll:
         store = VectorStore.from_raw(tokens, rng.normal(size=(30, 8)))
         core = SemanticCore(tuple(tokens[:3]), tuple(tokens[3:6]))
         batch = rate_all(tokens, core, store)
-        raw = np.array([w.raw_rating for w in batch.rated])
-        scaled = np.array([w.scaled_rating for w in batch.rated])
-        assert list(np.argsort(raw, kind="stable")) == list(np.argsort(scaled, kind="stable"))
+        assert list(np.argsort(batch.raw, kind="stable")) == \
+            list(np.argsort(batch.scaled, kind="stable"))
 
 
 class TestInvariances:
@@ -170,8 +172,8 @@ class TestInvariances:
             perm = rng.permutation(n)
             core = SemanticCore(tuple(tokens[i] for i in perm[:z]),
                                 tuple(tokens[i] for i in perm[z:2 * z]))
-            r1 = np.array([w.raw_rating for w in rate_all(tokens, core, plain).rated])
-            r2 = np.array([w.raw_rating for w in rate_all(tokens, core, scaled).rated])
+            r1 = rate_all(tokens, core, plain).raw
+            r2 = rate_all(tokens, core, scaled).raw
             worst = max(worst, float(np.max(np.abs(r1 - r2))))
         assert worst <= 1e-9
 
@@ -184,9 +186,9 @@ class TestInvariances:
             tuple(rng.permutation(core.seed_abstract).tolist()),
             tuple(rng.permutation(core.seed_concrete).tolist()),
         )
-        r1 = [w.raw_rating for w in rate_all(tokens, core, store).rated]
-        r2 = [w.raw_rating for w in rate_all(tokens, shuffled, store).rated]
-        assert r1 == r2
+        r1 = rate_all(tokens, core, store).raw
+        r2 = rate_all(tokens, shuffled, store).raw
+        assert r1.tolist() == r2.tolist()
 
     def test_swap_antisymmetry_unfloored(self):
         rng = np.random.default_rng(33)
@@ -197,12 +199,11 @@ class TestInvariances:
             perm = rng.permutation(50)
             core = SemanticCore(tuple(tokens[i] for i in perm[:5]),
                                 tuple(tokens[i] for i in perm[5:10]))
-            fwd = rate_all(tokens, core, store).rated
-            bwd = rate_all(tokens, core.swapped(), store).rated
-            for a, b in zip(fwd, bwd):
-                if not a.flags and not b.flags:
-                    assert abs(b.raw_rating - 1.0 / a.raw_rating) <= 1e-9
-                    checked += 1
+            fwd = rate_all(tokens, core, store)
+            bwd = rate_all(tokens, core.swapped(), store)
+            unfloored = ~fwd.floored & ~bwd.floored
+            assert np.all(np.abs(bwd.raw - 1.0 / fwd.raw)[unfloored] <= 1e-9)
+            checked += int(unfloored.sum())
         assert checked > 100  # the property must actually get exercised
 
     def test_monotone_in_angle(self, tmp_path):
