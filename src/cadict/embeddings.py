@@ -24,6 +24,8 @@ from cadict.errors import DataError, open_text
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"CAVS0001"
+# a smaller norm has a subnormal square, too inexact to normalize the row by
+MIN_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,11 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     Format: optional first line ``N d`` (two integers), then one
     ``token v1 ... vd`` record per line, whitespace separated, UTF-8.
     The dimension is inferred from the first record; any later record with a
-    different component count is a hard error naming the line. Zero-norm and
-    non-finite vectors are dropped and counted apart; on duplicate tokens the
-    first occurrence wins. Tokens are folded to lowercase unless `fold_case` is off;
-    `vocab_filter`, when given, is matched after folding.
+    different component count is a hard error naming the line. Zero-norm
+    vectors (norm below `MIN_NORM`) and non-finite ones are dropped and
+    counted apart; on duplicate tokens the first occurrence wins. Tokens are
+    folded to lowercase unless `fold_case` is off; `vocab_filter`, when
+    given, is matched after folding.
     """
     path = Path(path)
     if fold_case and vocab_filter is not None:
@@ -198,7 +201,7 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: unparseable vector component") from exc
             norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
+            if norm < MIN_NORM:
                 zero_norm += 1
                 continue
             if not math.isfinite(norm):
@@ -221,7 +224,7 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
         logger.warning("%s: dropped %s", path, report.drops())
     try:
         return VectorStore(tokens, np.vstack(rows), source_id=str(path), load_report=report)
-    except ValueError as exc:  # rows too small to normalize to unit length
+    except ValueError as exc:  # a row the store's checks refuse
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -293,7 +296,7 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
             raise DataError(f"{path}: vocab filter removed every cached vector")
     report = LoadReport(accepted=len(tokens), filtered_out=filtered)
     try:
-        return VectorStore(tokens, np.array(matrix), source_id=source_id, load_report=report)
+        return VectorStore(tokens, matrix, source_id=source_id, load_report=report)
     except ValueError as exc:  # blank or duplicate tokens, rows not unit length
         raise DataError(f"{path}: corrupt cache: {exc}") from exc
 

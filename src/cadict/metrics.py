@@ -2,15 +2,16 @@
 
 Ties get fractional (average) ranks and Spearman is computed as Pearson over
 those ranks, the correct general form; the popular 1 - 6*sum(d^2)/... shortcut
-is only valid tie-free and lives in the test suite as an oracle. Sums use
-math.fsum: the paper-scale evaluations correlate tens of thousands of values
-with small variances.
+is only valid tie-free and lives in the test suite as an oracle. Every rank
+correlation, here and in the core search, is `rank_correlation`, whose sums
+are exact integers. math.fsum serves only `pearson` over arbitrary values:
+evaluations correlate tens of thousands of values with small variances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,14 +28,7 @@ class EvaluationReport:
     threshold_pred: float
 
     def to_dict(self) -> dict:
-        return {
-            "r_s": self.r_s,
-            "rho": self.rho,
-            "accuracy": self.accuracy,
-            "n": self.n,
-            "threshold_gold": self.threshold_gold,
-            "threshold_pred": self.threshold_pred,
-        }
+        return asdict(self)
 
 
 def average_ranks(values) -> np.ndarray:
@@ -67,6 +61,10 @@ def pearson(x, y) -> float:
     n = xa.size
     if n < 2:
         raise ValueError("pearson needs at least 2 points")
+    # a power-of-two scale leaves r's bits unchanged (it is exact unless a value
+    # is ~2^1000 below the largest), and squares of |values| < 1 cannot overflow
+    xa = np.ldexp(xa, -np.frexp(np.max(np.abs(xa)))[1])
+    ya = np.ldexp(ya, -np.frexp(np.max(np.abs(ya)))[1])
     mx = math.fsum(xa) / n
     my = math.fsum(ya) / n
     dx = xa - mx
@@ -79,17 +77,38 @@ def pearson(x, y) -> float:
     return float(np.clip(sxy / math.sqrt(sxx * syy), -1.0, 1.0))
 
 
+def rank_correlation(ranks, gold_ranks):
+    """Pearson correlation of fractional ranks with `gold_ranks`, clamped to
+    [-1, 1]: a float for one rank vector, an array for each row of a 2-d one;
+    NaN where the ranks are constant.
+
+    Twice a fractional rank is an integer, so the sums run exactly in int64
+    over 2*rank - (n+1); r is the ratio of the correctly rounded sums, the
+    same bits as `pearson` on the same ranks. The sums stay below
+    (n^3 - n) / 3, so n past about 3M is a ValueError.
+    """
+    ranks = np.asarray(ranks, dtype=np.float64)
+    gold = np.asarray(gold_ranks, dtype=np.float64)
+    n = gold.size
+    if gold.ndim != 1 or n < 2 or ranks.shape[-1:] != (n,):
+        raise ValueError("rank_correlation needs 1-d gold ranks (n >= 2) and rows of length n")
+    if (n ** 3 - n) // 3 > np.iinfo(np.int64).max:
+        raise ValueError(f"rank_correlation: n = {n} overflows its int64 sums")
+    u = (2 * ranks).astype(np.int64) - (n + 1)
+    g = (2 * gold).astype(np.int64) - (n + 1)
+    sxx = np.einsum("...i,...i->...", u, u).astype(np.float64)
+    sxy = (u @ g).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # 0 / 0 for constant ranks
+        r = np.clip(sxy / np.sqrt(sxx * float(g @ g)), -1.0, 1.0)
+    return float(r) if r.ndim == 0 else r
+
+
 def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson over fractional ranks."""
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("spearman needs two equal-length 1-d sequences")
-    if xa.size < 2:
-        raise ValueError("spearman needs at least 2 points")
-    if np.all(xa == xa[0]) or np.all(ya == ya[0]):
+    r = rank_correlation(average_ranks(x), average_ranks(y))
+    if math.isnan(r):
         raise ValueError("spearman undefined: constant input list")
-    return pearson(average_ranks(xa), average_ranks(ya))
+    return r
 
 
 def binary_accuracy(pred, gold, threshold_gold: float, threshold_pred: float) -> float:

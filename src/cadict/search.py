@@ -7,12 +7,12 @@ budget, otherwise uniformly without repetition), scores each core by Spearman
 correlation between its ratings and the expert ratings, and keeps the best
 core per cell.
 
-A cell is scored in two steps. A batched screen rates all of its cores with
-one matrix product and correlates their ranks in one matrix-vector product;
-then every flagged core (one whose screened ranks could differ from the
-exact ones) and the best unflagged cores are settled through the one exact
-path (`raw_ratings` plus the fsum Pearson), so every reported r_s is that
-path's.
+A batched screen rates all of a cell's cores with one matrix product, ranks
+them, and scores them with `metrics.rank_correlation`, the one rank
+correlation (exact int64 sums; math.fsum serves only `metrics.pearson`). A
+flagged core (one whose screened ranks could differ from the exact ones) is
+re-scored through the exact path (`raw_ratings`, then the same correlation);
+any other core has that path's ranks already, so every r_s is that path's.
 
 Reproducibility contract: every cell draws from its own RNG stream keyed by
 (rng_seed, X, Y, Z), and the best-core reduction breaks score ties by the
@@ -48,10 +48,6 @@ from cadict.rater import SIMILARITY_FLOOR, SemanticCore, raw_ratings
 
 logger = logging.getLogger(__name__)
 
-# cores whose screened r is this close to the cell's screened maximum are
-# re-scored exactly. The screen's correlation sums are exact below ~300k words
-# (n^3 / 3 < 2^53); past that the margin covers their rounding.
-SETTLE_MARGIN = 1e-9
 # the screen works on blocks of cores of at most this many (core, word)
 # ratings, so its arrays stay near 16 MB each however many words are scored
 SCREEN_BLOCK = 1 << 21
@@ -177,16 +173,11 @@ class _EvalContext:
         self.store = store
         self.matrix = store.rows(tokens)
         self.gold_ranks = metrics.average_ranks(gold)
-        # ranks are half-integers with mean (n+1)/2, so deviations are exact
-        self.gold_dev = self.gold_ranks - (len(tokens) + 1) / 2
 
-    def evaluate(self, core: SemanticCore) -> float | None:
-        """Spearman of the core's raw ratings against gold; None when undefined."""
+    def evaluate(self, core: SemanticCore) -> float:
+        """Spearman of the core's raw ratings against gold; NaN when undefined."""
         raw, _ = raw_ratings(self.matrix, core, self.store)
-        try:
-            return metrics.pearson(metrics.average_ranks(raw), self.gold_ranks)
-        except ValueError:
-            return None
+        return metrics.rank_correlation(metrics.average_ranks(raw), self.gold_ranks)
 
 
 def evaluate_core(core: SemanticCore, base: BaseDictionary, store: VectorStore) -> float:
@@ -195,7 +186,7 @@ def evaluate_core(core: SemanticCore, base: BaseDictionary, store: VectorStore) 
     core.require_in_store(store)
     ctx = _EvalContext(base.tokens, base.ratings, store)
     r_s = ctx.evaluate(core)
-    if r_s is None:
+    if np.isnan(r_s):
         raise DataError("correlation undefined: the core rates every word identically")
     return r_s
 
@@ -225,6 +216,13 @@ def _seed_pairs(y: int, z: int, limit: int, rng: np.random.Generator,
         yield pair
 
 
+def _pair_core(pair: tuple[tuple[int, ...], tuple[int, ...]],
+               pools: CandidatePools) -> SemanticCore:
+    a_idx, c_idx = pair
+    return SemanticCore(seed_abstract=tuple(pools.abstract[j] for j in a_idx),
+                        seed_concrete=tuple(pools.concrete[j] for j in c_idx))
+
+
 def _core_sort_key(core: SemanticCore) -> tuple[str, ...]:
     # total order: both halves have length z, so the concatenation is unique
     return tuple(sorted(core.seed_abstract)) + tuple(sorted(core.seed_concrete))
@@ -239,8 +237,8 @@ def _screen_cell(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], z: int,
     similarities with one product, so its sums run in another order than
     `raw_ratings`. Each raw rating therefore carries an error bound; a core
     whose sorted ratings have two neighbours closer than their bounds allow
-    is flagged. Every other core has exactly the exact path's ranks, and its
-    correlation sums are exact too: rank deviations are half-integers.
+    is flagged. Every other core has exactly the exact path's ranks, and so
+    exactly its r.
     """
     k, y = len(pairs), len(pools.abstract)
     rows = np.arange(k)[:, None]
@@ -277,46 +275,26 @@ def _screen_cell(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], z: int,
     np.put_along_axis(ranks, order, np.arange(1.0, n + 1), axis=1)
     for i in np.flatnonzero(np.any(gaps == 0, axis=1) & ~unsure):
         ranks[i] = metrics.average_ranks(raw[i])
-    dev = ranks - (n + 1) / 2
-    sxx = np.einsum("ij,ij->i", dev, dev)
-    syy = float(ctx.gold_dev @ ctx.gold_dev)
-    sxy = dev @ ctx.gold_dev
-    with np.errstate(invalid="ignore"):
-        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
-    return np.where(sxx > 0, r, np.nan), unsure
+    return metrics.rank_correlation(ranks, ctx.gold_ranks), unsure
 
 
 def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalContext,
                    cfg: SearchConfig, force_sampling: bool = False) -> CellResult | SkippedCell:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
     pairs = list(_seed_pairs(y, z, cfg.samples_per_cell, rng, force_sampling))
-    step = max(1, SCREEN_BLOCK // len(ctx.gold_dev))
+    step = max(1, SCREEN_BLOCK // len(ctx.gold_ranks))
     blocks = [_screen_cell(pairs[i:i + step], z, pools, ctx) for i in range(0, len(pairs), step)]
-    screened = np.concatenate([r for r, _ in blocks])
-    unsure = np.concatenate([u for _, u in blocks])
-    # flagged cores are all re-scored, and their screened r may be off, so the
-    # settle threshold comes from the unflagged ones, whose screened r is exact
-    sure = ~np.isnan(screened) & ~unsure
-    top = screened[sure].max() if sure.any() else np.inf
-    best_r: float | None = None
-    best_key: tuple[str, ...] | None = None
-    best_core: SemanticCore | None = None
-    for i in np.flatnonzero(unsure | (screened >= top - SETTLE_MARGIN)):
-        a_idx, c_idx = pairs[i]
-        core = SemanticCore(
-            seed_abstract=tuple(pools.abstract[j] for j in a_idx),
-            seed_concrete=tuple(pools.concrete[j] for j in c_idx),
-        )
-        r = ctx.evaluate(core)
-        if r is None:
-            continue
-        key = _core_sort_key(core)
-        if best_r is None or r > best_r or (r == best_r and key < best_key):
-            best_r, best_key, best_core = r, key, core
-    if best_core is None:
+    r = np.concatenate([screened for screened, _ in blocks])
+    # only a flagged core's screened ranks may differ from the exact path's
+    for i in np.flatnonzero(np.concatenate([unsure for _, unsure in blocks])):
+        r[i] = ctx.evaluate(_pair_core(pairs[i], pools))
+    if np.all(np.isnan(r)):
         return SkippedCell(x=x, y=y, z=z,
                            reason="correlation undefined for every evaluated core")
-    return CellResult(x=x, y=y, z=z, best_core=best_core, best_r_s=best_r,
+    top = np.nanmax(r)
+    best_core = min((_pair_core(pairs[i], pools) for i in np.flatnonzero(r == top)),
+                    key=_core_sort_key)
+    return CellResult(x=x, y=y, z=z, best_core=best_core, best_r_s=float(top),
                       cores_evaluated=len(pairs))
 
 

@@ -61,7 +61,7 @@ def evaluate_cell_loop(x, y, z, pools, ctx, cfg, force_sampling=False):
         )
         evaluated += 1
         r = ctx.evaluate(core)
-        if r is None:
+        if np.isnan(r):
             continue
         key = _core_sort_key(core)
         if best_r is None or r > best_r or (r == best_r and key < best_key):

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -254,6 +255,21 @@ class TestEvaluateCommand:
                     "--out", str(out)]) == EXIT_DATA
         assert f"line 2: non-finite rating '{value}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, rho", [
+        (("1e200", "2e200", "3e201"), "0.880812"),  # the same as 1, 2, 30
+        (("1.7e308", "-1.7e308", "1e308"), None),
+    ], ids=["1e200", "1.7e308"])
+    def test_huge_predictions_give_a_finite_rho(self, tmp_path, capsys, values, rho):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\t1.5\nb\t2.5\nc\t3.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("".join(f"{t}\t{v}\n" for t, v in zip("abc", values)), encoding="utf-8")
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == EXIT_OK
+        printed = capsys.readouterr().out.split("rho = ")[1].split()[0]
+        assert math.isfinite(float(printed))
+        if rho is not None:
+            assert printed == rho
 
     def test_json_writer_refuses_nan(self, tmp_path):
         out = tmp_path / "doc.json"

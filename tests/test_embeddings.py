@@ -58,6 +58,14 @@ class TestLoadVectors:
         assert "z" not in store
         assert store.load_report.zero_norm_skipped == 1
 
+    def test_underflowing_norm_counted_as_zero_norm(self, tmp_path):
+        # its squared norm is subnormal, too inexact to make a unit row
+        path = tmp_path / "tiny.txt"
+        path.write_text("a 1e-160 1e-160\nb 0 1\n", encoding="utf-8")
+        store = load_vectors(path)
+        assert store.tokens == ("b",)
+        assert store.load_report.zero_norm_skipped == 1
+
     def test_non_finite_counted_apart_from_zero_norm(self, tmp_path, caplog):
         path = tmp_path / "nonfinite.txt"
         path.write_text("a 1 0\nb nan 1\nc 0 0\nd inf 1\n", encoding="utf-8")

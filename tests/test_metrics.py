@@ -8,6 +8,7 @@ from cadict.metrics import (
     binary_accuracy,
     evaluate_ratings,
     pearson,
+    rank_correlation,
     spearman,
 )
 
@@ -131,6 +132,11 @@ class TestPearson:
             assert pearson(a * x + b, y) == pytest.approx(pearson(x, y), abs=1e-9)
             assert pearson(x, a * y + b) == pytest.approx(pearson(x, y), abs=1e-9)
 
+    def test_huge_values_do_not_overflow(self):
+        gold = [1.5, 2.5, 3.5]
+        assert pearson([1e200, 2e200, 3e201], gold) == pearson([1, 2, 30], gold)
+        assert math.isfinite(pearson([1.7e308, -1.7e308, 1e308], gold))
+
     def test_clamped(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
@@ -138,6 +144,41 @@ class TestPearson:
             x = rng.normal(size=n)
             y = rng.normal(size=n)
             assert -1.0 <= pearson(x, y) <= 1.0
+
+
+class TestRankCorrelation:
+    @pytest.mark.parametrize("n", [2, 7, 300, 5000, 400_000])
+    def test_equals_pearson_on_the_same_ranks(self, n):
+        # at 400k words float sums of squared half-integer deviations round;
+        # the int64 sums do not, and convert as fsum rounds
+        rng = np.random.default_rng(n)
+        for levels in (2, 5, 40, None):
+            x = rng.integers(0, levels, n) if levels else rng.normal(size=n)
+            y = rng.integers(0, 3, n)
+            rx, ry = average_ranks(x), average_ranks(y)
+            if np.all(rx == rx[0]) or np.all(ry == ry[0]):
+                continue
+            assert rank_correlation(rx, ry) == pearson(rx, ry)
+
+    def test_rows_equal_one_dimensional_calls(self):
+        rng = np.random.default_rng(3)
+        gold = average_ranks(rng.integers(0, 4, 50))
+        rows = np.array([average_ranks(rng.integers(0, levels, 50)) for levels in (1, 2, 3, 50)])
+        batch = rank_correlation(rows, gold)
+        assert np.isnan(batch[0]) and np.isnan(rank_correlation(rows[0], gold))
+        for row, r in zip(rows[1:], batch[1:]):
+            assert rank_correlation(row, gold) == r
+
+    def test_refuses_n_past_its_int64_bound(self):
+        n = 3_000_000
+        while (n ** 3 - n) // 3 <= 2 ** 63 - 1:
+            n += 1
+        widest = np.arange(1.0, n)  # the largest n it accepts: sums reach ~2**63
+        assert rank_correlation(widest, widest) == 1.0
+        assert rank_correlation(widest[::-1], widest) == -1.0
+        ranks = np.arange(1.0, n + 1)
+        with pytest.raises(ValueError, match="int64"):
+            rank_correlation(ranks, ranks)
 
 
 class TestScipyOracle:

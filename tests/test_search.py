@@ -279,7 +279,7 @@ def _assert_unflagged_screen_exact(pairs, z, pools, ctx):
         core = SemanticCore(tuple(pools.abstract[i] for i in a_idx),
                             tuple(pools.concrete[i] for i in c_idx))
         exact = ctx.evaluate(core)
-        assert (exact is None and np.isnan(r)) or exact == r
+        assert (np.isnan(exact) and np.isnan(r)) or exact == r
 
 
 class TestBatchedKernelOracle:
@@ -307,6 +307,18 @@ class TestBatchedKernelOracle:
             z = int(rng.integers(1, y + 1))
             pairs = list(_seed_pairs(y, z, 10, rng))
             _assert_unflagged_screen_exact(pairs, z, select_pools(base, y), ctx)
+
+    def test_tie_free_cell_needs_no_exact_re_score(self, tmp_path):
+        # no core is flagged on a tie-free store, so the screen alone decides
+        store, lex, freq = clustered_dataset(tmp_path)
+        base = select_base(lex, freq, store, 300)
+        ctx = _EvalContext(base.tokens, base.ratings, store)
+        pools = select_pools(base, 100)
+        cfg = toy_config(samples_per_cell=100)
+        with mock.patch.object(search, "raw_ratings", wraps=search.raw_ratings) as spy:
+            cell = _evaluate_cell(300, 100, 10, pools, ctx, cfg)
+        assert spy.call_count == 0
+        assert cell == evaluate_cell_loop(300, 100, 10, pools, ctx, cfg)
 
     def test_inflated_flagged_core_does_not_hide_the_best(self, tmp_path):
         # a flagged core's screened r is not trusted: one that screens far above
