@@ -28,12 +28,10 @@ from cadict.metrics import (
 )
 from cadict.rater import (
     BatchRating,
-    RatedWord,
     SemanticCore,
     build_dictionary,
     load_core,
     rate_all,
-    rate_word,
     save_core,
 )
 from cadict.search import (
@@ -42,7 +40,6 @@ from cadict.search import (
     SearchConfig,
     SearchReport,
     SkippedCell,
-    evaluate_core,
     search_grid,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "EvaluationScope",
     "FrequencyList",
     "InfeasibleError",
-    "RatedWord",
     "RatingLexicon",
     "SearchConfig",
     "SearchReport",
@@ -70,7 +66,6 @@ __all__ = [
     "average_ranks",
     "binary_accuracy",
     "build_dictionary",
-    "evaluate_core",
     "evaluate_ratings",
     "load_core",
     "load_frequencies",
@@ -79,7 +74,6 @@ __all__ = [
     "open_store",
     "pearson",
     "rate_all",
-    "rate_word",
     "save_core",
     "search_grid",
     "select_base",

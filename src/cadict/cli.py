@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from cadict import __version__
@@ -38,26 +37,6 @@ EXIT_INFEASIBLE = 3
 CACHE_DIR_ENV = "CADICT_CACHE_DIR"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block written into every output."""
-
-    command: str
-    tool_version: str
-    rng_seed: int | None
-    inputs: dict[str, dict[str, str]]
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "rng_seed": self.rng_seed,
-            "inputs": self.inputs,
-            "config": self.config,
-        }
-
-
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -67,14 +46,15 @@ def _sha256(path: str | Path) -> str:
 
 
 def _manifest(command: str, rng_seed: int | None, inputs: dict[str, str | Path],
-              config: dict) -> RunManifest:
-    return RunManifest(
-        command=command,
-        tool_version=__version__,
-        rng_seed=rng_seed,
-        inputs={name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
-        config=config,
-    )
+              config: dict) -> dict:
+    """The provenance block written into every output."""
+    return {
+        "command": command,
+        "tool_version": __version__,
+        "rng_seed": rng_seed,
+        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
+        "config": config,
+    }
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
@@ -84,8 +64,8 @@ def _write_json(path: str | Path, doc: dict) -> None:
         fh.write(text + "\n")
 
 
-def _write_sidecar(out_path: str | Path, manifest: RunManifest) -> None:
-    _write_json(str(out_path) + ".manifest.json", manifest.to_dict())
+def _write_sidecar(out_path: str | Path, manifest: dict) -> None:
+    _write_json(str(out_path) + ".manifest.json", manifest)
 
 
 def _parse_x_values(text: str) -> tuple[int, ...]:
@@ -192,7 +172,7 @@ def _cmd_search(args) -> int:
         cfg.to_dict(),
     )
     doc = report.to_dict()
-    doc["manifest"] = manifest.to_dict()
+    doc["manifest"] = manifest
     _write_json(args.out_report, doc)
 
     best = report.best_overall
@@ -203,7 +183,7 @@ def _cmd_search(args) -> int:
         "best_r_s": best.best_r_s,
         "config": cfg.to_dict(),
         "rng_seed": cfg.rng_seed,
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
     })
     if args.out_landscape:
         with open(args.out_landscape, "w", encoding="utf-8") as fh:
@@ -270,7 +250,7 @@ def _cmd_evaluate(args) -> int:
                           "threshold_pred": args.threshold_pred,
                           "fold_case": args.fold_case})
     doc = {"format_version": 1, "kind": "evaluation_report", **report.to_dict(),
-           "manifest": manifest.to_dict()}
+           "manifest": manifest}
     if args.out:
         _write_json(args.out, doc)
         print(f"wrote {args.out}")

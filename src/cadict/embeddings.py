@@ -72,24 +72,16 @@ class VectorStore:
         if len(self._index) != len(self._tokens):
             raise ValueError("duplicate tokens in store construction")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
+        # a corrupt row's squares may overflow: its norm is then inf, which
+        # fails the unit check below all the same
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(matrix, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-6):
             raise ValueError("store rows must be unit-normalized")
         matrix.setflags(write=False)
         self._matrix = matrix
         self._source_id = source_id
         self._load_report = load_report or LoadReport(len(self._tokens))
-
-    @classmethod
-    def from_raw(cls, tokens: Sequence[str], matrix, source_id: str = "in-memory") -> "VectorStore":
-        """Build a store from raw (not yet normalized) vectors; zero rows are an error."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
-            raise ValueError("zero-norm or non-finite vector in raw matrix")
-        return cls(tokens, matrix / norms[:, None], source_id=source_id)
 
     @property
     def dimension(self) -> int:
@@ -122,13 +114,6 @@ class VectorStore:
     def row_index(self, token: str) -> int | None:
         return self._index.get(token)
 
-    def vector(self, token: str) -> np.ndarray:
-        """Unit vector for `token`; raises DataError naming the token if absent."""
-        i = self._index.get(token)
-        if i is None:
-            raise DataError(f"token not in vector store: {token!r}")
-        return self._matrix[i]
-
     def rows(self, tokens: Iterable[str]) -> np.ndarray:
         """Stacked unit vectors for `tokens`, in the given order."""
         idx = []
@@ -159,9 +144,10 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     The dimension is inferred from the first record; any later record with a
     different component count is a hard error naming the line. Zero-norm
     vectors (norm below `MIN_NORM`) and non-finite ones are dropped and
-    counted apart; on duplicate tokens the first occurrence wins. Tokens are
-    folded to lowercase unless `fold_case` is off; `vocab_filter`, when
-    given, is matched after folding.
+    counted apart; a finite vector whose norm overflows is kept. On
+    duplicate tokens the first occurrence wins. Tokens are folded to
+    lowercase unless `fold_case` is off; `vocab_filter`, when given, is
+    matched after folding.
     """
     path = Path(path)
     if fold_case and vocab_filter is not None:
@@ -173,7 +159,8 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     dimension: int | None = None
     zero_norm = non_finite = duplicates = filtered = 0
 
-    with open_text(path) as fh:
+    # a finite record's squares may overflow; such a record is rescaled below
+    with open_text(path) as fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -201,6 +188,10 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: unparseable vector component") from exc
             norm = float(np.linalg.norm(vec))
+            if not math.isfinite(norm) and np.isfinite(vec).all():
+                # its squares overflowed: scale it by a power of two, as `pearson` does
+                vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
+                norm = float(np.linalg.norm(vec))
             if norm < MIN_NORM:
                 zero_norm += 1
                 continue

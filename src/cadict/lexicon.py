@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,14 +36,8 @@ class RatingLexicon:
     def __contains__(self, token: str) -> bool:
         return token in self._entries
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
     def rating(self, token: str) -> float:
         return self._entries[token]
-
-    def items(self):
-        return self._entries.items()
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -69,9 +63,6 @@ class FrequencyList:
     def count(self, token: str) -> int:
         return self._entries[token]
 
-    def items(self):
-        return self._entries.items()
-
 
 @dataclass(frozen=True, eq=False)
 class BaseDictionary:
@@ -92,10 +83,6 @@ class CandidatePools:
 
     abstract: tuple[str, ...]
     concrete: tuple[str, ...]
-
-    @property
-    def y(self) -> int:
-        return len(self.abstract)
 
 
 def read_table(path: str | Path, fold_case: bool,

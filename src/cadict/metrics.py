@@ -82,24 +82,31 @@ def rank_correlation(ranks, gold_ranks):
     [-1, 1]: a float for one rank vector, an array for each row of a 2-d one;
     NaN where the ranks are constant.
 
-    Twice a fractional rank is an integer, so the sums run exactly in int64
-    over 2*rank - (n+1); r is the ratio of the correctly rounded sums, the
-    same bits as `pearson` on the same ranks. The sums stay below
-    (n^3 - n) / 3, so n past about 3M is a ValueError.
+    Twice a fractional rank is an integer, so the sums run exactly over
+    2*rank - (n+1); r is the ratio of the correctly rounded sums, the same
+    bits as `pearson` on the same ranks, for any n.
     """
     ranks = np.asarray(ranks, dtype=np.float64)
     gold = np.asarray(gold_ranks, dtype=np.float64)
     n = gold.size
     if gold.ndim != 1 or n < 2 or ranks.shape[-1:] != (n,):
         raise ValueError("rank_correlation needs 1-d gold ranks (n >= 2) and rows of length n")
-    if (n ** 3 - n) // 3 > np.iinfo(np.int64).max:
-        raise ValueError(f"rank_correlation: n = {n} overflows its int64 sums")
     u = (2 * ranks).astype(np.int64) - (n + 1)
     g = (2 * gold).astype(np.int64) - (n + 1)
-    sxx = np.einsum("...i,...i->...", u, u).astype(np.float64)
-    sxy = (u @ g).astype(np.float64)
+    # a sum over all n terms is at most (n^3 - n) / 3 and one term at most
+    # (n - 1)^2: past about 3M words, blocks short enough to sum in int64
+    # without overflow add up as Python ints
+    int64_max = int(np.iinfo(np.int64).max)
+    step = n if (n ** 3 - n) // 3 <= int64_max else int64_max // (n - 1) ** 2
+    sxx = sxy = syy = 0
+    for i in range(0, n, step):
+        ub, gb = u[..., i:i + step], g[i:i + step]
+        sxx = sxx + np.einsum("...i,...i->...", ub, ub).astype(object)
+        sxy = sxy + (ub @ gb).astype(object)
+        syy += int(gb @ gb)
+    sxx, sxy = np.asarray(sxx, dtype=np.float64), np.asarray(sxy, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # 0 / 0 for constant ranks
-        r = np.clip(sxy / np.sqrt(sxx * float(g @ g)), -1.0, 1.0)
+        r = np.clip(sxy / np.sqrt(sxx * float(syy)), -1.0, 1.0)
     return float(r) if r.ndim == 0 else r
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -49,23 +49,10 @@ class SemanticCore:
     def z(self) -> int:
         return len(self.seed_abstract)
 
-    def swapped(self) -> "SemanticCore":
-        """The same core with abstract and concrete roles exchanged."""
-        return SemanticCore(seed_abstract=self.seed_concrete, seed_concrete=self.seed_abstract)
-
     def require_in_store(self, store: VectorStore) -> None:
         for t in self.seed_abstract + self.seed_concrete:
             if t not in store:
                 raise DataError(f"core token not in vector store: {t!r}")
-
-
-@dataclass(frozen=True)
-class RatedWord:
-    """One word rated on its own: the raw ratio, unscaled, and its flags."""
-
-    token: str
-    raw_rating: float
-    flags: frozenset[str] = field(default_factory=frozenset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +89,10 @@ def raw_ratings(matrix: np.ndarray, core: SemanticCore,
                 store: VectorStore) -> tuple[np.ndarray, np.ndarray]:
     """Raw ratio ratings for unit-vector rows of `matrix` under `core`.
 
-    Returns (raw, denominator_floored). This is the single arithmetic path
-    shared by single-word rating, batch rating, and the core search, so all
-    of them agree bit for bit.
+    Returns (raw, denominator_floored): max(sim_C, floor) / max(sim_A, floor)
+    per row, and whether its denominator was floored. This is the single
+    arithmetic path of `rate_all` and of the core search's exact score, so
+    the two agree bit for bit.
     """
     mean_c = _mean_seed_vector(core.seed_concrete, store)
     mean_a = _mean_seed_vector(core.seed_abstract, store)
@@ -112,15 +100,6 @@ def raw_ratings(matrix: np.ndarray, core: SemanticCore,
     sims_a = np.clip(matrix @ mean_a, -1.0, 1.0)
     raw = np.maximum(sims_c, SIMILARITY_FLOOR) / np.maximum(sims_a, SIMILARITY_FLOOR)
     return raw, sims_a <= SIMILARITY_FLOOR
-
-
-def rate_word(w: str, core: SemanticCore, store: VectorStore) -> RatedWord:
-    """Rate one word: max(sim_C, floor) / max(sim_A, floor); flags a floored denominator."""
-    core.require_in_store(store)
-    matrix = store.vector(w).reshape(1, -1)
-    raw, floored = raw_ratings(matrix, core, store)
-    flags = frozenset({FLAG_DENOMINATOR_FLOORED}) if floored[0] else frozenset()
-    return RatedWord(token=w, raw_rating=float(raw[0]), flags=flags)
 
 
 def _min_max_scale(raw: np.ndarray) -> np.ndarray:

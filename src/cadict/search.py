@@ -37,7 +37,6 @@ from cadict import metrics
 from cadict.embeddings import VectorStore
 from cadict.errors import DataError, InfeasibleError
 from cadict.lexicon import (
-    BaseDictionary,
     CandidatePools,
     FrequencyList,
     RatingLexicon,
@@ -178,17 +177,6 @@ class _EvalContext:
         """Spearman of the core's raw ratings against gold; NaN when undefined."""
         raw, _ = raw_ratings(self.matrix, core, self.store)
         return metrics.rank_correlation(metrics.average_ranks(raw), self.gold_ranks)
-
-
-def evaluate_core(core: SemanticCore, base: BaseDictionary, store: VectorStore) -> float:
-    """Spearman correlation between the core's ratings and the expert ratings
-    over every base-dictionary word."""
-    core.require_in_store(store)
-    ctx = _EvalContext(base.tokens, base.ratings, store)
-    r_s = ctx.evaluate(core)
-    if np.isnan(r_s):
-        raise DataError("correlation undefined: the core rates every word identically")
-    return r_s
 
 
 def _seed_pairs(y: int, z: int, limit: int, rng: np.random.Generator,

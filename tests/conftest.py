@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cadict.embeddings import load_vectors
+from cadict.embeddings import VectorStore, load_vectors
 from cadict.lexicon import FrequencyList, RatingLexicon
 
 
@@ -19,6 +19,13 @@ def write_vec_file(path, records, header=False):
 def store_from_records(tmp_path, records, name="vectors.txt", **kwargs):
     """Round a synthetic store through the real text-load path."""
     return load_vectors(write_vec_file(tmp_path / name, records), **kwargs)
+
+
+def store_from_raw(tokens, matrix):
+    """An in-memory store of the rows of `matrix`, each scaled to unit length."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return VectorStore(tokens, matrix / np.linalg.norm(matrix, axis=1)[:, None],
+                       source_id="in-memory")
 
 
 def clustered_dataset(tmp_path, n_words=300, d=10, sigma=0.05, seed=1234):

@@ -4,7 +4,8 @@ Everything here is deliberately brute force. The metric references share no
 code with the package: counting-based fractional ranks, textbook Pearson sums,
 and the tie-free Spearman d^2 shortcut. The cell reference is the per-core
 search loop; it reuses the package's seed draws and exact core score, so it
-checks exactly the batched screen that replaced it.
+checks exactly the batched screen that replaced it, and `evaluate_core` is
+that exact score over a base dictionary.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from cadict.rater import SemanticCore
-from cadict.search import CellResult, SkippedCell, _core_sort_key, _seed_pairs
+from cadict.search import CellResult, SkippedCell, _EvalContext, _core_sort_key, _seed_pairs
 
 
 def brute_ranks(values):
@@ -46,6 +47,13 @@ def spearman_d2(x, y):
     n = len(x)
     d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
     return 1 - 6 * d2 / (n * (n * n - 1))
+
+
+def evaluate_core(core, base, store):
+    """Spearman r of the core's raw ratings against the expert ratings of every
+    base-dictionary word (NaN when undefined): the exact path that a search
+    cell's best_r_s must equal bit for bit."""
+    return _EvalContext(base.tokens, base.ratings, store).evaluate(core)
 
 
 def evaluate_cell_loop(x, y, z, pools, ctx, cfg, force_sampling=False):

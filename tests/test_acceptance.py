@@ -14,18 +14,17 @@ import pytest
 
 from cadict.lexicon import select_base, select_pools
 from cadict.metrics import spearman
-from cadict.rater import SemanticCore, rate_all, rate_word
+from cadict.rater import SemanticCore, rate_all
 from cadict.search import (
     CellResult,
     SearchConfig,
     _EvalContext,
     _evaluate_cell,
-    evaluate_core,
     search_grid,
 )
 
 from conftest import clustered_dataset, store_from_records
-from oracles import spearman_bruteforce, spearman_d2
+from oracles import evaluate_core, spearman_bruteforce, spearman_d2
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = ""):
@@ -86,7 +85,7 @@ def test_criterion_2_rating_invariances(tmp_path):
         worst_perm = max(worst_perm, float(np.max(np.abs(r_plain - r_perm))))
 
         fwd = rate_all(tokens, core, plain)
-        bwd = rate_all(tokens, core.swapped(), plain)
+        bwd = rate_all(tokens, SemanticCore(core.seed_concrete, core.seed_abstract), plain)
         unfloored = ~fwd.floored & ~bwd.floored
         if unfloored.any():
             worst_swap = max(worst_swap,
@@ -107,7 +106,7 @@ def test_criterion_3_monotonicity_probe(tmp_path):
         records.append((f"t{deg:02d}", [math.cos(rad), math.sin(rad)]))
     store = store_from_records(tmp_path, records)
     core = SemanticCore(seed_abstract=("e2",), seed_concrete=("e1",))
-    ratings = [rate_word(f"t{deg:02d}", core, store).raw_rating for deg in angles]
+    ratings = rate_all([f"t{deg:02d}" for deg in angles], core, store).raw.tolist()
     ok = all(a > b for a, b in zip(ratings, ratings[1:]))
     _verdict(3, "monotonicity probe", ok,
              f"ratings from {ratings[0]:.3f} down to {ratings[-1]:.3f}")
@@ -130,7 +129,8 @@ def test_criterion_4_synthetic_end_to_end(clustered):
     report = _run_clustered_search(clustered, workers=1)
     best = report.best_overall
     base = select_base(lex, freq, store, 300)
-    swapped_r = evaluate_core(best.best_core.swapped(), base, store)
+    swapped = SemanticCore(best.best_core.seed_concrete, best.best_core.seed_abstract)
+    swapped_r = evaluate_core(swapped, base, store)
     ok = best.best_r_s >= 0.95 and swapped_r <= -0.95
     _verdict(4, "synthetic end-to-end", ok,
              f"best r_s {best.best_r_s:.4f}, swapped {swapped_r:.4f}")

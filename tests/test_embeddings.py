@@ -14,14 +14,13 @@ from cadict.embeddings import (
 )
 from cadict.errors import DataError
 from cadict.rater import (
-    FLAG_DENOMINATOR_FLOORED,
     SIMILARITY_FLOOR,
     SemanticCore,
-    rate_word,
+    rate_all,
     raw_ratings,
 )
 
-from conftest import store_from_records, write_vec_file
+from conftest import store_from_raw, store_from_records, write_vec_file
 
 
 class TestLoadVectors:
@@ -29,7 +28,7 @@ class TestLoadVectors:
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2])])
         assert len(store) == 2
         assert store.dimension == 2
-        assert list(store.vector("b")) == [0.0, 1.0]
+        assert list(store.matrix[store.row_index("b")]) == [0.0, 1.0]
         assert store.load_report.accepted == 2
 
     def test_vocab_filter(self, tmp_path):
@@ -76,11 +75,32 @@ class TestLoadVectors:
         assert store.load_report.non_finite_skipped == 2
         assert "zero_norm_skipped=1, non_finite_skipped=2" in caplog.text
 
+    @pytest.mark.parametrize("components, cause", [
+        ("1e200 1e200", None),
+        ("1.7e308 -1.7e308", None),
+        ("1e-160 1e-160", "zero_norm_skipped"),
+        ("inf 1", "non_finite_skipped"),
+        ("nan 1", "non_finite_skipped"),
+        ("1e200 inf", "non_finite_skipped"),
+    ])
+    def test_extreme_components(self, tmp_path, components, cause):
+        # a finite record whose squares overflow is rescaled, not dropped
+        path = tmp_path / "extreme.txt"
+        path.write_text(f"a {components}\nb 0 1\n", encoding="utf-8")
+        store = load_vectors(path)
+        if cause is None:
+            assert store.tokens == ("a", "b")
+            signs = np.sign([float(v) for v in components.split()])
+            assert np.allclose(store.matrix[0], signs / math.sqrt(2), rtol=0, atol=1e-15)
+        else:
+            assert store.tokens == ("b",)
+            assert getattr(store.load_report, cause) == 1
+
     def test_duplicate_first_wins(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("a 1 0\na 0 1\nb 0 1\n", encoding="utf-8")
         store = load_vectors(path)
-        assert list(store.vector("a")) == [1.0, 0.0]
+        assert list(store.matrix[store.row_index("a")]) == [1.0, 0.0]
         assert store.load_report.duplicates_ignored == 1
 
     def test_case_folding_default_on(self, tmp_path):
@@ -96,7 +116,7 @@ class TestLoadVectors:
         path.write_text("The 1 0\nthe 0 1\n", encoding="utf-8")
         store = load_vectors(path)
         assert len(store) == 1
-        assert list(store.vector("the")) == [1.0, 0.0]
+        assert list(store.matrix[store.row_index("the")]) == [1.0, 0.0]
         assert store.load_report.duplicates_ignored == 1
 
     def test_unparseable_component_is_hard_error(self, tmp_path):
@@ -117,7 +137,8 @@ class TestLoadVectors:
         store = store_from_records(tmp_path, records)
         assert store.load_report.accepted == len(store)
         for t in store.tokens:
-            assert np.linalg.norm(store.vector(t)) == pytest.approx(1.0, abs=1e-6)
+            assert np.linalg.norm(store.matrix[store.row_index(t)]) == \
+                pytest.approx(1.0, abs=1e-6)
 
     def test_store_immutable(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2])])
@@ -127,7 +148,7 @@ class TestLoadVectors:
     def test_oov_lookup_names_token(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0])])
         with pytest.raises(DataError, match="'missing'"):
-            store.vector("missing")
+            store.rows(["missing"])
 
 
 class TestCosine:
@@ -144,13 +165,13 @@ class TestCosine:
     def test_colinear_scales(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 2]), ("b", [2, 4]), ("c", [1, 0])])
         # a and b point the same way, so c is equally similar to both
-        rated = rate_word("c", SemanticCore(("a",), ("b",)), store)
-        assert rated.raw_rating == pytest.approx(1.0, abs=1e-9)
+        batch = rate_all(["c"], SemanticCore(("a",), ("b",)), store)
+        assert batch.raw[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_known_value(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [1, 1])])
-        rated = rate_word("b", SemanticCore(("b",), ("a",)), store)
-        assert rated.raw_rating == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        batch = rate_all(["b"], SemanticCore(("b",), ("a",)), store)
+        assert batch.raw[0] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     @staticmethod
     def _store_with_ref(tmp_path, seed):
@@ -178,9 +199,9 @@ class TestCosine:
     def test_self_similarity(self, tmp_path):
         store = self._store_with_ref(tmp_path, 2)
         for t in store.tokens[:-1]:
-            rated = rate_word(t, SemanticCore(("ref",), (t,)), store)
-            assert rated.raw_rating * SIMILARITY_FLOOR == pytest.approx(1.0, abs=1e-9)
-            assert FLAG_DENOMINATOR_FLOORED in rated.flags
+            batch = rate_all([t], SemanticCore(("ref",), (t,)), store)
+            assert batch.raw[0] * SIMILARITY_FLOOR == pytest.approx(1.0, abs=1e-9)
+            assert batch.floored[0]
 
     def test_scale_invariance_through_load(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -217,8 +238,8 @@ class TestCache:
         assert loaded.dimension == store.dimension
         assert loaded.source_id == store.source_id
         for t in store.tokens:
-            assert np.max(np.abs(loaded.vector(t) - store.vector(t))) < 1e-7
-            assert np.array_equal(loaded.vector(t), store.vector(t))
+            row = store.matrix[store.row_index(t)]
+            assert np.array_equal(loaded.matrix[loaded.row_index(t)], row)
 
     def test_cache_vocab_filter(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])
@@ -299,9 +320,8 @@ class TestCache:
 
 class TestStoreConstruction:
     def test_from_raw_normalizes(self):
-        store = VectorStore.from_raw(["a", "b"], [[3.0, 0.0], [0.0, 0.5]])
-        assert list(store.vector("a")) == [1.0, 0.0]
-        assert list(store.vector("b")) == [0.0, 1.0]
+        store = store_from_raw(["a", "b"], [[3.0, 0.0], [0.0, 0.5]])
+        assert store.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_constructor_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="unit"):
@@ -309,8 +329,9 @@ class TestStoreConstruction:
 
     def test_constructor_rejects_bad_tokens(self):
         with pytest.raises(ValueError, match="token"):
-            VectorStore.from_raw(["a b"], [[1.0, 0.0]])
+            VectorStore(["a b"], np.array([[1.0, 0.0]]), source_id="x")
 
-    def test_from_raw_rejects_zero_rows(self):
-        with pytest.raises(ValueError):
-            VectorStore.from_raw(["a"], [[0.0, 0.0]])
+    def test_overflowing_row_rejected_without_warning(self):
+        # its squares overflow: the norm is inf, which is not unit
+        with pytest.raises(ValueError, match="unit"):
+            VectorStore(["a"], np.array([[1e200, 1e200]]), source_id="x")

@@ -161,12 +161,11 @@ class TestSelectPools:
         pools = select_pools(base, 2)
         assert pools.abstract == ("a", "b")
         assert pools.concrete == ("f", "e")
-        assert pools.y == 2
 
     def test_boundary_accepted(self):
         base = _base([(f"w{i}", 1 + i * 0.5) for i in range(9)])
         pools = select_pools(base, 3)  # Y = X/3 exactly
-        assert pools.y == 3
+        assert len(pools.abstract) == len(pools.concrete) == 3
 
     def test_boundary_exceeded(self):
         base = _base([(f"w{i}", 1 + i * 0.5) for i in range(9)])

@@ -169,16 +169,21 @@ class TestRankCorrelation:
         for row, r in zip(rows[1:], batch[1:]):
             assert rank_correlation(row, gold) == r
 
-    def test_refuses_n_past_its_int64_bound(self):
+    def test_exact_past_the_int64_bound(self):
         n = 3_000_000
         while (n ** 3 - n) // 3 <= 2 ** 63 - 1:
             n += 1
-        widest = np.arange(1.0, n)  # the largest n it accepts: sums reach ~2**63
+        widest = np.arange(1.0, n)  # the largest n summed in one int64 block
         assert rank_correlation(widest, widest) == 1.0
         assert rank_correlation(widest[::-1], widest) == -1.0
+        # past it the int64 blocks add up as Python ints, still exact
+        n = 3_100_000
         ranks = np.arange(1.0, n + 1)
-        with pytest.raises(ValueError, match="int64"):
-            rank_correlation(ranks, ranks)
+        assert rank_correlation(ranks, ranks) == 1.0
+        assert rank_correlation(ranks[::-1], ranks) == -1.0
+        rng = np.random.default_rng(31)
+        x, y = average_ranks(rng.integers(0, 1000, n)), average_ranks(rng.normal(size=n))
+        assert rank_correlation(x, y) == pearson(x, y)
 
 
 class TestScipyOracle:

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from cadict.embeddings import VectorStore
 from cadict.errors import DataError
 from cadict.rater import (
     FLAG_DENOMINATOR_FLOORED,
@@ -13,11 +12,10 @@ from cadict.rater import (
     build_dictionary,
     load_core,
     rate_all,
-    rate_word,
     save_core,
 )
 
-from conftest import store_from_records
+from conftest import store_from_raw, store_from_records
 
 
 class TestSemanticCore:
@@ -41,10 +39,6 @@ class TestSemanticCore:
         with pytest.raises(ValueError, match="disjoint"):
             SemanticCore(("idea", "rock"), ("rock", "tree"))
 
-    def test_swapped(self):
-        core = SemanticCore(("idea",), ("rock",))
-        assert core.swapped() == SemanticCore(("rock",), ("idea",))
-
     def test_require_in_store_names_token(self, tiny_store):
         core = SemanticCore(("north",), ("nowhere",))
         with pytest.raises(DataError, match="'nowhere'"):
@@ -52,54 +46,47 @@ class TestSemanticCore:
 
 
 class TestMeanSimilarity:
-    """Mean seed similarity as `rate_word` computes it: the dot product of the
+    """Mean seed similarity as `rate_all` computes it: the dot product of the
     word's unit row with the mean of the seed rows."""
 
     def test_self_similarity(self, tiny_store):
         # abstract seed {east}: the denominator is cos(east, east) = 1
-        rated = rate_word("east", SemanticCore(("east",), ("northeast",)), tiny_store)
-        assert rated.raw_rating == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        batch = rate_all(["east"], SemanticCore(("east",), ("northeast",)), tiny_store)
+        assert batch.raw[0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_mean_of_two(self, tmp_path):
         store = store_from_records(tmp_path, [("east", [1, 0]), ("east2", [2, 0]),
                                               ("east3", [3, 0]), ("north", [0, 1])])
         # mean of cos(east,east)=1 and cos(east,north)=0, over a denominator of 1
-        rated = rate_word("east", SemanticCore(("east2", "east3"), ("east", "north")), store)
-        assert rated.raw_rating == 0.5
+        batch = rate_all(["east"], SemanticCore(("east2", "east3"), ("east", "north")), store)
+        assert batch.raw[0] == 0.5
 
     def test_orthogonal(self, tiny_store):
         # cos(north, east) = 0 floors the numerator; cos(north, north) = 1
-        rated = rate_word("north", SemanticCore(("north",), ("east",)), tiny_store)
-        assert rated.raw_rating == SIMILARITY_FLOOR
-        assert not rated.flags
-
-    def test_oov_named(self, tiny_store):
-        with pytest.raises(DataError, match="'ghost'"):
-            rate_word("ghost", SemanticCore(("north",), ("east",)), tiny_store)
+        batch = rate_all(["north"], SemanticCore(("north",), ("east",)), tiny_store)
+        assert batch.raw[0] == SIMILARITY_FLOOR
+        assert not batch.floored[0]
 
 
 class TestRateWord:
+    """One word rated on its own: `rate_all` over a one-word list."""
+
     def test_known_ratio(self, tiny_store):
         core = SemanticCore(seed_abstract=("northeast",), seed_concrete=("east",))
-        rated = rate_word("east", core, tiny_store)
-        assert rated.raw_rating == pytest.approx(math.sqrt(2), abs=1e-8)
-        assert not rated.flags
+        batch = rate_all(["east"], core, tiny_store)
+        assert batch.raw[0] == pytest.approx(math.sqrt(2), abs=1e-8)
+        assert not batch.floored[0]
 
     def test_equidistant_is_one(self, tiny_store):
         core = SemanticCore(seed_abstract=("north",), seed_concrete=("east",))
-        rated = rate_word("northeast", core, tiny_store)
-        assert rated.raw_rating == 1.0
+        batch = rate_all(["northeast"], core, tiny_store)
+        assert batch.raw[0] == 1.0
 
     def test_denominator_floor_flagged(self, tiny_store):
         core = SemanticCore(seed_abstract=("north",), seed_concrete=("east",))
-        rated = rate_word("east", core, tiny_store)
-        assert rated.raw_rating == pytest.approx(1.0 / SIMILARITY_FLOOR, rel=1e-12)
-        assert FLAG_DENOMINATOR_FLOORED in rated.flags
-
-    def test_oov_word_rejected(self, tiny_store):
-        core = SemanticCore(("north",), ("east",))
-        with pytest.raises(DataError):
-            rate_word("ghost", core, tiny_store)
+        batch = rate_all(["east"], core, tiny_store)
+        assert batch.raw[0] == pytest.approx(1.0 / SIMILARITY_FLOOR, rel=1e-12)
+        assert batch.floored[0]
 
 
 class TestRateAll:
@@ -144,12 +131,12 @@ class TestRateAll:
         batch = rate_all(["south", "east", "northeast"], core, tiny_store)
         assert batch.tokens == ("south", "east", "northeast")
         for token, raw in zip(batch.tokens, batch.raw):
-            assert raw == rate_word(token, core, tiny_store).raw_rating
+            assert raw == rate_all([token], core, tiny_store).raw[0]
 
     def test_raw_and_scaled_rank_orders_agree(self, tmp_path):
         rng = np.random.default_rng(31)
         tokens = [f"w{i:02d}" for i in range(30)]
-        store = VectorStore.from_raw(tokens, rng.normal(size=(30, 8)))
+        store = store_from_raw(tokens, rng.normal(size=(30, 8)))
         core = SemanticCore(tuple(tokens[:3]), tuple(tokens[3:6]))
         batch = rate_all(tokens, core, store)
         assert list(np.argsort(batch.raw, kind="stable")) == \
@@ -180,7 +167,7 @@ class TestInvariances:
     def test_seed_permutation_bit_identical(self):
         rng = np.random.default_rng(32)
         tokens = [f"w{i:02d}" for i in range(40)]
-        store = VectorStore.from_raw(tokens, rng.normal(size=(40, 12)))
+        store = store_from_raw(tokens, rng.normal(size=(40, 12)))
         core = SemanticCore(tuple(tokens[:6]), tuple(tokens[6:12]))
         shuffled = SemanticCore(
             tuple(rng.permutation(core.seed_abstract).tolist()),
@@ -195,12 +182,12 @@ class TestInvariances:
         checked = 0
         for _ in range(20):
             tokens = [f"w{i:02d}" for i in range(50)]
-            store = VectorStore.from_raw(tokens, rng.normal(size=(50, 16)))
+            store = store_from_raw(tokens, rng.normal(size=(50, 16)))
             perm = rng.permutation(50)
             core = SemanticCore(tuple(tokens[i] for i in perm[:5]),
                                 tuple(tokens[i] for i in perm[5:10]))
             fwd = rate_all(tokens, core, store)
-            bwd = rate_all(tokens, core.swapped(), store)
+            bwd = rate_all(tokens, SemanticCore(core.seed_concrete, core.seed_abstract), store)
             unfloored = ~fwd.floored & ~bwd.floored
             assert np.all(np.abs(bwd.raw - 1.0 / fwd.raw)[unfloored] <= 1e-9)
             checked += int(unfloored.sum())
@@ -214,7 +201,7 @@ class TestInvariances:
             records.append((f"t{deg:02d}", [math.cos(rad), math.sin(rad)]))
         store = store_from_records(tmp_path, records)
         core = SemanticCore(seed_abstract=("e2",), seed_concrete=("e1",))
-        ratings = [rate_word(f"t{deg:02d}", core, store).raw_rating for deg in angles]
+        ratings = rate_all([f"t{deg:02d}" for deg in angles], core, store).raw.tolist()
         for earlier, later in zip(ratings, ratings[1:]):
             assert earlier > later
 

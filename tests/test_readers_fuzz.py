@@ -9,10 +9,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cadict.cli import _load_predictions
-from cadict.embeddings import VectorStore, load_cache, load_vectors, save_cache
+from cadict.embeddings import load_cache, load_vectors, save_cache
 from cadict.errors import DataError
 from cadict.lexicon import load_frequencies, load_ratings
 from cadict.rater import SemanticCore, load_core, save_core
+
+from conftest import store_from_raw
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -68,6 +70,7 @@ def test_load_predictions(tmp_path, blob, fold_case):
 @given(blob=VECTORS)
 @example(blob=b"a 1 0\n\xff 0 1\n")
 @example(blob=b"a 1e-160 1e-160\n")
+@example(blob=b"a 1e200 1e200\n")
 def test_load_vectors(tmp_path, blob):
     _reads_or_data_error(load_vectors, _write(tmp_path, blob))
 
@@ -75,7 +78,7 @@ def test_load_vectors(tmp_path, blob):
 @pytest.fixture(scope="module")
 def cache_blob(tmp_path_factory):
     root = tmp_path_factory.mktemp("cache")
-    store = VectorStore.from_raw(["ab", "b", "cd"], [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
+    store = store_from_raw(["ab", "b", "cd"], [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
     save_cache(store, root / "store.cavs")
     return (root / "store.cavs").read_bytes()
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cadict import search
-from cadict.embeddings import VectorStore
 from cadict.errors import DataError
 from cadict.lexicon import FrequencyList, RatingLexicon, select_base, select_pools
 from cadict.rater import SemanticCore
@@ -19,12 +18,11 @@ from cadict.search import (
     _evaluate_cell,
     _screen_cell,
     _seed_pairs,
-    evaluate_core,
     search_grid,
 )
 
-from conftest import clustered_dataset, store_from_records
-from oracles import evaluate_cell_loop
+from conftest import clustered_dataset, store_from_raw, store_from_records
+from oracles import evaluate_cell_loop, evaluate_core
 
 
 def report_fingerprint(report):
@@ -104,7 +102,8 @@ class TestEvaluateCore:
         base = select_base(lex, freq, store, 300)
         pools = select_pools(base, 50)
         core = SemanticCore(tuple(pools.abstract[:10]), tuple(pools.concrete[:10]))
-        assert evaluate_core(core.swapped(), base, store) <= -0.95
+        swapped = SemanticCore(core.seed_concrete, core.seed_abstract)
+        assert evaluate_core(swapped, base, store) <= -0.95
 
     def test_two_word_base_degenerate(self, tmp_path):
         store = store_from_records(tmp_path, [
@@ -155,8 +154,9 @@ class TestSearchGrid:
         report = search_grid(lex, freq, store, SearchConfig(x_values=(300,), rng_seed=42))
         assert report.best_overall.best_r_s >= 0.95
         base = select_base(lex, freq, store, 300)
-        swapped = evaluate_core(report.best_overall.best_core.swapped(), base, store)
-        assert swapped <= -0.95
+        best = report.best_overall.best_core
+        swapped = SemanticCore(best.seed_concrete, best.seed_abstract)
+        assert evaluate_core(swapped, base, store) <= -0.95
 
     def test_best_overall_is_max(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path, n_words=60, d=6, seed=6)
@@ -296,7 +296,7 @@ class TestBatchedKernelOracle:
             if not len(palette):
                 continue
             tokens = [f"w{i:02d}" for i in range(n)]
-            store = VectorStore.from_raw(tokens, palette[rng.integers(0, len(palette), n)])
+            store = store_from_raw(tokens, palette[rng.integers(0, len(palette), n)])
             ratings = rng.choice([1.0, 2.0, 3.0, 4.5, 5.0], n)
             if np.all(ratings == ratings[0]):
                 continue
@@ -355,7 +355,7 @@ class TestBatchedKernelOracle:
     def test_every_core_undefined_is_skipped(self):
         # one shared direction: every core rates every word identically
         tokens = [f"w{i}" for i in range(9)]
-        store = VectorStore.from_raw(tokens, [[1.0, 2.0]] * 9)
+        store = store_from_raw(tokens, [[1.0, 2.0]] * 9)
         lex = RatingLexicon({t: 1.0 + i / 2 for i, t in enumerate(tokens)})
         freq = FrequencyList({t: 1 for t in tokens})
         base = select_base(lex, freq, store, 9)

@@ -11,18 +11,17 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cadict import search  # noqa: E402
-from cadict.embeddings import VectorStore  # noqa: E402
 from cadict.lexicon import FrequencyList, RatingLexicon, select_base, select_pools  # noqa: E402
 from cadict.search import (  # noqa: E402
     EvaluationScope,
     SearchConfig,
     _EvalContext,
     _seed_pairs,
-    evaluate_core,
     search_grid,
 )
 
-from oracles import evaluate_cell_loop  # noqa: E402
+from conftest import store_from_raw  # noqa: E402
+from oracles import evaluate_cell_loop, evaluate_core  # noqa: E402
 from test_search import _assert_unflagged_screen_exact, report_fingerprint  # noqa: E402
 
 
@@ -40,7 +39,7 @@ def search_problems(draw):
     picks = draw(st.lists(st.integers(0, len(palette) - 1),
                           min_size=n_words, max_size=n_words))
     tokens = [f"w{i:02d}" for i in range(n_words)]
-    store = VectorStore.from_raw(tokens, [palette[i] for i in picks])
+    store = store_from_raw(tokens, [palette[i] for i in picks])
     rating = st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5, 5.0])
     lex = RatingLexicon({t: draw(rating) for t in tokens})
     freq = FrequencyList({t: draw(st.integers(0, 4)) for t in tokens})
@@ -89,7 +88,7 @@ class TestBatchedKernelProperties:
     @given(search_problems(), st.integers(1, 40), st.randoms(use_true_random=False))
     def test_unflagged_screen_scores_are_exact(self, problem, samples, rnd):
         store, lex, freq, cfg = problem
-        assume(len({r for _, r in lex.items()}) > 1)
+        assume(len({lex.rating(t) for t in lex.tokens}) > 1)
         x = len(store)
         ctx = _exact_context(lex, freq, store, cfg, x)
         y = rnd.randint(1, x // 3)
