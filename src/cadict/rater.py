@@ -136,7 +136,10 @@ def rate_all(words: Iterable[str], core: SemanticCore, store: VectorStore) -> Ba
     found, idx, skipped = _resolve(words, store)
     if not found:
         raise DataError("empty resolvable word set: no input word is in the vector store")
-    raw, floored = raw_ratings(store.matrix[np.asarray(idx, dtype=np.intp)], core, store)
+    rows = np.asarray(idx, dtype=np.intp)
+    # the whole store in order is rated in place, not through a full-size copy
+    whole = np.array_equal(rows, np.arange(len(store)))
+    raw, floored = raw_ratings(store.matrix if whole else store.matrix[rows], core, store)
     if skipped:
         logger.info("rate_all: %d token(s) out of vocabulary", len(skipped))
     return BatchRating(tokens=tuple(found), raw=raw, scaled=_min_max_scale(raw),

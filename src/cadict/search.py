@@ -2,8 +2,7 @@
 
 For each base-dictionary size X, candidate-pool size Y (50-step up to X/3),
 and seed size Z (20-step from 10 up to Y), the search draws abstract/concrete
-seed pairs (exhaustively when the pair count C(Y,Z)^2 fits in the per-cell
-budget, otherwise uniformly without repetition), scores each core by Spearman
+seed pairs uniformly without repetition, scores each core by Spearman
 correlation between its ratings and the expert ratings, and keeps the best
 core per cell.
 
@@ -22,13 +21,11 @@ reruns and grid subsets.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -86,16 +83,7 @@ class SearchConfig:
             raise ValueError("rng_seed must be unsigned")
 
     def to_dict(self) -> dict:
-        return {
-            "x_values": list(self.x_values),
-            "y_start": self.y_start,
-            "y_step": self.y_step,
-            "z_min": self.z_min,
-            "z_step": self.z_step,
-            "samples_per_cell": self.samples_per_cell,
-            "rng_seed": self.rng_seed,
-            "evaluation_scope": self.evaluation_scope.value,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -103,22 +91,12 @@ class CellResult:
     x: int
     y: int
     z: int
-    best_core: SemanticCore
     best_r_s: float
     cores_evaluated: int
+    best_core: SemanticCore
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "best_r_s": self.best_r_s,
-            "cores_evaluated": self.cores_evaluated,
-            "best_core": {
-                "seed_abstract": list(self.best_core.seed_abstract),
-                "seed_concrete": list(self.best_core.seed_concrete),
-            },
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,7 +109,7 @@ class SkippedCell:
     reason: str
 
     def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "z": self.z, "reason": self.reason}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -180,34 +158,30 @@ class _EvalContext:
         return metrics.rank_correlation(metrics.average_ranks(raw), self.gold_ranks)
 
 
-def _seed_pairs(y: int, z: int, limit: int, rng: np.random.Generator,
-                force_sampling: bool = False) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (abstract_indices, concrete_indices) pairs over pools of size y.
+def _seed_pairs(y: int, z: int, limit: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw k = min(limit, C(y, z)^2) distinct (abstract, concrete) index pairs
+    over pools of size y, uniformly without pair repetition from `rng`.
 
-    Exhaustive in lexicographic order when the total pair count fits in
-    `limit`; otherwise uniform sampling without pair repetition from `rng`.
+    Returns two (k, z) integer arrays with sorted rows; row i of each is pair i.
+    A cell whose budget covers every pair draws each pair once.
     """
-    total = comb(y, z) ** 2
-    if total <= limit and not force_sampling:
-        for a in itertools.combinations(range(y), z):
-            for c in itertools.combinations(range(y), z):
-                yield a, c
-        return
-    target = min(limit, total)
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    while len(seen) < target:
-        a = tuple(sorted(rng.choice(y, size=z, replace=False).tolist()))
-        c = tuple(sorted(rng.choice(y, size=z, replace=False).tolist()))
-        pair = (a, c)
-        if pair in seen:
+    k = min(limit, comb(y, z) ** 2)
+    a_idx = np.empty((k, z), dtype=np.int64)
+    c_idx = np.empty((k, z), dtype=np.int64)
+    seen: set[bytes] = set()
+    while len(seen) < k:
+        a = np.sort(rng.choice(y, size=z, replace=False))
+        c = np.sort(rng.choice(y, size=z, replace=False))
+        key = a.tobytes() + c.tobytes()
+        if key in seen:
             continue
-        seen.add(pair)
-        yield pair
+        a_idx[len(seen)], c_idx[len(seen)] = a, c
+        seen.add(key)
+    return a_idx, c_idx
 
 
-def _pair_core(pair: tuple[tuple[int, ...], tuple[int, ...]],
-               pools: CandidatePools) -> SemanticCore:
-    a_idx, c_idx = pair
+def _pair_core(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools) -> SemanticCore:
     return SemanticCore(seed_abstract=tuple(pools.abstract[j] for j in a_idx),
                         seed_concrete=tuple(pools.concrete[j] for j in c_idx))
 
@@ -217,10 +191,11 @@ def _core_sort_key(core: SemanticCore) -> tuple[str, ...]:
     return tuple(sorted(core.seed_abstract)) + tuple(sorted(core.seed_concrete))
 
 
-def _screen_cell(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], z: int,
-                 pools: CandidatePools, ctx: _EvalContext) -> tuple[np.ndarray, np.ndarray]:
-    """Screened Spearman r of every core in a cell (NaN when undefined) and a
-    mask of the cores whose screened ranks may differ from the exact path's.
+def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
+                 ctx: _EvalContext) -> tuple[np.ndarray, np.ndarray]:
+    """Screened Spearman r of every core (row pair of `a_idx`, `c_idx`) in a
+    cell (NaN when undefined) and a mask of the cores whose screened ranks may
+    differ from the exact path's.
 
     The screen forms the seed means with 0/1 selection matrices and all
     similarities with one product, so its sums run in another order than
@@ -229,12 +204,12 @@ def _screen_cell(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], z: int,
     is flagged. Every other core has exactly the exact path's ranks, and so
     exactly its r.
     """
-    k, y = len(pairs), len(pools.abstract)
+    (k, z), y = a_idx.shape, len(pools.abstract)
     rows = np.arange(k)[:, None]
     sel_a = np.zeros((k, y))
     sel_c = np.zeros((k, y))
-    sel_a[rows, [a for a, _ in pairs]] = 1.0
-    sel_c[rows, [c for _, c in pairs]] = 1.0
+    sel_a[rows, a_idx] = 1.0
+    sel_c[rows, c_idx] = 1.0
     means = np.vstack((sel_c @ ctx.store.rows(pools.concrete),
                        sel_a @ ctx.store.rows(pools.abstract))) / z
     sims = np.clip(means @ ctx.matrix.T, -1.0, 1.0)
@@ -268,23 +243,24 @@ def _screen_cell(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], z: int,
 
 
 def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalContext,
-                   cfg: SearchConfig, force_sampling: bool = False) -> CellResult | SkippedCell:
+                   cfg: SearchConfig) -> CellResult | SkippedCell:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
-    pairs = list(_seed_pairs(y, z, cfg.samples_per_cell, rng, force_sampling))
+    a_idx, c_idx = _seed_pairs(y, z, cfg.samples_per_cell, rng)
     step = max(1, SCREEN_BLOCK // len(ctx.gold_ranks))
-    blocks = [_screen_cell(pairs[i:i + step], z, pools, ctx) for i in range(0, len(pairs), step)]
+    blocks = [_screen_cell(a_idx[i:i + step], c_idx[i:i + step], pools, ctx)
+              for i in range(0, len(a_idx), step)]
     r = np.concatenate([screened for screened, _ in blocks])
     # only a flagged core's screened ranks may differ from the exact path's
     for i in np.flatnonzero(np.concatenate([unsure for _, unsure in blocks])):
-        r[i] = ctx.evaluate(_pair_core(pairs[i], pools))
+        r[i] = ctx.evaluate(_pair_core(a_idx[i], c_idx[i], pools))
     if np.all(np.isnan(r)):
         return SkippedCell(x=x, y=y, z=z,
                            reason="correlation undefined for every evaluated core")
     top = np.nanmax(r)
-    best_core = min((_pair_core(pairs[i], pools) for i in np.flatnonzero(r == top)),
+    best_core = min((_pair_core(a_idx[i], c_idx[i], pools) for i in np.flatnonzero(r == top)),
                     key=_core_sort_key)
     return CellResult(x=x, y=y, z=z, best_core=best_core, best_r_s=float(top),
-                      cores_evaluated=len(pairs))
+                      cores_evaluated=len(a_idx))
 
 
 def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,

@@ -2,12 +2,14 @@
 
 Everything here is deliberately brute force. The metric references share no
 code with the package: counting-based fractional ranks, textbook Pearson sums,
-and the tie-free Spearman d^2 shortcut. The cell reference is the per-core
-search loop; it reuses the package's seed draws and exact core score, so it
-checks exactly the batched screen that replaced it, and `evaluate_core` is
-that exact score over a base dictionary.
+and the tie-free Spearman d^2 shortcut. The cell references are the per-core
+search loop, which reuses the package's seed draws and exact core score and so
+checks exactly the batched screen that replaced it, and a best over every seed
+pair enumerated with itertools; `evaluate_core` is that exact score over a
+base dictionary.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -56,13 +58,12 @@ def evaluate_core(core, base, store):
     return _EvalContext(base.tokens, base.ratings, store).evaluate(core)
 
 
-def evaluate_cell_loop(x, y, z, pools, ctx, cfg, force_sampling=False):
-    """Score every drawn core of one search cell through the exact path and keep
-    the best, breaking equal scores by the smallest sorted core."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
+def _best_cell(x, y, z, index_pairs, pools, ctx):
+    """The best core over (abstract, concrete) pool-index pairs by the exact
+    path, breaking equal scores by the smallest sorted core."""
     best_r = best_key = best_core = None
     evaluated = 0
-    for a_idx, c_idx in _seed_pairs(y, z, cfg.samples_per_cell, rng, force_sampling):
+    for a_idx, c_idx in index_pairs:
         core = SemanticCore(
             seed_abstract=tuple(pools.abstract[i] for i in a_idx),
             seed_concrete=tuple(pools.concrete[i] for i in c_idx),
@@ -79,3 +80,17 @@ def evaluate_cell_loop(x, y, z, pools, ctx, cfg, force_sampling=False):
                            reason="correlation undefined for every evaluated core")
     return CellResult(x=x, y=y, z=z, best_core=best_core, best_r_s=best_r,
                       cores_evaluated=evaluated)
+
+
+def evaluate_cell_loop(x, y, z, pools, ctx, cfg):
+    """Score every drawn core of one search cell through the exact path and keep
+    the best."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
+    return _best_cell(x, y, z, zip(*_seed_pairs(y, z, cfg.samples_per_cell, rng)), pools, ctx)
+
+
+def every_pair_cell(x, y, z, pools, ctx):
+    """The best core over every (abstract, concrete) seed pair of a cell,
+    enumerated with itertools rather than drawn."""
+    seeds = list(itertools.combinations(range(y), z))
+    return _best_cell(x, y, z, itertools.product(seeds, repeat=2), pools, ctx)

@@ -24,7 +24,7 @@ from cadict.search import (
 )
 
 from conftest import clustered_dataset, store_from_records
-from oracles import evaluate_core, spearman_bruteforce, spearman_d2
+from oracles import evaluate_core, every_pair_cell, spearman_bruteforce, spearman_d2
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = ""):
@@ -146,7 +146,7 @@ def test_criterion_5_determinism_across_reruns(clustered):
              f"{len(b1)} serialized bytes compared")
 
 
-def test_criterion_6_exhaustive_sampled_agreement(tmp_path):
+def test_criterion_6_small_cells_cover_every_pair(tmp_path):
     store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=9)
     base = select_base(lex, freq, store, 30)
     ctx = _EvalContext(base.tokens, base.ratings, store)
@@ -157,13 +157,10 @@ def test_criterion_6_exhaustive_sampled_agreement(tmp_path):
         pools = select_pools(base, y)
         cfg = SearchConfig(x_values=(30,), y_start=y, y_step=1, z_min=z, z_step=1,
                            samples_per_cell=pair_count, rng_seed=3)
-        exhaustive = _evaluate_cell(30, y, z, pools, ctx, cfg)
-        sampled = _evaluate_cell(30, y, z, pools, ctx, cfg, force_sampling=True)
-        assert isinstance(exhaustive, CellResult) and isinstance(sampled, CellResult)
-        agreements.append(
-            exhaustive.best_core == sampled.best_core
-            and exhaustive.best_r_s == sampled.best_r_s
-            and exhaustive.cores_evaluated == sampled.cores_evaluated == pair_count)
+        cell = _evaluate_cell(30, y, z, pools, ctx, cfg)
+        assert isinstance(cell, CellResult)
+        agreements.append(cell.cores_evaluated == pair_count
+                          and cell == every_pair_cell(30, y, z, pools, ctx))
     ok = all(agreements)
-    _verdict(6, "exhaustive/sampled agreement", ok,
+    _verdict(6, "small cells cover every pair", ok,
              f"{len(agreements)} cell shapes compared")

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +381,17 @@ class TestInputErrors:
         monkeypatch.setattr(cli, "evaluate_ratings", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["evaluate", "--pred", str(corpus["ratings"]), "--gold", str(corpus["ratings"])])
+
+
+def test_readme_flags_exist_in_the_parser(capsys):
+    assert run(["--help"]) == EXIT_OK
+    top = capsys.readouterr().out
+    commands = re.search(r"\{([\w,-]+)\}", top).group(1).split(",")
+    help_text = top
+    for command in commands:
+        assert run([command, "--help"]) == EXIT_OK
+        help_text += capsys.readouterr().out
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert flags
+    assert not {f for f in flags if not re.search(rf"{f}(?![\w-])", help_text)}

@@ -1,9 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cadict import rater
 from cadict.errors import DataError
 from cadict.rater import (
     FLAG_DENOMINATOR_FLOORED,
@@ -12,6 +14,7 @@ from cadict.rater import (
     build_dictionary,
     load_core,
     rate_all,
+    raw_ratings,
     save_core,
 )
 
@@ -141,6 +144,18 @@ class TestRateAll:
         batch = rate_all(tokens, core, store)
         assert list(np.argsort(batch.raw, kind="stable")) == \
             list(np.argsort(batch.scaled, kind="stable"))
+
+    def test_whole_store_rated_in_place(self):
+        rng = np.random.default_rng(32)
+        tokens = [f"w{i:02d}" for i in range(40)]
+        store = store_from_raw(tokens, rng.normal(size=(40, 8)))
+        core = SemanticCore(tuple(tokens[:3]), tuple(tokens[3:6]))
+        with mock.patch.object(rater, "raw_ratings", wraps=rater.raw_ratings) as spy:
+            batch = rate_all(store.tokens, core, store)
+        assert spy.call_args.args[0] is store.matrix
+        # bit-identical to rating a gathered copy of the rows in the same order
+        gathered, _ = raw_ratings(store.matrix.copy(), core, store)
+        assert batch.raw.tobytes() == gathered.tobytes()
 
 
 class TestInvariances:

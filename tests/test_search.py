@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 from math import comb
 from unittest import mock
@@ -22,7 +24,7 @@ from cadict.search import (
 )
 
 from conftest import clustered_dataset, store_from_raw, store_from_records
-from oracles import evaluate_cell_loop, evaluate_core
+from oracles import evaluate_cell_loop, evaluate_core, every_pair_cell
 
 
 def report_fingerprint(report):
@@ -56,38 +58,39 @@ class TestSearchConfig:
 
 
 class TestSeedPairs:
-    def test_exhaustive_when_small(self):
-        rng = np.random.default_rng(0)
-        pairs = list(_seed_pairs(3, 1, limit=100, rng=rng))
-        assert len(pairs) == comb(3, 1) ** 2 == 9
-        assert pairs[0] == ((0,), (0,))
-        assert pairs == sorted(pairs)  # lexicographic enumeration order
+    @pytest.mark.parametrize("y, z", [(3, 1), (4, 2), (5, 2), (3, 2)])
+    def test_small_cell_draws_every_pair_once(self, y, z):
+        a_idx, c_idx = _seed_pairs(y, z, limit=1000, rng=np.random.default_rng(0))
+        pairs = [(tuple(a), tuple(c)) for a, c in zip(a_idx.tolist(), c_idx.tolist())]
+        every = set(itertools.product(itertools.combinations(range(y), z), repeat=2))
+        assert len(pairs) == len(every) == comb(y, z) ** 2
+        assert set(pairs) == every
 
     def test_sampled_when_large(self):
-        rng = np.random.default_rng(1)
-        pairs = list(_seed_pairs(10, 3, limit=50, rng=rng))
-        assert len(pairs) == 50
-        assert len(set(pairs)) == 50  # no repeated pair
-        for a, c in pairs:
-            assert len(a) == len(c) == 3
-            assert len(set(a)) == 3 and len(set(c)) == 3
-            assert list(a) == sorted(a) and list(c) == sorted(c)
+        a_idx, c_idx = _seed_pairs(10, 3, limit=50, rng=np.random.default_rng(1))
+        assert a_idx.shape == c_idx.shape == (50, 3)
+        assert len({a.tobytes() + c.tobytes() for a, c in zip(a_idx, c_idx)}) == 50
+        for half in (a_idx, c_idx):
+            assert np.all(np.diff(half, axis=1) > 0)  # sorted, no repeated index
+            assert half.min() >= 0 and half.max() < 10
 
     def test_sampling_deterministic_per_stream(self):
-        p1 = list(_seed_pairs(10, 3, 20, np.random.default_rng(99)))
-        p2 = list(_seed_pairs(10, 3, 20, np.random.default_rng(99)))
-        assert p1 == p2
+        a1, c1 = _seed_pairs(10, 3, 20, np.random.default_rng(99))
+        a2, c2 = _seed_pairs(10, 3, 20, np.random.default_rng(99))
+        assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
 
-    def test_forced_sampling_covers_everything(self):
-        rng = np.random.default_rng(2)
-        pairs = list(_seed_pairs(4, 2, limit=100, rng=rng, force_sampling=True))
-        exhaustive = list(_seed_pairs(4, 2, limit=100, rng=rng))
-        assert sorted(pairs) == sorted(exhaustive)
-
-    def test_never_exceeds_pair_count(self):
-        rng = np.random.default_rng(3)
-        pairs = list(_seed_pairs(3, 2, limit=1000, rng=rng))
-        assert len(pairs) == comb(3, 2) ** 2
+    def test_rng_stream_is_frozen(self):
+        # reports are byte-identical across versions only while a cell's draws are
+        a_idx, c_idx = _seed_pairs(50, 10, 100, np.random.default_rng(
+            np.random.SeedSequence([1, 1000, 50, 10])))
+        pairs = np.stack((a_idx, c_idx), axis=1).astype(np.int64)
+        assert pairs.shape == (100, 2, 10)
+        assert pairs[0].tolist() == [[12, 13, 20, 23, 28, 30, 38, 44, 47, 49],
+                                     [0, 3, 12, 15, 17, 23, 27, 28, 37, 46]]
+        assert pairs[-1].tolist() == [[0, 1, 5, 8, 10, 24, 30, 36, 43, 46],
+                                      [0, 1, 7, 19, 27, 29, 31, 32, 39, 45]]
+        assert hashlib.sha256(pairs.tobytes()).hexdigest() == \
+            "b3dd1418e19a0bb99607e7d55173a3b101555976482443c263b28012a4efcdb4"
 
 
 class TestEvaluateCore:
@@ -207,8 +210,8 @@ class TestSearchGrid:
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
         report = search_grid(lex, freq, store, toy_config(samples_per_cell=50))
         for cell in report.cells:
-            exhaustive = comb(cell.y, cell.z) ** 2
-            assert cell.cores_evaluated == min(50, exhaustive)
+            pair_count = comb(cell.y, cell.z) ** 2
+            assert cell.cores_evaluated == min(50, pair_count)
 
     def test_best_cores_satisfy_invariants(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
@@ -246,19 +249,16 @@ class TestSearchGrid:
         assert 0 < best_idx < len(sweep) - 1  # rises, then plateaus or declines
 
 
-class TestExhaustiveSampledAgreement:
-    def test_same_best_core_both_modes(self, tmp_path):
+class TestSmallCellsCoverEveryPair:
+    def test_same_best_core_as_every_pair(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=9)
         base = select_base(lex, freq, store, 30)
         pools = select_pools(base, 4)
         ctx = _EvalContext(base.tokens, base.ratings, store)
-        cfg = toy_config(samples_per_cell=comb(4, 2) ** 2)  # 36 >= all pairs
-        exhaustive = _evaluate_cell(30, 4, 2, pools, ctx, cfg)
-        sampled = _evaluate_cell(30, 4, 2, pools, ctx, cfg, force_sampling=True)
-        assert isinstance(exhaustive, CellResult) and isinstance(sampled, CellResult)
-        assert exhaustive.cores_evaluated == sampled.cores_evaluated == 36
-        assert exhaustive.best_core == sampled.best_core
-        assert exhaustive.best_r_s == sampled.best_r_s
+        cfg = toy_config(samples_per_cell=100)  # >= the 36 pairs
+        cell = _evaluate_cell(30, 4, 2, pools, ctx, cfg)
+        assert isinstance(cell, CellResult) and cell.cores_evaluated == 36
+        assert cell == every_pair_cell(30, 4, 2, pools, ctx)
 
 
 class TestTieBreak:
@@ -284,9 +284,9 @@ class TestTieBreak:
         assert z1.best_core.seed_concrete == ("cb",)
 
 
-def _assert_unflagged_screen_exact(pairs, z, pools, ctx):
-    screened, unsure = _screen_cell(pairs, z, pools, ctx)
-    for (a_idx, c_idx), r, flagged in zip(pairs, screened, unsure):
+def _assert_unflagged_screen_exact(a_pairs, c_pairs, pools, ctx):
+    screened, unsure = _screen_cell(a_pairs, c_pairs, pools, ctx)
+    for a_idx, c_idx, r, flagged in zip(a_pairs, c_pairs, screened, unsure):
         if flagged:
             continue
         core = SemanticCore(tuple(pools.abstract[i] for i in a_idx),
@@ -318,8 +318,7 @@ class TestBatchedKernelOracle:
             ctx = _EvalContext(base.tokens, base.ratings, store)
             y = int(rng.integers(1, n // 3 + 1))
             z = int(rng.integers(1, y + 1))
-            pairs = list(_seed_pairs(y, z, 10, rng))
-            _assert_unflagged_screen_exact(pairs, z, select_pools(base, y), ctx)
+            _assert_unflagged_screen_exact(*_seed_pairs(y, z, 10, rng), select_pools(base, y), ctx)
 
     def test_tie_free_cell_needs_no_exact_re_score(self, tmp_path):
         # no core is flagged on a tie-free store, so the screen alone decides
@@ -342,13 +341,13 @@ class TestBatchedKernelOracle:
         pools = select_pools(base, 9)
         cfg = toy_config(samples_per_cell=20)
 
-        def inflated_screen(pairs, z, pools, ctx):
+        def inflated_screen(a_pairs, c_pairs, pools, ctx):
             exact = np.array([ctx.evaluate(SemanticCore(
                 tuple(pools.abstract[i] for i in a_idx),
-                tuple(pools.concrete[i] for i in c_idx))) for a_idx, c_idx in pairs],
-                dtype=float)
+                tuple(pools.concrete[i] for i in c_idx)))
+                for a_idx, c_idx in zip(a_pairs, c_pairs)], dtype=float)
             assert np.nanmax(exact) < 1.0 and np.nanmin(exact) < np.nanmax(exact)
-            unsure = np.zeros(len(pairs), dtype=bool)
+            unsure = np.zeros(len(a_pairs), dtype=bool)
             worst = np.nanargmin(exact)
             unsure[worst], exact[worst] = True, 1.0
             return exact, unsure

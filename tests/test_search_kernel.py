@@ -95,5 +95,5 @@ class TestBatchedKernelProperties:
         y = rnd.randint(1, x // 3)
         z = rnd.randint(1, y)
         pools = select_pools(select_base(lex, freq, store, x), y)
-        pairs = list(_seed_pairs(y, z, samples, np.random.default_rng(rnd.randint(0, 9))))
-        _assert_unflagged_screen_exact(pairs, z, pools, ctx)
+        pairs = _seed_pairs(y, z, samples, np.random.default_rng(rnd.randint(0, 9)))
+        _assert_unflagged_screen_exact(*pairs, pools, ctx)
