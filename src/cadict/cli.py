@@ -21,7 +21,7 @@ from pathlib import Path
 
 from cadict import __version__
 from cadict.embeddings import load_vectors, open_store, save_cache
-from cadict.errors import DataError, InfeasibleError, open_text
+from cadict.errors import DataError, InfeasibleError
 from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
@@ -113,16 +113,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _read_word_list(path: str | Path, fold_case: bool) -> list[str]:
-    words = []
-    with open_text(path) as fh:
-        for line in fh:
-            token = line.strip()
-            if token:
-                words.append(token.lower() if fold_case else token)
-    return words
-
-
 def _parse_prediction(fields: list[str]) -> float:
     if len(fields) < 2:
         raise DataError("need at least 2 tab-separated columns")
@@ -202,9 +192,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_rate(args) -> int:
     core, _provenance = load_core(args.core)
-    words = _read_word_list(args.words, args.fold_case) if args.words else None
-    vocab_filter = None
-    if words is not None:
+    words = words_report = vocab_filter = None
+    if args.words:
+        # a word list is a table whose first column is the word
+        table, words_report = read_table(args.words, args.fold_case, lambda fields: None)
+        words = list(table)
         vocab_filter = set(words) | set(core.seed_abstract) | set(core.seed_concrete)
     store = open_store(args.vectors, vocab_filter=vocab_filter, fold_case=args.fold_case)
     summary = build_dictionary(core, words, store, args.out)
@@ -224,6 +216,10 @@ def _cmd_rate(args) -> int:
     print(f"rated {summary.rated} word(s) -> {args.out}")
     print(f"skipped {summary.skipped} out-of-vocabulary word(s) -> {skip_path}")
     print(f"floored denominators: {summary.floored}")
+    if store.load_report.drops():
+        print(f"dropped from {args.vectors}: {store.load_report.drops()}")
+    if words_report is not None and words_report.drops():
+        print(f"dropped from {args.words}: {words_report.drops()}")
     return EXIT_OK
 
 
@@ -331,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", required=True, help="core JSON file")
     p.add_argument("--vectors", required=True)
     p.add_argument("--words", default=None,
-                   help="words to rate, one per line (default: whole vector store)")
+                   help="words to rate: the first column of a TSV, so also one per "
+                        "line (default: whole vector store)")
     p.add_argument("--out", default="dictionary.tsv")
     _add_fold_flag(p)
     p.set_defaults(func=_cmd_rate)

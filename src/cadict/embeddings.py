@@ -236,7 +236,7 @@ def save_cache(store: VectorStore, path: str | Path) -> None:
         fh.write(header_blob)
         fh.write(struct.pack("<Q", len(token_blob)))
         fh.write(token_blob)
-        fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
 
 
 def _read_exact(fh, size: int, path: Path, what: str) -> bytes:

@@ -66,11 +66,11 @@ class FrequencyList:
 
 @dataclass(frozen=True, eq=False)
 class BaseDictionary:
-    """The X most frequent expert-rated in-store words, frequency-descending."""
+    """The X most frequent expert-rated in-store words, frequency-descending,
+    equal counts in token order; `select_pools` relies on that order."""
 
     tokens: tuple[str, ...]
     ratings: np.ndarray
-    frequencies: tuple[int, ...]
 
     @property
     def x(self) -> int:
@@ -194,7 +194,6 @@ def select_base(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
     return BaseDictionary(
         tokens=tuple(chosen),
         ratings=np.array([lex.rating(t) for t in chosen], dtype=np.float64),
-        frequencies=tuple(freq.count(t) for t in chosen),
     )
 
 
@@ -202,24 +201,19 @@ def select_pools(base: BaseDictionary, y: int) -> CandidatePools:
     """Take the `y` lowest-rated (abstract) and `y` highest-rated (concrete) base words.
 
     Requires y <= X/3, which keeps the pools comfortably disjoint. Rating ties
-    break by higher frequency first, then lexicographically; the concrete pool
-    is picked from the words the abstract pool did not take, so the two never
-    overlap even on pathological all-tied ratings.
+    keep base order (higher frequency first, then lexicographic); the concrete
+    pool is picked from the words the abstract pool did not take, so the two
+    never overlap even on pathological all-tied ratings.
     """
     if y < 1:
         raise ValueError("y must be a positive integer")
     if y > base.x // 3:
         raise InfeasibleError(f"y={y} exceeds X/3={base.x // 3} for X={base.x}")
 
-    order = sorted(
-        range(base.x),
-        key=lambda i: (base.ratings[i], -base.frequencies[i], base.tokens[i]),
-    )
-    abstract = order[:y]
-    rest = order[y:]
-    rest.sort(key=lambda i: (-base.ratings[i], -base.frequencies[i], base.tokens[i]))
-    concrete = rest[:y]
+    order = np.argsort(base.ratings, kind="stable")
+    rest = order[y:]  # equal ratings still in base order
+    concrete = rest[np.argsort(-base.ratings[rest], kind="stable")[:y]]
     return CandidatePools(
-        abstract=tuple(base.tokens[i] for i in abstract),
+        abstract=tuple(base.tokens[i] for i in order[:y]),
         concrete=tuple(base.tokens[i] for i in concrete),
     )

@@ -89,17 +89,16 @@ def raw_ratings(matrix: np.ndarray, core: SemanticCore,
                 store: VectorStore) -> tuple[np.ndarray, np.ndarray]:
     """Raw ratio ratings for unit-vector rows of `matrix` under `core`.
 
-    Returns (raw, denominator_floored): max(sim_C, floor) / max(sim_A, floor)
-    per row, and whether its denominator was floored. This is the single
-    arithmetic path of `rate_all` and of the core search's exact score, so
-    the two agree bit for bit.
+    Returns (raw, denominator_floored): sim_C / sim_A per row, each similarity
+    clipped to [floor, 1], and whether its denominator was floored. This is
+    the single arithmetic path of `rate_all` and of the core search's exact
+    score, so the two agree bit for bit.
     """
     mean_c = _mean_seed_vector(core.seed_concrete, store)
     mean_a = _mean_seed_vector(core.seed_abstract, store)
-    sims_c = np.clip(matrix @ mean_c, -1.0, 1.0)
-    sims_a = np.clip(matrix @ mean_a, -1.0, 1.0)
-    raw = np.maximum(sims_c, SIMILARITY_FLOOR) / np.maximum(sims_a, SIMILARITY_FLOOR)
-    return raw, sims_a <= SIMILARITY_FLOOR
+    num = np.clip(matrix @ mean_c, SIMILARITY_FLOOR, 1.0)
+    den = np.clip(matrix @ mean_a, SIMILARITY_FLOOR, 1.0)
+    return num / den, den <= SIMILARITY_FLOOR
 
 
 def _min_max_scale(raw: np.ndarray) -> np.ndarray:
@@ -155,7 +154,8 @@ def build_dictionary(core: SemanticCore, vocab: Iterable[str] | None,
     """
     batch = rate_all(store.tokens if vocab is None else vocab, core, store)
     with open(out, "w", encoding="utf-8") as fh:
-        for t, r, s, f in zip(batch.tokens, batch.raw, batch.scaled, batch.floored):
+        for t, r, s, f in zip(batch.tokens, batch.raw.tolist(), batch.scaled.tolist(),
+                              batch.floored.tolist()):
             flags = FLAG_DENOMINATOR_FLOORED if f else "-"
             fh.write(f"{t}\t{r:.9g}\t{s:.3f}\t{flags}\n")
     return DictionarySummary(

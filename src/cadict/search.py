@@ -212,10 +212,9 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     sel_c[rows, c_idx] = 1.0
     means = np.vstack((sel_c @ ctx.store.rows(pools.concrete),
                        sel_a @ ctx.store.rows(pools.abstract))) / z
-    sims = np.clip(means @ ctx.matrix.T, -1.0, 1.0)
-    sims_c, sims_a = sims[:k], sims[k:]
-    num = np.maximum(sims_c, SIMILARITY_FLOOR)
-    den = np.maximum(sims_a, SIMILARITY_FLOOR)
+    sims = means @ ctx.matrix.T
+    num = np.clip(sims[:k], SIMILARITY_FLOOR, 1.0)
+    den = np.clip(sims[k:], SIMILARITY_FLOOR, 1.0)
     raw = num / den
 
     # Each path gets a similarity within (d + y + 1) * eps / 2 of its true
@@ -226,8 +225,8 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     # rounding the ratio.
     n, d = ctx.matrix.shape
     delta = 4 * (d + y) * np.finfo(np.float64).eps
-    rel = 2 * delta * ((sims_c > SIMILARITY_FLOOR - delta) / num
-                       + (sims_a > SIMILARITY_FLOOR - delta) / den)
+    rel = 2 * delta * ((sims[:k] > SIMILARITY_FLOOR - delta) / num
+                       + (sims[k:] > SIMILARITY_FLOOR - delta) / den)
     order = np.argsort(raw, axis=1)
     ordered = np.take_along_axis(raw, order, axis=1)
     err = np.take_along_axis(raw * rel, order, axis=1)

@@ -6,7 +6,8 @@ and the tie-free Spearman d^2 shortcut. The cell references are the per-core
 search loop, which reuses the package's seed draws and exact core score and so
 checks exactly the batched screen that replaced it, and a best over every seed
 pair enumerated with itertools; `evaluate_core` is that exact score over a
-base dictionary.
+base dictionary. `pools_by_rule` picks candidate pools by sorting on the
+frequency counts themselves, which `select_pools` leaves to the base order.
 """
 
 import itertools
@@ -94,3 +95,14 @@ def every_pair_cell(x, y, z, pools, ctx):
     enumerated with itertools rather than drawn."""
     seeds = list(itertools.combinations(range(y), z))
     return _best_cell(x, y, z, itertools.product(seeds, repeat=2), pools, ctx)
+
+
+def pools_by_rule(base, y, counts):
+    """Candidate pools by the tie-break rule written out: the abstract pool by
+    (rating, -count, token), the concrete pool from the other words by
+    (-rating, -count, token)."""
+    rating = dict(zip(base.tokens, base.ratings.tolist()))
+    abstract = sorted(base.tokens, key=lambda t: (rating[t], -counts[t], t))[:y]
+    rest = [t for t in base.tokens if t not in abstract]
+    concrete = sorted(rest, key=lambda t: (-rating[t], -counts[t], t))[:y]
+    return tuple(abstract), tuple(concrete)

@@ -186,6 +186,32 @@ class TestRateCommand:
         assert len(out.read_text().splitlines()) == 2
         assert (tmp_path / "dict.tsv.skipped.txt").read_text() == "unseen\n"
 
+    def test_drops_are_reported(self, corpus, core_file, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(corpus["vectors"].read_text(encoding="utf-8")
+                           + "zero " + " ".join(["0"] * 8) + "\n", encoding="utf-8")
+        words = tmp_path / "words.txt"
+        words.write_text("w005\nw010\nzero\nw005\n", encoding="utf-8")
+        out = tmp_path / "dict.tsv"
+        capsys.readouterr()
+        assert run(["rate", "--core", str(core_file), "--vectors", str(vectors),
+                    "--words", str(words), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"dropped from {vectors}: ") and "zero_norm_skipped=1" in line
+                   for line in printed)
+        assert f"dropped from {words}: duplicates_ignored=1" in printed
+        assert [line.split("\t")[0] for line in out.read_text().splitlines()] == \
+            ["w005", "w010"]
+        assert (tmp_path / "dict.tsv.skipped.txt").read_text() == "zero\n"
+
+    def test_ratings_tsv_as_words_rates_first_column(self, corpus, core_file, tmp_path):
+        out = tmp_path / "dict.tsv"
+        assert run(["rate", "--core", str(core_file), "--vectors", str(corpus["vectors"]),
+                    "--words", str(corpus["ratings"]), "--out", str(out)]) == EXIT_OK
+        assert [line.split("\t")[0] for line in out.read_text().splitlines()] == \
+            corpus["tokens"]
+        assert (tmp_path / "dict.tsv.skipped.txt").read_text() == ""
+
     def test_core_store_mismatch_fatal(self, corpus, tmp_path):
         core = tmp_path / "core.json"
         core.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ class TestCache:
         for t in store.tokens:
             row = store.matrix[store.row_index(t)]
             assert np.array_equal(loaded.matrix[loaded.row_index(t)], row)
+
+    def test_save_writes_the_matrix_without_a_copy(self, tmp_path):
+        rng = np.random.default_rng(5)
+        store = store_from_raw([f"w{i}" for i in range(4000)], rng.normal(size=(4000, 100)))
+        cache = tmp_path / "store.cavs"
+        tracemalloc.start()
+        try:
+            save_cache(store, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * store.matrix.nbytes
+        assert cache.read_bytes().endswith(store.matrix.tobytes())
 
     def test_cache_vocab_filter(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])

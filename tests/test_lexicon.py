@@ -12,7 +12,8 @@ from cadict.lexicon import (
     RatingLexicon,
 )
 
-from conftest import store_from_records
+from conftest import store_from_raw, store_from_records
+from oracles import pools_by_rule
 
 
 def write_tsv(path, rows):
@@ -115,7 +116,6 @@ class TestSelectBase:
         base = select_base(lex, freq, store, 2)
         assert base.tokens == ("a", "b")
         assert list(base.ratings) == [1.2, 4.8]
-        assert base.frequencies == (10, 5)
         assert base.x == 2
 
     def test_shortfall_reports_maximum(self, tmp_path):
@@ -142,16 +142,14 @@ class TestSelectBase:
         b1 = select_base(lex, freq, store, 3)
         b2 = select_base(lex, freq, store, 3)
         assert b1.tokens == b2.tokens
-        assert b1.frequencies == b2.frequencies
         assert np.array_equal(b1.ratings, b2.ratings)
 
 
-def _base(tokens_ratings, freqs=None):
+def _base(tokens_ratings):
+    """A base dictionary in the given order, as if `select_base` had ranked it."""
     tokens = tuple(t for t, _ in tokens_ratings)
     ratings = np.array([r for _, r in tokens_ratings], dtype=float)
-    if freqs is None:
-        freqs = tuple(range(len(tokens), 0, -1))
-    return BaseDictionary(tokens=tokens, ratings=ratings, frequencies=tuple(freqs))
+    return BaseDictionary(tokens=tokens, ratings=ratings)
 
 
 class TestSelectPools:
@@ -173,9 +171,10 @@ class TestSelectPools:
             select_pools(base, 4)
 
     def test_rating_tie_prefers_higher_frequency(self):
-        base = _base([("a", 1.0), ("b", 1.0), ("c", 3.0), ("d", 3.0),
-                      ("e", 5.0), ("f", 5.0)],
-                     freqs=(1, 9, 5, 5, 2, 8))
+        ratings = {"a": 1.0, "b": 1.0, "c": 3.0, "d": 3.0, "e": 5.0, "f": 5.0}
+        counts = {"a": 1, "b": 9, "c": 5, "d": 5, "e": 2, "f": 8}
+        store = store_from_raw(list(ratings), np.eye(6))
+        base = select_base(RatingLexicon(ratings), FrequencyList(counts), store, 6)
         pools = select_pools(base, 2)
         assert pools.abstract == ("b", "a")  # tie at 1.0: b has the higher count
         assert pools.concrete == ("f", "e")
@@ -185,8 +184,7 @@ class TestSelectPools:
         for _ in range(200):
             n = int(rng.integers(3, 40))
             ratings = np.round(rng.uniform(1, 5, size=n), 1)  # coarse: force ties
-            base = _base([(f"w{i:02d}", float(r)) for i, r in enumerate(ratings)],
-                         freqs=tuple(int(c) for c in rng.integers(1, 5, size=n)))
+            base = _base([(f"w{i:02d}", float(r)) for i, r in enumerate(ratings)])
             y = int(rng.integers(1, max(2, n // 3 + 1)))
             if y > n // 3:
                 continue
@@ -208,3 +206,19 @@ class TestSelectPools:
             max_abstract = max(by_token[t] for t in pools.abstract)
             min_concrete = min(by_token[t] for t in pools.concrete)
             assert max_abstract <= min_concrete
+
+    def test_matches_the_rating_count_token_rule(self):
+        # frequency reaches the pools only through the base order, so the
+        # pools must equal the rule that sorts on the counts themselves
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            n = int(rng.integers(3, 40))
+            tokens = [f"w{i:02d}" for i in rng.permutation(n)]
+            ratings = {t: float(r) for t, r in zip(tokens, rng.integers(1, 6, size=n))}
+            counts = {t: int(c) for t, c in zip(tokens, rng.integers(0, 4, size=n))}
+            store = store_from_raw(tokens, rng.normal(size=(n, 2)))
+            x = int(rng.integers(3, n + 1))
+            base = select_base(RatingLexicon(ratings), FrequencyList(counts), store, x)
+            y = int(rng.integers(1, x // 3 + 1))
+            pools = select_pools(base, y)
+            assert (pools.abstract, pools.concrete) == pools_by_rule(base, y, counts)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cadict import rater
+from cadict.embeddings import VectorStore
 from cadict.errors import DataError
 from cadict.rater import (
     FLAG_DENOMINATOR_FLOORED,
@@ -156,6 +157,39 @@ class TestRateAll:
         # bit-identical to rating a gathered copy of the rows in the same order
         gathered, _ = raw_ratings(store.matrix.copy(), core, store)
         assert batch.raw.tobytes() == gathered.tobytes()
+
+
+class TestRawRatings:
+    def test_one_clip_equals_clip_then_floor(self):
+        floor = SIMILARITY_FLOOR
+        over = 1 + 5e-7  # inside the store's 1e-6 unit-norm tolerance
+        values = [1.0, 0.5, floor, np.nextafter(floor, 1.0), np.nextafter(floor, 0.0),
+                  1e-300, 0.0, -0.0, -1e-300, -floor, -0.5, -1.0]
+        # seeds c1, a1 are a little over unit length, so a seed's similarity
+        # to itself exceeds 1; seeds c3, a4 are exact axes, so a probe's
+        # similarity to them is its own component and can sit at the floor
+        rows = [[over, 0, 0, 0, 0], [0, over, 0, 0, 0], [-over, 0, 0, 0, 0],
+                [0, -over, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+        for s_c in values:
+            for s_a in values:
+                rest = 1.0 - s_c * s_c - s_a * s_a
+                if rest >= 0:
+                    rows += [[s_c, s_a, 0, 0, math.sqrt(rest)],
+                             [0, 0, s_c, s_a, math.sqrt(rest)]]
+        tokens = ["c1", "a1", "-c1", "-a1", "c3", "a4"] + [f"w{i}" for i in range(len(rows) - 6)]
+        store = VectorStore(tokens, np.array(rows, dtype=float), source_id="in-memory")
+        for core in (SemanticCore(("a1",), ("c1",)), SemanticCore(("a4",), ("c3",))):
+            sims_c = store.matrix @ store.rows(core.seed_concrete)[0]
+            sims_a = store.matrix @ store.rows(core.seed_abstract)[0]
+            expected = (np.maximum(np.clip(sims_c, -1, 1), floor)
+                        / np.maximum(np.clip(sims_a, -1, 1), floor))
+            raw, floored = raw_ratings(store.matrix, core, store)
+            assert raw.tobytes() == expected.tobytes()
+            assert np.array_equal(floored, np.clip(sims_a, -1, 1) <= floor)
+        # the probes reach past both ends of [-1, 1] and sit on the floor
+        sims_over = store.matrix @ store.rows(["c1"])[0]
+        assert sims_over.max() > 1.0 and sims_over.min() < -1.0
+        assert np.any(store.matrix @ store.rows(["a4"])[0] == floor)
 
 
 class TestInvariances:
