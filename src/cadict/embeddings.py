@@ -8,11 +8,13 @@ dominates start-up time otherwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,6 +26,8 @@ from cadict.errors import DataError, open_text
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"CAVS0001"
+BLOCK_LINES = 1024  # text lines per np.loadtxt call: larger blocks cost memory, not time
+CHUNK_BYTES = 1 << 24  # cache bytes read at a time by a filtered `load_cache`
 # a smaller norm has a subnormal square, too inexact to normalize the row by
 MIN_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -135,6 +139,97 @@ def _looks_like_header(parts: list[str]) -> bool:
     return True
 
 
+class _TextLoad:
+    """One `load_vectors` pass: the records accepted so far and the drop counts."""
+
+    def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool):
+        self.path, self.vocab_filter, self.fold_case = path, vocab_filter, fold_case
+        self.tokens: list[str] = []
+        self.rows: list[np.ndarray] = []
+        self.index: dict[str, int] = {}
+        self.dimension: int | None = None
+        self.drops: Counter[str] = Counter()
+
+    def block(self, numbered: list[tuple[int, str]]) -> None:
+        """Add (line number, line) pairs by np.loadtxt, changing nothing unless all parse."""
+        records, rests, widths = [], [], {self.dimension} - {None}
+        for lineno, line in numbered:
+            head = line.split(None, 1)
+            if not head or lineno == 1 and _looks_like_header(line.split()):
+                continue
+            if len(head) == 1:
+                raise DataError("record has no vector components")
+            token = head[0].lower() if self.fold_case else head[0]
+            if (self.vocab_filter is not None and token not in self.vocab_filter
+                    or token in self.index):  # dropped unparsed, as a line is
+                records.append((token, None))
+                widths.add(len(head[1].split()))
+            else:
+                records.append((token, len(rests)))
+                rests.append(head[1])
+        matrix = np.empty((0, 0))
+        if rests:
+            matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+            widths.add(matrix.shape[1])
+        if len(widths) > 1 or len(matrix) != len(rests):
+            raise DataError("records of different widths")
+        self.dimension = next(iter(widths), None)
+        # row by row, as np.linalg.norm computes it; its axis=1 form differs in the last bit
+        norms = np.sqrt([r.dot(r) for r in matrix])
+        keep = []
+        for token, i in records:
+            if token in self.index:
+                self.drops["duplicates_ignored"] += 1
+            elif i is None:
+                self.drops["filtered_out"] += 1
+            elif (norm := self._accept(token, matrix[i], norms[i])) is not None:
+                norms[i] = norm
+                keep.append(i)
+        if keep:
+            self.rows.append(matrix[keep] / norms[keep, None])
+
+    def line(self, lineno: int, line: str) -> None:
+        """Add one line alone: reads what np.loadtxt refuses (``1_0``), names a bad line."""
+        parts = line.split()
+        if not parts or lineno == 1 and _looks_like_header(parts):
+            return
+        width = len(parts) - 1
+        if self.dimension is None:
+            if width < 1:
+                raise DataError(f"{self.path}: line {lineno}: record has no vector components")
+            self.dimension = width
+        elif width != self.dimension:
+            raise DataError(f"{self.path}: line {lineno}: "
+                            f"expected {self.dimension} components, found {width}")
+        token = parts[0].lower() if self.fold_case else parts[0]
+        if self.vocab_filter is not None and token not in self.vocab_filter:
+            self.drops["filtered_out"] += 1
+            return
+        if token in self.index:
+            self.drops["duplicates_ignored"] += 1
+            return
+        try:
+            vec = np.array(parts[1:], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{self.path}: line {lineno}: unparseable vector component") from exc
+        if (norm := self._accept(token, vec, float(np.linalg.norm(vec)))) is not None:
+            self.rows.append(vec / norm)
+
+    def _accept(self, token: str, vec: np.ndarray, norm: float) -> float | None:
+        """Accept `token` and return the norm to divide `vec` by, or count why
+        it is dropped. A finite `vec` whose squares overflowed is first scaled
+        in place by a power of two, as `pearson` does, and kept."""
+        if not math.isfinite(norm) and np.isfinite(vec).all():
+            np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1], out=vec)
+            norm = float(np.linalg.norm(vec))
+        if norm < MIN_NORM or not math.isfinite(norm):
+            self.drops["zero_norm_skipped" if norm < MIN_NORM else "non_finite_skipped"] += 1
+            return None
+        self.index[token] = len(self.tokens)
+        self.tokens.append(token)
+        return norm
+
+
 def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
                  fold_case: bool = True) -> VectorStore:
     """Parse a word-vectors text file into a VectorStore.
@@ -147,74 +242,37 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     counted apart; a finite vector whose norm overflows is kept. On
     duplicate tokens the first occurrence wins. Tokens are folded to
     lowercase unless `fold_case` is off; `vocab_filter`, when given, is
-    matched after folding.
+    matched after folding. Records are parsed `BLOCK_LINES` at a time.
     """
     path = Path(path)
     if fold_case and vocab_filter is not None:
         vocab_filter = {t.lower() for t in vocab_filter}
+    load = _TextLoad(path, vocab_filter, fold_case)
 
-    tokens: list[str] = []
-    rows: list[np.ndarray] = []
-    index: dict[str, int] = {}
-    dimension: int | None = None
-    zero_norm = non_finite = duplicates = filtered = 0
-
-    # a finite record's squares may overflow; such a record is rescaled below
+    # a finite record's squares may overflow; `_accept` rescales such a record
     with open_text(path) as fh, np.errstate(over="ignore"):
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and _looks_like_header(parts):
-                continue
-            width = len(parts) - 1
-            if dimension is None:
-                if width < 1:
-                    raise DataError(f"{path}: line {lineno}: record has no vector components")
-                dimension = width
-            elif width != dimension:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {dimension} components, found {width}"
-                )
-            token = parts[0].lower() if fold_case else parts[0]
-            if vocab_filter is not None and token not in vocab_filter:
-                filtered += 1
-                continue
-            if token in index:
-                duplicates += 1
-                continue
+        numbered = enumerate(fh, start=1)
+        for first in numbered:
+            block = [first]
             try:
-                vec = np.array(parts[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: unparseable vector component") from exc
-            norm = float(np.linalg.norm(vec))
-            if not math.isfinite(norm) and np.isfinite(vec).all():
-                # its squares overflowed: scale it by a power of two, as `pearson` does
-                vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
-                norm = float(np.linalg.norm(vec))
-            if norm < MIN_NORM:
-                zero_norm += 1
-                continue
-            if not math.isfinite(norm):
-                non_finite += 1
-                continue
-            index[token] = len(tokens)
-            tokens.append(token)
-            rows.append(vec / norm)
+                block.extend(itertools.islice(numbered, BLOCK_LINES - 1))
+            finally:  # the lines read before an undecodable one still count, and err, first
+                try:
+                    load.block(block)
+                except (ValueError, DataError):
+                    logger.debug("%s: lines %d-%d parsed line by line",
+                                 path, block[0][0], block[-1][0])
+                    for lineno, line in block:
+                        load.line(lineno, line)
 
-    if not tokens:
+    if not load.tokens:
         raise DataError(f"{path}: no usable vector records")
-    report = LoadReport(
-        accepted=len(tokens),
-        zero_norm_skipped=zero_norm,
-        non_finite_skipped=non_finite,
-        duplicates_ignored=duplicates,
-        filtered_out=filtered,
-    )
-    if zero_norm or non_finite or duplicates:
+    report = LoadReport(accepted=len(load.tokens), **load.drops)
+    if report.zero_norm_skipped or report.non_finite_skipped or report.duplicates_ignored:
         logger.warning("%s: dropped %s", path, report.drops())
     try:
-        return VectorStore(tokens, np.vstack(rows), source_id=str(path), load_report=report)
+        return VectorStore(load.tokens, np.vstack(load.rows), source_id=str(path),
+                           load_report=report)
     except ValueError as exc:  # a row the store's checks refuse
         raise DataError(f"{path}: {exc}") from exc
 
@@ -239,10 +297,14 @@ def save_cache(store: VectorStore, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
 
 
-def _read_exact(fh, size: int, path: Path, what: str) -> bytes:
+def _check_left(fh, size: int, path: Path, what: str) -> None:
     # checked before reading, so a corrupt length never becomes a huge allocation
     if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataError(f"{path}: cache truncated in the {what}")
+
+
+def _read_exact(fh, size: int, path: Path, what: str) -> bytes:
+    _check_left(fh, size, path, what)
     return fh.read(size)
 
 
@@ -250,7 +312,7 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
     """Load a binary cache written by `save_cache`.
 
     A truncated or corrupt file is a DataError naming the file and the part
-    that is unreadable.
+    that is unreadable. With `vocab_filter`, only the kept rows are held.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -274,18 +336,27 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
         tokens = token_blob.split("\n") if token_blob else []
         if len(tokens) != count:
             raise DataError(f"{path}: cache token count mismatch")
-        data = _read_exact(fh, count * dim * 8, path, "vector data")
-        matrix = np.frombuffer(data, dtype="<f8").reshape(count, dim)
+        if vocab_filter is None:
+            data = _read_exact(fh, count * dim * 8, path, "vector data")
+            matrix = np.frombuffer(data, dtype="<f8").reshape(count, dim)
+        else:
+            _check_left(fh, count * dim * 8, path, "vector data")
+            keep = np.array([i for i, t in enumerate(tokens) if t in vocab_filter], dtype=np.intp)
+            if not keep.size:
+                raise DataError(f"{path}: vocab filter removed every cached vector")
+            # one reused chunk at a time, so the whole matrix is never held
+            matrix = np.empty((keep.size, dim), dtype=np.float64)
+            step = max(1, CHUNK_BYTES // (dim * 8))
+            chunk = np.empty((min(step, count), dim), dtype="<f8")
+            for start in range(0, count, step):
+                rows = chunk[:min(step, count - start)]
+                if fh.readinto(rows.data) != rows.nbytes:
+                    raise DataError(f"{path}: cache truncated in the vector data")
+                lo, hi = np.searchsorted(keep, [start, start + len(rows)])
+                matrix[lo:hi] = rows[keep[lo:hi] - start]
+            tokens = [tokens[i] for i in keep]
 
-    filtered = 0
-    if vocab_filter is not None:
-        keep = [i for i, t in enumerate(tokens) if t in vocab_filter]
-        filtered = len(tokens) - len(keep)
-        tokens = [tokens[i] for i in keep]
-        matrix = matrix[np.asarray(keep, dtype=np.intp)] if keep else matrix[:0]
-        if not tokens:
-            raise DataError(f"{path}: vocab filter removed every cached vector")
-    report = LoadReport(accepted=len(tokens), filtered_out=filtered)
+    report = LoadReport(accepted=len(tokens), filtered_out=count - len(tokens))
     try:
         return VectorStore(tokens, matrix, source_id=source_id, load_report=report)
     except ValueError as exc:  # blank or duplicate tokens, rows not unit length

@@ -303,7 +303,14 @@ def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
                 f"z_min = {cfg.z_min}")))
         logger.info("x=%d: %d cell(s) queued", x, len(jobs) - n_before)
 
-    outcomes = [_evaluate_cell(*j, cfg) for j in jobs]
+    outcomes: list[CellResult | SkippedCell] = []
+    t_cells, every = time.perf_counter(), max(1, len(jobs) // 10)
+    for done, job in enumerate(jobs, start=1):
+        outcomes.append(_evaluate_cell(*job, cfg))
+        if done % every == 0 or done == len(jobs):
+            elapsed = time.perf_counter() - t_cells
+            logger.info("%d/%d cells, %.1f s elapsed, ETA %.1f s",
+                        done, len(jobs), elapsed, elapsed / done * (len(jobs) - done))
 
     cells = tuple(o for o in outcomes if isinstance(o, CellResult))
     skipped.extend(o for o in outcomes if isinstance(o, SkippedCell))

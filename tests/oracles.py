@@ -8,13 +8,18 @@ checks exactly the batched screen that replaced it, and a best over every seed
 pair enumerated with itertools; `evaluate_core` is that exact score over a
 base dictionary. `pools_by_rule` picks candidate pools by sorting on the
 frequency counts themselves, which `select_pools` leaves to the base order.
+`load_vectors_by_line` is the word-vectors text loader as it was before it
+parsed blocks: one `split` and one `np.array` per line.
 """
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
+from cadict.embeddings import MIN_NORM, LoadReport, VectorStore, _looks_like_header
+from cadict.errors import DataError, open_text
 from cadict.rater import SemanticCore
 from cadict.search import CellResult, SkippedCell, _EvalContext, _core_sort_key, _seed_pairs
 
@@ -106,3 +111,62 @@ def pools_by_rule(base, y, counts):
     rest = [t for t in base.tokens if t not in abstract]
     concrete = sorted(rest, key=lambda t: (-rating[t], -counts[t], t))[:y]
     return tuple(abstract), tuple(concrete)
+
+
+def load_vectors_by_line(path, vocab_filter=None, fold_case=True):
+    """`embeddings.load_vectors` one line at a time, with its rules written out
+    in order: width, filter, duplicate, rescale, zero norm, non-finite."""
+    path = Path(path)
+    if fold_case and vocab_filter is not None:
+        vocab_filter = {t.lower() for t in vocab_filter}
+    tokens, rows, index = [], [], {}
+    dimension = None
+    zero_norm = non_finite = duplicates = filtered = 0
+    with open_text(path) as fh, np.errstate(over="ignore"):
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if lineno == 1 and _looks_like_header(parts):
+                continue
+            width = len(parts) - 1
+            if dimension is None:
+                if width < 1:
+                    raise DataError(f"{path}: line {lineno}: record has no vector components")
+                dimension = width
+            elif width != dimension:
+                raise DataError(
+                    f"{path}: line {lineno}: expected {dimension} components, found {width}")
+            token = parts[0].lower() if fold_case else parts[0]
+            if vocab_filter is not None and token not in vocab_filter:
+                filtered += 1
+                continue
+            if token in index:
+                duplicates += 1
+                continue
+            try:
+                vec = np.array(parts[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: unparseable vector component") from exc
+            norm = float(np.linalg.norm(vec))
+            if not math.isfinite(norm) and np.isfinite(vec).all():
+                vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
+                norm = float(np.linalg.norm(vec))
+            if norm < MIN_NORM:
+                zero_norm += 1
+                continue
+            if not math.isfinite(norm):
+                non_finite += 1
+                continue
+            index[token] = len(tokens)
+            tokens.append(token)
+            rows.append(vec / norm)
+    if not tokens:
+        raise DataError(f"{path}: no usable vector records")
+    report = LoadReport(accepted=len(tokens), zero_norm_skipped=zero_norm,
+                        non_finite_skipped=non_finite, duplicates_ignored=duplicates,
+                        filtered_out=filtered)
+    try:
+        return VectorStore(tokens, np.vstack(rows), source_id=str(path), load_report=report)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -153,6 +153,18 @@ class TestSearchCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["evaluation_scope"] == "full_lexicon"
 
+    def test_progress_is_logged_with_an_eta(self, corpus, tmp_path, caplog):
+        args = search_args(corpus, tmp_path, **{"--x": "30,60", "--y-start": 3, "--y-step": 1,
+                                                "--z-min": 1, "--z-step": 1, "--samples": 100,
+                                                "--seed": 5})
+        with caplog.at_level("INFO", logger="cadict.search"):
+            assert run(args) == EXIT_OK
+        progress = [r.getMessage() for r in caplog.records if " cells, " in r.getMessage()]
+        assert 1 <= len(progress) <= 11
+        assert all(re.fullmatch(r"\d+/259 cells, \d+\.\d s elapsed, ETA \d+\.\d s", m)
+                   for m in progress)
+        assert progress[-1].startswith("259/259 cells, ")
+
     def test_usage_error_exits_1(self, corpus, tmp_path):
         assert run(["search", "--ratings", "r.tsv"]) == EXIT_USAGE
         assert run(["bogus-command"]) == EXIT_USAGE

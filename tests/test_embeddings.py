@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from cadict import embeddings
 from cadict.embeddings import (
     CACHE_MAGIC,
+    LoadReport,
     VectorStore,
     load_cache,
     load_vectors,
@@ -22,6 +26,7 @@ from cadict.rater import (
 )
 
 from conftest import store_from_raw, store_from_records, write_vec_file
+from oracles import load_vectors_by_line
 
 
 class TestLoadVectors:
@@ -152,6 +157,93 @@ class TestLoadVectors:
             store.rows(["missing"])
 
 
+def _outcome(load, path, **kwargs):
+    """Everything a load shows its caller: tokens, matrix bytes and report, or the error."""
+    try:
+        store = load(path, **kwargs)
+    except DataError as exc:
+        return str(exc)
+    return store.tokens, store.matrix.tobytes(), store.load_report
+
+
+TOKENS = ["a", "A", "b", "B", "\u00e9", "\u00c9", "#", "7"]
+# mostly plain numbers; then what `float` accepts and np.loadtxt refuses, drop
+# causes (zero, non-finite, overflowing squares), and what nothing parses
+COMPONENTS = (["1", "-2.5", "0.5", "3e-1", "2", "7"] * 4
+              + ["1_0", "\u0661", "\u0661\u0662", "\uff11", "0", "-0", "1e-160",
+                 "nan", "-inf", "1e999", "1e200", "1.7e308", "x", "#", "'1'"])
+SEPARATORS = [" ", " ", "\t", "  ", "\x0b", "\x1c", "\u3000", " \t"]
+
+
+@st.composite
+def vector_files(draw):
+    """Word-vectors text in the loader's whole input language, with its edge cases."""
+    dimension = draw(st.integers(1, 3))
+    lines = [f"{draw(st.integers(0, 9))} {dimension}"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        width = draw(st.sampled_from([dimension] * 8 + [0, dimension + 1]))
+        line = draw(st.sampled_from(TOKENS))
+        for component in draw(st.lists(st.sampled_from(COMPONENTS), min_size=width,
+                                       max_size=width)):
+            line += draw(st.sampled_from(SEPARATORS)) + component
+        lines.append(line + draw(st.sampled_from(["", "", " "])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+class TestBlockParser:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=vector_files(), block_lines=st.sampled_from([1, 2, 3]),
+           fold_case=st.booleans(), vocab_filter=st.none() | st.sets(st.sampled_from(TOKENS)))
+    @example(text="a 0 0\nA 1 0\nA 0 1\n", block_lines=3, fold_case=True, vocab_filter=None)
+    @example(text="a 1 0\nb 1_0 2\na x 1\n", block_lines=3, fold_case=True, vocab_filter=None)
+    @example(text="a 1 0\nb 1e200 1e200\n", block_lines=2, fold_case=False, vocab_filter={"b"})
+    def test_equals_the_line_loader(self, tmp_path, monkeypatch, text, block_lines, fold_case,
+                                    vocab_filter):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
+        kwargs = {"vocab_filter": vocab_filter, "fold_case": fold_case}
+        assert _outcome(load_vectors, path, **kwargs) == _outcome(load_vectors_by_line, path,
+                                                                  **kwargs)
+
+    def test_wide_rows_equal_the_line_loader(self, tmp_path):
+        # at 300 components numpy's vectorised norms differ from the per-row ones
+        rng = np.random.default_rng(9)
+        path = write_vec_file(tmp_path / "v.txt",
+                              [(f"w{i}", rng.normal(size=300)) for i in range(300)])
+        assert _outcome(load_vectors, path) == _outcome(load_vectors_by_line, path)
+
+    @staticmethod
+    def _replays(caplog):
+        return [r.getMessage() for r in caplog.records if "line by line" in r.getMessage()]
+
+    def test_clean_blocks_are_not_replayed(self, tmp_path, monkeypatch, caplog):
+        rng = np.random.default_rng(6)
+        records = [(f"w{i}", rng.normal(size=3)) for i in range(12)]
+        path = write_vec_file(tmp_path / "v.txt", records)
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 4)
+        with caplog.at_level("DEBUG", logger="cadict.embeddings"):
+            store = load_vectors(path)
+        assert len(store) == 12
+        assert self._replays(caplog) == []
+
+    def test_one_float_only_component_replays_one_block(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "v.txt"
+        lines = [f"w{i} {i + 1} 1" for i in range(12)]
+        lines[5] = "w5 1_0 1"  # float() reads 10; np.loadtxt refuses it
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 4)
+        with caplog.at_level("DEBUG", logger="cadict.embeddings"):
+            store = load_vectors(path)
+        assert self._replays(caplog) == [f"{path}: lines 5-8 parsed line by line"]
+        assert len(store) == 12
+        assert store.matrix[5].tolist() == (np.array([10.0, 1.0]) / math.sqrt(101)).tolist()
+
+
 class TestCosine:
     """Cosine similarity as every rating computes it: `raw_ratings` takes the dot
     product of load-normalized rows, one per seed when the seeds are single words."""
@@ -277,14 +369,49 @@ class TestCache:
         with pytest.raises(DataError, match="truncated"):
             load_cache(cache)
 
-    @pytest.mark.parametrize("keep", [10, 12, 20, 40])
-    def test_cache_cut_anywhere_is_data_error(self, tmp_path, keep):
+    @pytest.mark.parametrize("keep, vocab_filter", [
+        *(pytest.param(keep, None, id=str(keep)) for keep in (10, 12, 20, 40)),
+        *(pytest.param(keep, {"b"}, id=f"{keep}-filtered") for keep in (10, 12, 20, 40, -1)),
+    ])
+    def test_cache_cut_anywhere_is_data_error(self, tmp_path, keep, vocab_filter):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2])])
         cache = tmp_path / "store.cavs"
         save_cache(store, cache)
         cache.write_bytes(cache.read_bytes()[:keep])
         with pytest.raises(DataError, match="truncated"):
-            load_cache(cache)
+            load_cache(cache, vocab_filter=vocab_filter)
+
+    def test_filtered_load_equals_the_kept_rows(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        tokens = [f"w{i}" for i in range(50)]
+        cache = tmp_path / "store.cavs"
+        save_cache(store_from_raw(tokens, rng.normal(size=(50, 6))), cache)
+        full = load_cache(cache)
+        kept = {t for t in tokens if rng.random() < 0.3} | {"w0", "w49"}
+        idx = [i for i, t in enumerate(full.tokens) if t in kept]
+        for rows_per_chunk in (1, 3, 7, 50, 64):
+            # a chunk size that is not a whole number of rows reads whole rows
+            monkeypatch.setattr(embeddings, "CHUNK_BYTES", rows_per_chunk * 6 * 8 + 5)
+            part = load_cache(cache, vocab_filter=kept)
+            assert part.tokens == tuple(full.tokens[i] for i in idx)
+            assert part.matrix.tobytes() == full.matrix[idx].tobytes()
+            assert part.load_report == LoadReport(accepted=len(idx), filtered_out=50 - len(idx))
+
+    def test_filtered_load_holds_only_the_kept_rows(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        tokens = [f"w{i}" for i in range(20_000)]
+        cache = tmp_path / "store.cavs"
+        save_cache(store_from_raw(tokens, rng.normal(size=(20_000, 100))), cache)
+        monkeypatch.setattr(embeddings, "CHUNK_BYTES", 1 << 16)
+        kept = set(tokens[::10])
+        tracemalloc.start()
+        try:
+            store = load_cache(cache, vocab_filter=kept)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 2_000
+        assert peak < 0.5 * 20_000 * 100 * 8
 
     @staticmethod
     def _cache_bytes(header: bytes, tokens: bytes, data: bytes = b"") -> bytes:
