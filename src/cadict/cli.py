@@ -180,8 +180,8 @@ def _cmd_search(args) -> int:
     if args.out_landscape:
         with open(args.out_landscape, "w", encoding="utf-8") as fh:
             fh.write("x\ty\tz\tbest_r_s\n")
-            for x, y, z, r in report.landscape_rows():
-                fh.write(f"{x}\t{y}\t{z}\t{r!r}\n")
+            for c in report.cells:
+                fh.write(f"{c.x}\t{c.y}\t{c.z}\t{c.best_r_s!r}\n")
         _write_sidecar(args.out_landscape, manifest)
 
     print(f"cells evaluated: {len(report.cells)} (skipped: {len(report.skipped)})")

@@ -67,9 +67,11 @@ class FrequencyList:
 @dataclass(frozen=True, eq=False)
 class BaseDictionary:
     """The X most frequent expert-rated in-store words, frequency-descending,
-    equal counts in token order; `select_pools` relies on that order."""
+    equal counts in token order; `select_pools` relies on that order. `rows`
+    holds each word's vector-store row, resolved once here for the search."""
 
     tokens: tuple[str, ...]
+    rows: np.ndarray
     ratings: np.ndarray
 
     @property
@@ -77,12 +79,13 @@ class BaseDictionary:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePools:
-    """Y most abstract and Y most concrete base words; always disjoint."""
+    """Y most abstract and Y most concrete base words, as vector-store row
+    arrays; always disjoint."""
 
-    abstract: tuple[str, ...]
-    concrete: tuple[str, ...]
+    abstract: np.ndarray
+    concrete: np.ndarray
 
 
 def read_table(path: str | Path, fold_case: bool,
@@ -148,6 +151,17 @@ def _parse_count(fields: list[str]) -> int | str:
     return count if count >= 0 else "rejected"
 
 
+def _read_lexicon_table(path: str | Path, fold_case: bool, parse: Callable[[list[str]], Any],
+                        kind: str) -> tuple[dict[str, Any], LoadReport]:
+    entries, report = read_table(path, fold_case, parse)
+    if report.rejected * 10 > report.rows:
+        raise DataError(f"{path}: {report.rejected} of {report.rows} rows rejected (>10%); "
+                        f"this does not look like a {kind} file")
+    if report.rows == 0:
+        logger.warning("%s: empty %s file", path, kind)
+    return entries, report
+
+
 def load_ratings(path: str | Path, fold_case: bool = True) -> RatingLexicon:
     """Load a `token TAB rating` TSV of expert ratings.
 
@@ -156,28 +170,19 @@ def load_ratings(path: str | Path, fold_case: bool = True) -> RatingLexicon:
     outside [1, 5] or that do not parse are rejected and counted. More than
     10% rejected rows is a hard error: the file is probably the wrong one.
     """
-    entries, report = read_table(path, fold_case, _parse_rating)
-    if report.rejected * 10 > report.rows:
-        raise DataError(
-            f"{path}: {report.rejected} of {report.rows} rows rejected (>10%); "
-            "this does not look like a ratings file"
-        )
-    if report.rows == 0:
-        logger.warning("%s: empty ratings file", path)
-    return RatingLexicon(entries, report)
+    return RatingLexicon(*_read_lexicon_table(path, fold_case, _parse_rating, "ratings"))
 
 
 def load_frequencies(path: str | Path, fold_case: bool = True) -> FrequencyList:
-    """Load a `token TAB count` TSV; negative or non-integer counts are rejected."""
-    entries, report = read_table(path, fold_case, _parse_count)
-    if report.rows == 0:
-        logger.warning("%s: empty frequency file", path)
-    return FrequencyList(entries, report)
+    """Load a `token TAB count` TSV; negative or non-integer counts are rejected,
+    and more than 10% rejected rows is a hard error, as in `load_ratings`."""
+    return FrequencyList(*_read_lexicon_table(path, fold_case, _parse_count, "frequency"))
 
 
 def select_base(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
                 x: int) -> BaseDictionary:
-    """Pick the `x` most frequent words of the ratings/frequency/store intersection.
+    """Pick the `x` most frequent words of the ratings/frequency/store intersection,
+    with their store rows.
 
     Frequency ties break lexicographically, so the result is deterministic.
     """
@@ -193,6 +198,7 @@ def select_base(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
     chosen = common[:x]
     return BaseDictionary(
         tokens=tuple(chosen),
+        rows=np.array([store.row_index(t) for t in chosen], dtype=np.intp),
         ratings=np.array([lex.rating(t) for t in chosen], dtype=np.float64),
     )
 
@@ -213,7 +219,4 @@ def select_pools(base: BaseDictionary, y: int) -> CandidatePools:
     order = np.argsort(base.ratings, kind="stable")
     rest = order[y:]  # equal ratings still in base order
     concrete = rest[np.argsort(-base.ratings[rest], kind="stable")[:y]]
-    return CandidatePools(
-        abstract=tuple(base.tokens[i] for i in order[:y]),
-        concrete=tuple(base.tokens[i] for i in concrete),
-    )
+    return CandidatePools(abstract=base.rows[order[:y]], concrete=base.rows[concrete])

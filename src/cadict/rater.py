@@ -49,11 +49,6 @@ class SemanticCore:
     def z(self) -> int:
         return len(self.seed_abstract)
 
-    def require_in_store(self, store: VectorStore) -> None:
-        for t in self.seed_abstract + self.seed_concrete:
-            if t not in store:
-                raise DataError(f"core token not in vector store: {t!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class BatchRating:
@@ -131,7 +126,6 @@ def rate_all(words: Iterable[str], core: SemanticCore, store: VectorStore) -> Ba
     `floored` flags the words whose denominator was floored. Output order
     equals input order.
     """
-    core.require_in_store(store)
     found, idx, skipped = _resolve(words, store)
     if not found:
         raise DataError("empty resolvable word set: no input word is in the vector store")

@@ -6,12 +6,15 @@ seed pairs uniformly without repetition, scores each core by Spearman
 correlation between its ratings and the expert ratings, and keeps the best
 core per cell.
 
+Words travel through the search as vector-store rows, resolved once per base
+by `select_base`; tokens come back only to name a flagged or tied-best core.
 A batched screen rates all of a cell's cores with one matrix product, ranks
-them, and scores them with `metrics.rank_correlation`, the one rank
-correlation (exact int64 sums; math.fsum serves only `metrics.pearson`). A
-flagged core (one whose screened ranks could differ from the exact ones) is
-re-scored through the exact path (`raw_ratings`, then the same correlation);
-any other core has that path's ranks already, so every r_s is that path's.
+them through one flat sort index, and scores them with
+`metrics.rank_correlation`, the one rank correlation (exact int64 sums;
+math.fsum serves only `metrics.pearson`). A flagged core (one whose screened
+ranks could differ from the exact ones) is re-scored through the exact path
+(`raw_ratings`, then the same correlation); any other core has that path's
+ranks already, so every r_s is that path's.
 
 Reproducibility contract: every cell draws from its own RNG stream keyed by
 (rng_seed, X, Y, Z), and the best-core reduction breaks score ties by the
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
@@ -83,7 +86,7 @@ class SearchConfig:
             raise ValueError("rng_seed must be unsigned")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,8 @@ class CellResult:
     best_core: SemanticCore
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # shallow: every value is immutable, so nothing needs copying
+        return {**vars(self), "best_core": dict(vars(self.best_core))}
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class SkippedCell:
     reason: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -133,23 +137,19 @@ class SearchReport:
             doc["timing"] = {"wall_seconds": self.wall_seconds}
         return doc
 
-    def landscape_rows(self) -> list[tuple[int, int, int, float]]:
-        """(x, y, z, best_r_s) rows for plotting the correlation landscape."""
-        return [(c.x, c.y, c.z, c.best_r_s) for c in self.cells]
-
 
 class _EvalContext:
-    """Fixed word set with precomputed vectors and gold ranks."""
+    """Fixed word set, given as store rows, with its vectors and gold ranks."""
 
-    def __init__(self, tokens, gold, store: VectorStore):
-        tokens = tuple(tokens)
+    def __init__(self, rows, gold, store: VectorStore):
+        rows = np.asarray(rows, dtype=np.intp)
         gold = np.asarray(gold, dtype=np.float64)
-        if len(tokens) < 2:
+        if len(rows) < 2:
             raise DataError("evaluation needs at least 2 words")
         if np.all(gold == gold[0]):
             raise DataError("evaluation undefined: constant gold ratings")
         self.store = store
-        self.matrix = store.rows(tokens)
+        self.matrix = store.matrix[rows]
         self.gold_ranks = metrics.average_ranks(gold)
 
     def evaluate(self, core: SemanticCore) -> float:
@@ -181,9 +181,10 @@ def _seed_pairs(y: int, z: int, limit: int,
     return a_idx, c_idx
 
 
-def _pair_core(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools) -> SemanticCore:
-    return SemanticCore(seed_abstract=tuple(pools.abstract[j] for j in a_idx),
-                        seed_concrete=tuple(pools.concrete[j] for j in c_idx))
+def _pair_core(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
+               store: VectorStore) -> SemanticCore:
+    return SemanticCore(seed_abstract=tuple(store.tokens[r] for r in pools.abstract[a_idx]),
+                        seed_concrete=tuple(store.tokens[r] for r in pools.concrete[c_idx]))
 
 
 def _core_sort_key(core: SemanticCore) -> tuple[str, ...]:
@@ -210,8 +211,8 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     sel_c = np.zeros((k, y))
     sel_a[rows, a_idx] = 1.0
     sel_c[rows, c_idx] = 1.0
-    means = np.vstack((sel_c @ ctx.store.rows(pools.concrete),
-                       sel_a @ ctx.store.rows(pools.abstract))) / z
+    means = np.vstack((sel_c @ ctx.store.matrix[pools.concrete],
+                       sel_a @ ctx.store.matrix[pools.abstract])) / z
     sims = means @ ctx.matrix.T
     num = np.clip(sims[:k], SIMILARITY_FLOOR, 1.0)
     den = np.clip(sims[k:], SIMILARITY_FLOOR, 1.0)
@@ -227,15 +228,16 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     delta = 4 * (d + y) * np.finfo(np.float64).eps
     rel = 2 * delta * ((sims[:k] > SIMILARITY_FLOOR - delta) / num
                        + (sims[k:] > SIMILARITY_FLOOR - delta) / den)
-    order = np.argsort(raw, axis=1)
-    ordered = np.take_along_axis(raw, order, axis=1)
-    err = np.take_along_axis(raw * rel, order, axis=1)
-    gaps = np.diff(ordered, axis=1)
+    # each core's ascending order, as indices into the flattened (k, n) arrays
+    order = np.argsort(raw, axis=1) + rows * n
+    gaps = np.diff(raw.ravel()[order], axis=1)
+    err = (raw * rel).ravel()[order]
     slack = err[:, 1:] + err[:, :-1]
     unsure = np.any((gaps <= slack) & (slack > 0), axis=1)
 
-    ranks = np.empty_like(raw)
-    np.put_along_axis(ranks, order, np.arange(1.0, n + 1), axis=1)
+    ranks = np.empty(k * n)
+    ranks[order] = np.arange(1.0, n + 1)
+    ranks = ranks.reshape(k, n)
     for i in np.flatnonzero(np.any(gaps == 0, axis=1) & ~unsure):
         ranks[i] = metrics.average_ranks(raw[i])
     return metrics.rank_correlation(ranks, ctx.gold_ranks), unsure
@@ -251,13 +253,13 @@ def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalCont
     r = np.concatenate([screened for screened, _ in blocks])
     # only a flagged core's screened ranks may differ from the exact path's
     for i in np.flatnonzero(np.concatenate([unsure for _, unsure in blocks])):
-        r[i] = ctx.evaluate(_pair_core(a_idx[i], c_idx[i], pools))
+        r[i] = ctx.evaluate(_pair_core(a_idx[i], c_idx[i], pools, ctx.store))
     if np.all(np.isnan(r)):
         return SkippedCell(x=x, y=y, z=z,
                            reason="correlation undefined for every evaluated core")
     top = np.nanmax(r)
-    best_core = min((_pair_core(a_idx[i], c_idx[i], pools) for i in np.flatnonzero(r == top)),
-                    key=_core_sort_key)
+    best_core = min((_pair_core(a_idx[i], c_idx[i], pools, ctx.store)
+                     for i in np.flatnonzero(r == top)), key=_core_sort_key)
     return CellResult(x=x, y=y, z=z, best_core=best_core, best_r_s=float(top),
                       cores_evaluated=len(a_idx))
 
@@ -284,10 +286,11 @@ def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
             if cfg.evaluation_scope is EvaluationScope.FULL_LEXICON:
                 if full_ctx is None:
                     in_store = [t for t in lex.tokens if t in store]
-                    full_ctx = _EvalContext(in_store, [lex.rating(t) for t in in_store], store)
+                    full_ctx = _EvalContext([store.row_index(t) for t in in_store],
+                                            [lex.rating(t) for t in in_store], store)
                 ctx = full_ctx
             else:
-                ctx = _EvalContext(base.tokens, base.ratings, store)
+                ctx = _EvalContext(base.rows, base.ratings, store)
         except (InfeasibleError, DataError) as exc:
             skipped.append(SkippedCell(x=x, y=None, z=None, reason=str(exc)))
             continue

@@ -6,8 +6,9 @@ and the tie-free Spearman d^2 shortcut. The cell references are the per-core
 search loop, which reuses the package's seed draws and exact core score and so
 checks exactly the batched screen that replaced it, and a best over every seed
 pair enumerated with itertools; `evaluate_core` is that exact score over a
-base dictionary. `pools_by_rule` picks candidate pools by sorting on the
-frequency counts themselves, which `select_pools` leaves to the base order.
+base dictionary. `tokens_of` names the store rows that a pool holds.
+`pools_by_rule` picks candidate pools by sorting on the frequency counts
+themselves, which `select_pools` leaves to the base order.
 `load_vectors_by_line` is the word-vectors text loader as it was before it
 parsed blocks: one `split` and one `np.array` per line.
 """
@@ -61,7 +62,12 @@ def evaluate_core(core, base, store):
     """Spearman r of the core's raw ratings against the expert ratings of every
     base-dictionary word (NaN when undefined): the exact path that a search
     cell's best_r_s must equal bit for bit."""
-    return _EvalContext(base.tokens, base.ratings, store).evaluate(core)
+    return _EvalContext(base.rows, base.ratings, store).evaluate(core)
+
+
+def tokens_of(tokens, rows):
+    """The entries at `rows` of a store's token sequence, in the given order."""
+    return tuple(tokens[r] for r in rows)
 
 
 def _best_cell(x, y, z, index_pairs, pools, ctx):
@@ -71,8 +77,8 @@ def _best_cell(x, y, z, index_pairs, pools, ctx):
     evaluated = 0
     for a_idx, c_idx in index_pairs:
         core = SemanticCore(
-            seed_abstract=tuple(pools.abstract[i] for i in a_idx),
-            seed_concrete=tuple(pools.concrete[i] for i in c_idx),
+            seed_abstract=tokens_of(ctx.store.tokens, pools.abstract[list(a_idx)]),
+            seed_concrete=tokens_of(ctx.store.tokens, pools.concrete[list(c_idx)]),
         )
         evaluated += 1
         r = ctx.evaluate(core)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -90,6 +91,11 @@ class TestParseXValues:
                 _parse_x_values(bad)
 
 
+# a 259-cell grid over two base sizes: every Y from 3 and every Z from 1
+FINE_GRID = {"--x": "30,60", "--y-start": 3, "--y-step": 1, "--z-min": 1, "--z-step": 1,
+             "--samples": 100, "--seed": 5}
+
+
 class TestSearchCommand:
     def test_happy_path_writes_outputs(self, corpus, tmp_path, capsys):
         code = run(search_args(corpus, tmp_path,
@@ -154,9 +160,7 @@ class TestSearchCommand:
         assert report["config"]["evaluation_scope"] == "full_lexicon"
 
     def test_progress_is_logged_with_an_eta(self, corpus, tmp_path, caplog):
-        args = search_args(corpus, tmp_path, **{"--x": "30,60", "--y-start": 3, "--y-step": 1,
-                                                "--z-min": 1, "--z-step": 1, "--samples": 100,
-                                                "--seed": 5})
+        args = search_args(corpus, tmp_path, **FINE_GRID)
         with caplog.at_level("INFO", logger="cadict.search"):
             assert run(args) == EXIT_OK
         progress = [r.getMessage() for r in caplog.records if " cells, " in r.getMessage()]
@@ -164,6 +168,18 @@ class TestSearchCommand:
         assert all(re.fullmatch(r"\d+/259 cells, \d+\.\d s elapsed, ETA \d+\.\d s", m)
                    for m in progress)
         assert progress[-1].startswith("259/259 cells, ")
+
+    @pytest.mark.parametrize("scope, digest", [
+        ("base_dictionary", "ee673a808dfe1066cecf13e89a80f635b98426a58b31bbfae48e4e5a5df3bc57"),
+        ("full_lexicon", "57f0980af92a7ec1c614c91209ab8ba5849eee4461a2fc35826640c6ea22cc28"),
+    ])
+    def test_report_pinned_across_versions(self, corpus, tmp_path, scope, digest):
+        # reruns agree within a version; these digests hold the fine grid's
+        # every cell, core and score fixed across versions too
+        assert run(search_args(corpus, tmp_path, **FINE_GRID, **{"--scope": scope})) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        report.pop("timing"), report.pop("manifest")
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
     def test_usage_error_exits_1(self, corpus, tmp_path):
         assert run(["search", "--ratings", "r.tsv"]) == EXIT_USAGE
@@ -364,6 +380,9 @@ BAD_INPUTS = {
     "freq not utf-8": ("f.tsv", b"dog\t4\n\xc3\t3\n",
                        ["search", "--ratings", "{ratings}", "--freq", "{bad}",
                         "--vectors", "{vectors}", "--out-report", "{out}"]),
+    "freq is a ratings file": ("r.tsv", b"w000\t1.0\nw030\t3.0\nw059\t5.0\n",
+                               ["search", "--ratings", "{ratings}", "--freq", "{bad}",
+                                "--vectors", "{vectors}", "--out-report", "{out}"]),
     "predictions not utf-8": ("p.tsv", b"w001\t1.0\n\xfe\t2.0\n",
                               ["evaluate", "--pred", "{bad}", "--gold", "{ratings}",
                                "--out", "{out}"]),

@@ -13,7 +13,7 @@ from cadict.lexicon import (
 )
 
 from conftest import store_from_raw, store_from_records
-from oracles import pools_by_rule
+from oracles import pools_by_rule, tokens_of
 
 
 def write_tsv(path, rows):
@@ -78,12 +78,14 @@ class TestLoadFrequencies:
         assert freq.count("the") == 23135851162
 
     def test_negative_rejected(self, tmp_path):
-        freq = load_frequencies(write_tsv(tmp_path / "f.tsv", [("x", -1), ("a", 5)]))
+        rows = [("x", -1)] + [(f"w{i}", 5) for i in range(20)]
+        freq = load_frequencies(write_tsv(tmp_path / "f.tsv", rows))
         assert "x" not in freq
         assert freq.report.rejected == 1
 
     def test_non_integer_rejected(self, tmp_path):
-        freq = load_frequencies(write_tsv(tmp_path / "f.tsv", [("x", "1.5"), ("a", 5)]))
+        rows = [("x", "1.5")] + [(f"w{i}", 5) for i in range(20)]
+        freq = load_frequencies(write_tsv(tmp_path / "f.tsv", rows))
         assert "x" not in freq
         assert freq.report.rejected == 1
 
@@ -136,6 +138,7 @@ class TestSelectBase:
         store = store_from_records(tmp_path, [("z", [1, 0]), ("m", [0, 1]), ("a", [1, 1])])
         base = select_base(lex, freq, store, 2)
         assert base.tokens == ("a", "m")
+        assert base.rows.tolist() == [2, 1]  # their store rows
 
     def test_deterministic(self, tmp_path):
         lex, freq, store = _simple_inputs(tmp_path)
@@ -146,10 +149,11 @@ class TestSelectBase:
 
 
 def _base(tokens_ratings):
-    """A base dictionary in the given order, as if `select_base` had ranked it."""
+    """A base dictionary in the given order, as if `select_base` had ranked it
+    from a store that holds its words in that order."""
     tokens = tuple(t for t, _ in tokens_ratings)
     ratings = np.array([r for _, r in tokens_ratings], dtype=float)
-    return BaseDictionary(tokens=tokens, ratings=ratings)
+    return BaseDictionary(tokens=tokens, rows=np.arange(len(tokens)), ratings=ratings)
 
 
 class TestSelectPools:
@@ -157,8 +161,8 @@ class TestSelectPools:
         base = _base([("a", 1.0), ("b", 2.0), ("c", 3.0),
                       ("d", 4.0), ("e", 4.5), ("f", 5.0)])
         pools = select_pools(base, 2)
-        assert pools.abstract == ("a", "b")
-        assert pools.concrete == ("f", "e")
+        assert tokens_of(base.tokens, pools.abstract) == ("a", "b")
+        assert tokens_of(base.tokens, pools.concrete) == ("f", "e")
 
     def test_boundary_accepted(self):
         base = _base([(f"w{i}", 1 + i * 0.5) for i in range(9)])
@@ -176,8 +180,9 @@ class TestSelectPools:
         store = store_from_raw(list(ratings), np.eye(6))
         base = select_base(RatingLexicon(ratings), FrequencyList(counts), store, 6)
         pools = select_pools(base, 2)
-        assert pools.abstract == ("b", "a")  # tie at 1.0: b has the higher count
-        assert pools.concrete == ("f", "e")
+        # tie at 1.0: b has the higher count
+        assert tokens_of(store.tokens, pools.abstract) == ("b", "a")
+        assert tokens_of(store.tokens, pools.concrete) == ("f", "e")
 
     def test_pools_never_overlap_random(self):
         rng = np.random.default_rng(21)
@@ -203,8 +208,8 @@ class TestSelectPools:
                 continue
             pools = select_pools(base, y)
             by_token = dict(zip(base.tokens, base.ratings))
-            max_abstract = max(by_token[t] for t in pools.abstract)
-            min_concrete = min(by_token[t] for t in pools.concrete)
+            max_abstract = max(by_token[t] for t in tokens_of(base.tokens, pools.abstract))
+            min_concrete = min(by_token[t] for t in tokens_of(base.tokens, pools.concrete))
             assert max_abstract <= min_concrete
 
     def test_matches_the_rating_count_token_rule(self):
@@ -221,4 +226,5 @@ class TestSelectPools:
             base = select_base(RatingLexicon(ratings), FrequencyList(counts), store, x)
             y = int(rng.integers(1, x // 3 + 1))
             pools = select_pools(base, y)
-            assert (pools.abstract, pools.concrete) == pools_by_rule(base, y, counts)
+            assert ((tokens_of(store.tokens, pools.abstract),
+                     tokens_of(store.tokens, pools.concrete)) == pools_by_rule(base, y, counts))

@@ -43,11 +43,6 @@ class TestSemanticCore:
         with pytest.raises(ValueError, match="disjoint"):
             SemanticCore(("idea", "rock"), ("rock", "tree"))
 
-    def test_require_in_store_names_token(self, tiny_store):
-        core = SemanticCore(("north",), ("nowhere",))
-        with pytest.raises(DataError, match="'nowhere'"):
-            core.require_in_store(tiny_store)
-
 
 class TestMeanSimilarity:
     """Mean seed similarity as `rate_all` computes it: the dot product of the

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cadict import search
+from cadict.embeddings import VectorStore
 from cadict.errors import DataError
 from cadict.lexicon import FrequencyList, RatingLexicon, select_base, select_pools
 from cadict.rater import SemanticCore
@@ -24,7 +25,7 @@ from cadict.search import (
 )
 
 from conftest import clustered_dataset, store_from_raw, store_from_records
-from oracles import evaluate_cell_loop, evaluate_core, every_pair_cell
+from oracles import evaluate_cell_loop, evaluate_core, every_pair_cell, tokens_of
 
 
 def report_fingerprint(report):
@@ -98,7 +99,8 @@ class TestEvaluateCore:
         store, lex, freq = clustered_dataset(tmp_path)
         base = select_base(lex, freq, store, 300)
         pools = select_pools(base, 50)
-        core = SemanticCore(tuple(pools.abstract[:10]), tuple(pools.concrete[:10]))
+        core = SemanticCore(tokens_of(store.tokens, pools.abstract[:10]),
+                            tokens_of(store.tokens, pools.concrete[:10]))
         r = evaluate_core(core, base, store)
         assert r >= 0.95
 
@@ -106,7 +108,8 @@ class TestEvaluateCore:
         store, lex, freq = clustered_dataset(tmp_path)
         base = select_base(lex, freq, store, 300)
         pools = select_pools(base, 50)
-        core = SemanticCore(tuple(pools.abstract[:10]), tuple(pools.concrete[:10]))
+        core = SemanticCore(tokens_of(store.tokens, pools.abstract[:10]),
+                            tokens_of(store.tokens, pools.concrete[:10]))
         swapped = SemanticCore(core.seed_concrete, core.seed_abstract)
         assert evaluate_core(swapped, base, store) <= -0.95
 
@@ -220,7 +223,7 @@ class TestSearchGrid:
             core = cell.best_core
             assert core.z == cell.z
             assert not set(core.seed_abstract) & set(core.seed_concrete)
-            core.require_in_store(store)
+            assert all(t in store for t in core.seed_abstract + core.seed_concrete)
 
     def test_full_lexicon_scope(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path, n_words=40, d=6, seed=8)
@@ -232,12 +235,14 @@ class TestSearchGrid:
         base_report = search_grid(lex, freq, store, base_cfg)
         assert report_fingerprint(report) != report_fingerprint(base_report)
 
-    def test_landscape_rows(self, tmp_path):
-        store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
-        report = search_grid(lex, freq, store, toy_config())
-        rows = report.landscape_rows()
-        assert len(rows) == len(report.cells)
-        assert rows[0][:3] == (report.cells[0].x, report.cells[0].y, report.cells[0].z)
+    def test_tie_free_grid_resolves_no_tokens(self, tmp_path):
+        # cells work on store rows; only a flagged core's seeds go through rows()
+        store, lex, freq = clustered_dataset(tmp_path)
+        with mock.patch.object(VectorStore, "rows", autospec=True,
+                               side_effect=VectorStore.rows) as spy:
+            report = search_grid(lex, freq, store, SearchConfig(x_values=(300,), rng_seed=42))
+        assert len(report.cells) == 8
+        assert spy.call_count == 0
 
     def test_z_sweep_peaks_interior_on_clustered_store(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path)
@@ -254,7 +259,7 @@ class TestSmallCellsCoverEveryPair:
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=9)
         base = select_base(lex, freq, store, 30)
         pools = select_pools(base, 4)
-        ctx = _EvalContext(base.tokens, base.ratings, store)
+        ctx = _EvalContext(base.rows, base.ratings, store)
         cfg = toy_config(samples_per_cell=100)  # >= the 36 pairs
         cell = _evaluate_cell(30, 4, 2, pools, ctx, cfg)
         assert isinstance(cell, CellResult) and cell.cores_evaluated == 36
@@ -289,8 +294,8 @@ def _assert_unflagged_screen_exact(a_pairs, c_pairs, pools, ctx):
     for a_idx, c_idx, r, flagged in zip(a_pairs, c_pairs, screened, unsure):
         if flagged:
             continue
-        core = SemanticCore(tuple(pools.abstract[i] for i in a_idx),
-                            tuple(pools.concrete[i] for i in c_idx))
+        core = SemanticCore(tokens_of(ctx.store.tokens, pools.abstract[a_idx]),
+                            tokens_of(ctx.store.tokens, pools.concrete[c_idx]))
         exact = ctx.evaluate(core)
         assert (np.isnan(exact) and np.isnan(r)) or exact == r
 
@@ -315,7 +320,7 @@ class TestBatchedKernelOracle:
                 continue
             base = select_base(RatingLexicon(dict(zip(tokens, ratings))),
                                FrequencyList({t: 1 for t in tokens}), store, n)
-            ctx = _EvalContext(base.tokens, base.ratings, store)
+            ctx = _EvalContext(base.rows, base.ratings, store)
             y = int(rng.integers(1, n // 3 + 1))
             z = int(rng.integers(1, y + 1))
             _assert_unflagged_screen_exact(*_seed_pairs(y, z, 10, rng), select_pools(base, y), ctx)
@@ -324,7 +329,7 @@ class TestBatchedKernelOracle:
         # no core is flagged on a tie-free store, so the screen alone decides
         store, lex, freq = clustered_dataset(tmp_path)
         base = select_base(lex, freq, store, 300)
-        ctx = _EvalContext(base.tokens, base.ratings, store)
+        ctx = _EvalContext(base.rows, base.ratings, store)
         pools = select_pools(base, 100)
         cfg = toy_config(samples_per_cell=100)
         with mock.patch.object(search, "raw_ratings", wraps=search.raw_ratings) as spy:
@@ -337,14 +342,14 @@ class TestBatchedKernelOracle:
         # its exact r must not push the best unflagged core out of the settle
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
         base = select_base(lex, freq, store, 30)
-        ctx = _EvalContext(base.tokens, base.ratings, store)
+        ctx = _EvalContext(base.rows, base.ratings, store)
         pools = select_pools(base, 9)
         cfg = toy_config(samples_per_cell=20)
 
         def inflated_screen(a_pairs, c_pairs, pools, ctx):
             exact = np.array([ctx.evaluate(SemanticCore(
-                tuple(pools.abstract[i] for i in a_idx),
-                tuple(pools.concrete[i] for i in c_idx)))
+                tokens_of(ctx.store.tokens, pools.abstract[a_idx]),
+                tokens_of(ctx.store.tokens, pools.concrete[c_idx])))
                 for a_idx, c_idx in zip(a_pairs, c_pairs)], dtype=float)
             assert np.nanmax(exact) < 1.0 and np.nanmin(exact) < np.nanmax(exact)
             unsure = np.zeros(len(a_pairs), dtype=bool)
@@ -371,7 +376,7 @@ class TestBatchedKernelOracle:
         lex = RatingLexicon({t: 1.0 + i / 2 for i, t in enumerate(tokens)})
         freq = FrequencyList({t: 1 for t in tokens})
         base = select_base(lex, freq, store, 9)
-        ctx = _EvalContext(base.tokens, base.ratings, store)
+        ctx = _EvalContext(base.rows, base.ratings, store)
         cfg = toy_config(samples_per_cell=4)
         cell = _evaluate_cell(9, 3, 2, select_pools(base, 3), ctx, cfg)
         assert cell == evaluate_cell_loop(9, 3, 2, select_pools(base, 3), ctx, cfg)

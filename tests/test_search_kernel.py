@@ -60,9 +60,10 @@ def search_problems(draw):
 def _exact_context(lex, freq, store, cfg, x):
     if cfg.evaluation_scope is EvaluationScope.FULL_LEXICON:
         in_store = [t for t in lex.tokens if t in store]
-        return _EvalContext(in_store, [lex.rating(t) for t in in_store], store)
+        return _EvalContext([store.row_index(t) for t in in_store],
+                            [lex.rating(t) for t in in_store], store)
     base = select_base(lex, freq, store, x)
-    return _EvalContext(base.tokens, base.ratings, store)
+    return _EvalContext(base.rows, base.ratings, store)
 
 
 class TestBatchedKernelProperties:
