@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from cadict import __version__
-from cadict.embeddings import load_vectors, open_store, save_cache
+from cadict.embeddings import LoadReport, load_vectors, open_store, save_cache
 from cadict.errors import DataError, InfeasibleError
 from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
@@ -66,6 +66,12 @@ def _write_json(path: str | Path, doc: dict) -> None:
 
 def _write_sidecar(out_path: str | Path, manifest: dict) -> None:
     _write_json(str(out_path) + ".manifest.json", manifest)
+
+
+def _print_drops(path: str | Path, report: LoadReport) -> None:
+    """Print what one input dropped, by cause, if it dropped anything."""
+    if report.drops():
+        print(f"dropped from {path}: {report.drops()}")
 
 
 def _parse_x_values(text: str) -> tuple[int, ...]:
@@ -125,15 +131,15 @@ def _parse_prediction(fields: list[str]) -> float:
     return value
 
 
-def _load_predictions(path: str | Path, fold_case: bool) -> dict[str, float]:
+def _load_predictions(path: str | Path, fold_case: bool) -> tuple[dict[str, float], LoadReport]:
     """Read predicted ratings from a 2-column ratings TSV or the 4-column
     dictionary TSV. Dictionary files contribute the raw-ratio column: it keeps
     full rank fidelity, while the scaled column is quantized to 3 decimals
     (and the correlations are affine-invariant, so the choice costs nothing)."""
-    preds, _report = read_table(path, fold_case, _parse_prediction)
+    preds, report = read_table(path, fold_case, _parse_prediction)
     if not preds:
         raise DataError(f"{path}: no predictions found")
-    return preds
+    return preds, report
 
 
 def _cmd_search(args) -> int:
@@ -187,6 +193,9 @@ def _cmd_search(args) -> int:
     print(f"cells evaluated: {len(report.cells)} (skipped: {len(report.skipped)})")
     print(f"best r_s = {best.best_r_s:.4f} at X={best.x} Y={best.y} Z={best.z}")
     print(f"wrote {args.out_report} and {args.out_core}")
+    _print_drops(args.ratings, ratings.report)
+    _print_drops(args.freq, freq.report)
+    _print_drops(args.vectors, store.load_report)
     return EXIT_OK
 
 
@@ -216,16 +225,15 @@ def _cmd_rate(args) -> int:
     print(f"rated {summary.rated} word(s) -> {args.out}")
     print(f"skipped {summary.skipped} out-of-vocabulary word(s) -> {skip_path}")
     print(f"floored denominators: {summary.floored}")
-    if store.load_report.drops():
-        print(f"dropped from {args.vectors}: {store.load_report.drops()}")
-    if words_report is not None and words_report.drops():
-        print(f"dropped from {args.words}: {words_report.drops()}")
+    _print_drops(args.vectors, store.load_report)
+    if words_report is not None:
+        _print_drops(args.words, words_report)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
     gold = load_ratings(args.gold, fold_case=args.fold_case)
-    preds = _load_predictions(args.pred, fold_case=args.fold_case)
+    preds, pred_report = _load_predictions(args.pred, fold_case=args.fold_case)
     joined = [t for t in preds if t in gold]
     if len(joined) < 2:
         detail = "empty join" if not joined else f"join of only {len(joined)} token(s)"
@@ -257,6 +265,8 @@ def _cmd_evaluate(args) -> int:
     print(f"rho = {report.rho:.6f}")
     print(f"accuracy = {report.accuracy:.6f} "
           f"(gold >= {report.threshold_gold}, pred >= {report.threshold_pred})")
+    _print_drops(args.pred, pred_report)
+    _print_drops(args.gold, gold.report)
     return EXIT_OK
 
 
@@ -273,8 +283,7 @@ def _cmd_cache_vectors(args) -> int:
                          {"fold_case": args.fold_case})
     _write_sidecar(out, manifest)
     print(f"cached {len(store)} vector(s) of dimension {store.dimension} -> {out}")
-    if store.load_report.drops():
-        print(f"dropped {store.load_report.drops()}")
+    _print_drops(args.vectors, store.load_report)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"CAVS0001"
 BLOCK_LINES = 1024  # text lines per np.loadtxt call: larger blocks cost memory, not time
-CHUNK_BYTES = 1 << 24  # cache bytes read at a time by a filtered `load_cache`
+CHUNK_BYTES = 1 << 24  # cache bytes read at a time by `load_cache`
 # a smaller norm has a subnormal square, too inexact to normalize the row by
 MIN_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -151,83 +151,67 @@ class _TextLoad:
         self.drops: Counter[str] = Counter()
 
     def block(self, numbered: list[tuple[int, str]]) -> None:
-        """Add (line number, line) pairs by np.loadtxt, changing nothing unless all parse."""
-        records, rests, widths = [], [], {self.dimension} - {None}
+        """Add (line number, line) pairs, each split once into token and rest.
+
+        One np.loadtxt call parses the rests of the records that may be kept; if
+        it refuses them (``1_0``, a bad component, unequal widths), each rest is
+        split and read by `float` instead. One walk in line order then applies
+        each rule once: width, filter, duplicate, components, norm, zero and
+        non-finite drops. A bad record is a DataError naming its line."""
+        records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
             if not head or lineno == 1 and _looks_like_header(line.split()):
                 continue
-            if len(head) == 1:
-                raise DataError("record has no vector components")
             token = head[0].lower() if self.fold_case else head[0]
-            if (self.vocab_filter is not None and token not in self.vocab_filter
-                    or token in self.index):  # dropped unparsed, as a line is
-                records.append((token, None))
-                widths.add(len(head[1].split()))
-            else:
-                records.append((token, len(rests)))
-                rests.append(head[1])
-        matrix = np.empty((0, 0))
-        if rests:
-            matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
-            widths.add(matrix.shape[1])
-        if len(widths) > 1 or len(matrix) != len(rests):
-            raise DataError("records of different widths")
-        self.dimension = next(iter(widths), None)
-        # row by row, as np.linalg.norm computes it; its axis=1 form differs in the last bit
-        norms = np.sqrt([r.dot(r) for r in matrix])
-        keep = []
-        for token, i in records:
-            if token in self.index:
-                self.drops["duplicates_ignored"] += 1
-            elif i is None:
-                self.drops["filtered_out"] += 1
-            elif (norm := self._accept(token, matrix[i], norms[i])) is not None:
-                norms[i] = norm
-                keep.append(i)
-        if keep:
-            self.rows.append(matrix[keep] / norms[keep, None])
-
-    def line(self, lineno: int, line: str) -> None:
-        """Add one line alone: reads what np.loadtxt refuses (``1_0``), names a bad line."""
-        parts = line.split()
-        if not parts or lineno == 1 and _looks_like_header(parts):
-            return
-        width = len(parts) - 1
-        if self.dimension is None:
-            if width < 1:
-                raise DataError(f"{self.path}: line {lineno}: record has no vector components")
-            self.dimension = width
-        elif width != self.dimension:
-            raise DataError(f"{self.path}: line {lineno}: "
-                            f"expected {self.dimension} components, found {width}")
-        token = parts[0].lower() if self.fold_case else parts[0]
-        if self.vocab_filter is not None and token not in self.vocab_filter:
-            self.drops["filtered_out"] += 1
-            return
-        if token in self.index:
-            self.drops["duplicates_ignored"] += 1
-            return
+            rest = head[1] if len(head) == 2 else ""
+            wanted = self.vocab_filter is None or token in self.vocab_filter
+            sent = bool(rest) and wanted and token not in self.index
+            records.append((lineno, token, rest, wanted, sent))
+            if sent:
+                rests.append(rest)
         try:
-            vec = np.array(parts[1:], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{self.path}: line {lineno}: unparseable vector component") from exc
-        if (norm := self._accept(token, vec, float(np.linalg.norm(vec)))) is not None:
-            self.rows.append(vec / norm)
-
-    def _accept(self, token: str, vec: np.ndarray, norm: float) -> float | None:
-        """Accept `token` and return the norm to divide `vec` by, or count why
-        it is dropped. A finite `vec` whose squares overflowed is first scaled
-        in place by a power of two, as `pearson` does, and kept."""
-        if not math.isfinite(norm) and np.isfinite(vec).all():
-            np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1], out=vec)
-            norm = float(np.linalg.norm(vec))
-        if norm < MIN_NORM or not math.isfinite(norm):
-            self.drops["zero_norm_skipped" if norm < MIN_NORM else "non_finite_skipped"] += 1
-            return None
-        self.index[token] = len(self.tokens)
-        self.tokens.append(token)
-        return norm
+            matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2) if rests else ()
+            parsed = iter(matrix) if len(matrix) == len(rests) else None
+        except ValueError:
+            parsed = None
+        if parsed is None:
+            logger.debug("%s: lines %d-%d parsed line by line",
+                         self.path, numbered[0][0], numbered[-1][0])
+        vecs, norms = [], []
+        for lineno, token, rest, wanted, sent in records:
+            fields = next(parsed) if sent and parsed is not None else rest.split()
+            if self.dimension is None:
+                if len(fields) < 1:
+                    raise DataError(f"{self.path}: line {lineno}: record has no vector components")
+                self.dimension = len(fields)
+            elif len(fields) != self.dimension:
+                raise DataError(f"{self.path}: line {lineno}: "
+                                f"expected {self.dimension} components, found {len(fields)}")
+            if not wanted or token in self.index:
+                self.drops["duplicates_ignored" if wanted else "filtered_out"] += 1
+                continue
+            try:
+                vec = np.asarray(fields, dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{self.path}: line {lineno}: "
+                                "unparseable vector component") from exc
+            norm = math.sqrt(vec.dot(vec))  # as np.linalg.norm computes it, bit for bit
+            if not math.isfinite(norm) and np.isfinite(vec).all():
+                # finite, but its squares overflowed: scale by a power of two, as `pearson` does
+                np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1], out=vec)
+                norm = math.sqrt(vec.dot(vec))
+            if norm < MIN_NORM or not math.isfinite(norm):
+                self.drops["zero_norm_skipped" if norm < MIN_NORM else "non_finite_skipped"] += 1
+                continue
+            self.index[token] = len(self.tokens)
+            self.tokens.append(token)
+            vecs.append(vec)
+            norms.append(norm)
+        if vecs:
+            rows = np.array(vecs)
+            rows /= np.array(norms)[:, None]
+            self.rows.append(rows)
 
 
 def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
@@ -235,21 +219,23 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     """Parse a word-vectors text file into a VectorStore.
 
     Format: optional first line ``N d`` (two integers), then one
-    ``token v1 ... vd`` record per line, whitespace separated, UTF-8.
-    The dimension is inferred from the first record; any later record with a
-    different component count is a hard error naming the line. Zero-norm
+    ``token v1 ... vd`` record per line, whitespace separated, UTF-8 with an
+    optional byte-order mark. The dimension is inferred from the first record;
+    any later record with a different component count, or a component that
+    does not parse, is a hard error naming the line. Zero-norm
     vectors (norm below `MIN_NORM`) and non-finite ones are dropped and
     counted apart; a finite vector whose norm overflows is kept. On
     duplicate tokens the first occurrence wins. Tokens are folded to
     lowercase unless `fold_case` is off; `vocab_filter`, when given, is
-    matched after folding. Records are parsed `BLOCK_LINES` at a time.
+    matched after folding. Records are parsed `BLOCK_LINES` lines at a time
+    by `_TextLoad.block`.
     """
     path = Path(path)
     if fold_case and vocab_filter is not None:
         vocab_filter = {t.lower() for t in vocab_filter}
     load = _TextLoad(path, vocab_filter, fold_case)
 
-    # a finite record's squares may overflow; `_accept` rescales such a record
+    # a finite record's squares may overflow; `_TextLoad.block` rescales such a record
     with open_text(path) as fh, np.errstate(over="ignore"):
         numbered = enumerate(fh, start=1)
         for first in numbered:
@@ -257,13 +243,7 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
             try:
                 block.extend(itertools.islice(numbered, BLOCK_LINES - 1))
             finally:  # the lines read before an undecodable one still count, and err, first
-                try:
-                    load.block(block)
-                except (ValueError, DataError):
-                    logger.debug("%s: lines %d-%d parsed line by line",
-                                 path, block[0][0], block[-1][0])
-                    for lineno, line in block:
-                        load.line(lineno, line)
+                load.block(block)
 
     if not load.tokens:
         raise DataError(f"{path}: no usable vector records")
@@ -336,24 +316,26 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
         tokens = token_blob.split("\n") if token_blob else []
         if len(tokens) != count:
             raise DataError(f"{path}: cache token count mismatch")
-        if vocab_filter is None:
-            data = _read_exact(fh, count * dim * 8, path, "vector data")
-            matrix = np.frombuffer(data, dtype="<f8").reshape(count, dim)
-        else:
-            _check_left(fh, count * dim * 8, path, "vector data")
-            keep = np.array([i for i, t in enumerate(tokens) if t in vocab_filter], dtype=np.intp)
-            if not keep.size:
-                raise DataError(f"{path}: vocab filter removed every cached vector")
-            # one reused chunk at a time, so the whole matrix is never held
-            matrix = np.empty((keep.size, dim), dtype=np.float64)
-            step = max(1, CHUNK_BYTES // (dim * 8))
-            chunk = np.empty((min(step, count), dim), dtype="<f8")
-            for start in range(0, count, step):
-                rows = chunk[:min(step, count - start)]
-                if fh.readinto(rows.data) != rows.nbytes:
-                    raise DataError(f"{path}: cache truncated in the vector data")
-                lo, hi = np.searchsorted(keep, [start, start + len(rows)])
+        _check_left(fh, count * dim * 8, path, "vector data")
+        keep = (np.arange(count) if vocab_filter is None
+                else np.flatnonzero([t in vocab_filter for t in tokens]))
+        if not keep.size:
+            raise DataError(f"{path}: vocab filter removed every cached vector")
+        # a chunk whose rows are all kept is read into its place, any other through
+        # one reused buffer, so only the kept rows and one chunk are ever held
+        matrix = np.empty((keep.size, dim), dtype="<f8")
+        step = max(1, CHUNK_BYTES // (dim * 8))
+        chunk = np.empty((min(step, count), dim), dtype="<f8")
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            lo, hi = np.searchsorted(keep, [start, stop])
+            whole = hi - lo == stop - start
+            rows = matrix[lo:hi] if whole else chunk[:stop - start]
+            if fh.readinto(rows.data) != rows.nbytes:
+                raise DataError(f"{path}: cache truncated in the vector data")
+            if not whole:
                 matrix[lo:hi] = rows[keep[lo:hi] - start]
+        if vocab_filter is not None:
             tokens = [tokens[i] for i in keep]
 
     report = LoadReport(accepted=len(tokens), filtered_out=count - len(tokens))

@@ -24,10 +24,10 @@ class InfeasibleError(CadictError):
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """Open an input file as UTF-8 text; bytes that do not decode while it is
-    read become a DataError naming the file."""
+    """Open an input file as UTF-8 text, dropping a leading byte-order mark; bytes
+    that do not decode while it is read become a DataError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc

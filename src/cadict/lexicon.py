@@ -92,8 +92,8 @@ def read_table(path: str | Path, fold_case: bool,
                parse: Callable[[list[str]], Any]) -> tuple[dict[str, Any], LoadReport]:
     """Read a `token TAB value ...` UTF-8 table into a token -> value map.
 
-    Blank lines are skipped, and the first line is a header when its second
-    field is not a number. Tokens are stripped, and lowercased when
+    Blank lines are skipped, and the first non-blank line is a header when its
+    second field is not a number. Tokens are stripped, and lowercased when
     `fold_case` is on; the first row of a token wins. `parse` maps one row's
     tab-separated fields to its value. It may instead return the name of the
     LoadReport field that counts the row as dropped, or raise DataError to
@@ -102,11 +102,10 @@ def read_table(path: str | Path, fold_case: bool,
     entries: dict[str, Any] = {}
     drops: dict[str, int] = {}
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        lines = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+        for i, (lineno, line) in enumerate(lines):
             fields = line.rstrip("\r\n").split("\t")
-            if lineno == 1 and len(fields) >= 2:
+            if i == 0 and len(fields) >= 2:
                 try:
                     float(fields[1])
                 except ValueError:
@@ -165,7 +164,7 @@ def _read_lexicon_table(path: str | Path, fold_case: bool, parse: Callable[[list
 def load_ratings(path: str | Path, fold_case: bool = True) -> RatingLexicon:
     """Load a `token TAB rating` TSV of expert ratings.
 
-    A header is auto-detected on the first row (second field non-numeric).
+    A header is auto-detected on the first non-blank row (second field non-numeric).
     Multiword tokens are excluded and counted separately; rows with a rating
     outside [1, 5] or that do not parse are rejected and counted. More than
     10% rejected rows is a hard error: the file is probably the wrong one.

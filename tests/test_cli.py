@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from cadict import cli
-from cadict.embeddings import CACHE_MAGIC
+from cadict.embeddings import CACHE_MAGIC, load_cache
 from cadict.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    _load_predictions,
     _parse_x_values,
     _write_json,
     main,
 )
+from cadict.lexicon import load_frequencies, load_ratings
+from cadict.rater import SemanticCore, load_core
 
 from conftest import write_vec_file
 
@@ -232,6 +235,31 @@ class TestRateCommand:
             ["w005", "w010"]
         assert (tmp_path / "dict.tsv.skipped.txt").read_text() == "zero\n"
 
+        # the other commands print the same line for each of their inputs
+        ratings, freq = tmp_path / "ratings.tsv", tmp_path / "freq.tsv"
+        ratings.write_text(corpus["ratings"].read_text(encoding="utf-8")
+                           + "ice cream\t3\nw005\t3\n", encoding="utf-8")
+        freq.write_text(corpus["freq"].read_text(encoding="utf-8") + "w005\t3\n",
+                        encoding="utf-8")
+        (tmp_path / "search").mkdir()
+        argv = search_args({**corpus, "ratings": ratings, "freq": freq, "vectors": vectors},
+                           tmp_path / "search")
+        assert run(argv) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert f"dropped from {ratings}: multiword_excluded=1, duplicates_ignored=1" in printed
+        assert f"dropped from {freq}: duplicates_ignored=1" in printed
+        assert f"dropped from {vectors}: filtered_out=1" in printed  # only rated words load
+
+        assert run(["evaluate", "--pred", str(freq), "--gold", str(ratings)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert f"dropped from {freq}: duplicates_ignored=1" in printed
+        assert f"dropped from {ratings}: multiword_excluded=1, duplicates_ignored=1" in printed
+
+        assert run(["cache-vectors", "--vectors", str(vectors),
+                    "--out", str(tmp_path / "vectors.cavs")]) == EXIT_OK
+        assert f"dropped from {vectors}: zero_norm_skipped=1" in \
+            capsys.readouterr().out.splitlines()
+
     def test_ratings_tsv_as_words_rates_first_column(self, corpus, core_file, tmp_path):
         out = tmp_path / "dict.tsv"
         assert run(["rate", "--core", str(core_file), "--vectors", str(corpus["vectors"]),
@@ -438,6 +466,41 @@ class TestInputErrors:
         monkeypatch.setattr(cli, "evaluate_ratings", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["evaluate", "--pred", str(corpus["ratings"]), "--gold", str(corpus["ratings"])])
+
+
+@pytest.mark.parametrize("reader", ["ratings", "freq", "pred", "words", "vectors", "core"])
+def test_byte_order_mark_is_not_read_as_text(corpus, tmp_path, reader):
+    """A UTF-8 byte-order mark, which some editors write first, is no part of
+    the first record of any input."""
+    def with_bom(name, text):
+        path = tmp_path / name
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        return path
+
+    core = json.dumps({"seed_abstract": ["w000"], "seed_concrete": ["w059"]})
+    if reader == "ratings":
+        assert load_ratings(with_bom("r.tsv", "abacus\t4.5\nidea\t1.5\n")).tokens == \
+            ("abacus", "idea")
+    elif reader == "freq":
+        assert "abacus" in load_frequencies(with_bom("f.tsv", "abacus\t9\nidea\t8\n"))
+    elif reader == "pred":
+        assert _load_predictions(with_bom("p.tsv", "abacus\t4.5\n"), True)[0] == \
+            {"abacus": 4.5}
+    elif reader == "words":
+        out = tmp_path / "dict.tsv"
+        assert run(["rate", "--core", str(with_bom("core.json", core)),
+                    "--vectors", str(corpus["vectors"]),
+                    "--words", str(with_bom("words.txt", "w005\nw010\n")),
+                    "--out", str(out)]) == EXIT_OK
+        assert (tmp_path / "dict.tsv.skipped.txt").read_text() == ""
+    elif reader == "vectors":
+        out = tmp_path / "v.cavs"
+        assert run(["cache-vectors", "--vectors",
+                    str(with_bom("v.vec", "2 3\na 1 0 0\nb 0 1 0\n")),
+                    "--out", str(out)]) == EXIT_OK
+        assert load_cache(out).tokens == ("a", "b")
+    else:
+        assert load_core(with_bom("core.json", core))[0] == SemanticCore(("w000",), ("w059",))
 
 
 def test_readme_flags_exist_in_the_parser(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -177,7 +178,8 @@ SEPARATORS = [" ", " ", "\t", "  ", "\x0b", "\x1c", "\u3000", " \t"]
 
 @st.composite
 def vector_files(draw):
-    """Word-vectors text in the loader's whole input language, with its edge cases."""
+    """Word-vectors text in the loader's whole input language, with its edge cases,
+    sometimes after a byte-order mark."""
     dimension = draw(st.integers(1, 3))
     lines = [f"{draw(st.integers(0, 9))} {dimension}"] if draw(st.booleans()) else []
     for _ in range(draw(st.integers(0, 10))):
@@ -190,7 +192,8 @@ def vector_files(draw):
                                        max_size=width)):
             line += draw(st.sampled_from(SEPARATORS)) + component
         lines.append(line + draw(st.sampled_from(["", "", " "])))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return draw(st.sampled_from(["", "", "\ufeff"])) + "\n".join(lines) + draw(
+        st.sampled_from(["\n", ""]))
 
 
 class TestBlockParser:
@@ -201,6 +204,7 @@ class TestBlockParser:
     @example(text="a 0 0\nA 1 0\nA 0 1\n", block_lines=3, fold_case=True, vocab_filter=None)
     @example(text="a 1 0\nb 1_0 2\na x 1\n", block_lines=3, fold_case=True, vocab_filter=None)
     @example(text="a 1 0\nb 1e200 1e200\n", block_lines=2, fold_case=False, vocab_filter={"b"})
+    @example(text="\ufeff2 3\na 1 0 0\n", block_lines=3, fold_case=True, vocab_filter=None)
     def test_equals_the_line_loader(self, tmp_path, monkeypatch, text, block_lines, fold_case,
                                     vocab_filter):
         path = tmp_path / "vectors.txt"
@@ -216,6 +220,30 @@ class TestBlockParser:
         path = write_vec_file(tmp_path / "v.txt",
                               [(f"w{i}", rng.normal(size=300)) for i in range(300)])
         assert _outcome(load_vectors, path) == _outcome(load_vectors_by_line, path)
+
+    # every rule of the loader: a header, a blank line, a case-fold collision, a
+    # duplicate with a bad component in the block of its first record, ``1_0``,
+    # a zero row, a row whose squares overflow and a non-finite row
+    PINNED = ("9 3\n\nThe 1 0 0\nthe 0 1 0\nb 1_0 2 3\nb x 1 1\nzero 0 0 0\n"
+              "big 1e200 -1e200 1e200\nnan nan 1 0\nc -2.5 0.5 3e-1\nD 2 7 -0.5\n")
+
+    @pytest.mark.parametrize("block_lines", [1, 3, 1024])
+    @pytest.mark.parametrize("vocab_filter, digest", [
+        (None, "9e9de576439329bb9c735ddede51c6f038c8678196e6df46af05d92fc4ce4b3a"),
+        ({"the", "B", "big", "d", "zero"},
+         "995caa51a7bb96b1f29406b5fdf33aa3dddc9b24b899c72b629ebd7f12ad4e9f"),
+    ])
+    def test_load_pinned_across_versions(self, tmp_path, monkeypatch, block_lines,
+                                         vocab_filter, digest):
+        # the digest of the tokens, the matrix bytes and the report: any version
+        # of the loader must give these, bit for bit, at every block size
+        path = tmp_path / "pinned.vec"
+        path.write_text(self.PINNED, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
+        store = load_vectors(path, vocab_filter=vocab_filter)
+        blob = ("\n".join(store.tokens).encode() + store.matrix.tobytes()
+                + repr(store.load_report).encode())
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     @staticmethod
     def _replays(caplog):
@@ -385,17 +413,20 @@ class TestCache:
         rng = np.random.default_rng(7)
         tokens = [f"w{i}" for i in range(50)]
         cache = tmp_path / "store.cavs"
-        save_cache(store_from_raw(tokens, rng.normal(size=(50, 6))), cache)
-        full = load_cache(cache)
-        kept = {t for t in tokens if rng.random() < 0.3} | {"w0", "w49"}
-        idx = [i for i, t in enumerate(full.tokens) if t in kept]
-        for rows_per_chunk in (1, 3, 7, 50, 64):
-            # a chunk size that is not a whole number of rows reads whole rows
-            monkeypatch.setattr(embeddings, "CHUNK_BYTES", rows_per_chunk * 6 * 8 + 5)
-            part = load_cache(cache, vocab_filter=kept)
-            assert part.tokens == tuple(full.tokens[i] for i in idx)
-            assert part.matrix.tobytes() == full.matrix[idx].tobytes()
-            assert part.load_report == LoadReport(accepted=len(idx), filtered_out=50 - len(idx))
+        saved = store_from_raw(tokens, rng.normal(size=(50, 6)))
+        save_cache(saved, cache)
+        # scattered rows; whole kept chunks around a partial one; no filter at all
+        for kept in ({t for t in tokens if rng.random() < 0.3} | {"w0", "w49"},
+                     set(tokens[:21]) | set(tokens[42:]) | {"w30"}, None):
+            idx = [i for i, t in enumerate(tokens) if kept is None or t in kept]
+            for rows_per_chunk in (1, 3, 7, 50, 64):
+                # a chunk size that is not a whole number of rows reads whole rows
+                monkeypatch.setattr(embeddings, "CHUNK_BYTES", rows_per_chunk * 6 * 8 + 5)
+                part = load_cache(cache, vocab_filter=kept)
+                assert part.tokens == tuple(tokens[i] for i in idx)
+                assert part.matrix.tobytes() == saved.matrix[idx].tobytes()
+                assert part.load_report == LoadReport(accepted=len(idx),
+                                                      filtered_out=50 - len(idx))
 
     def test_filtered_load_holds_only_the_kept_rows(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cadict.embeddings import LoadReport
 from cadict.errors import DataError, InfeasibleError
 from cadict.lexicon import (
     BaseDictionary,
@@ -47,6 +48,14 @@ class TestLoadRatings:
         lex = load_ratings(path)
         assert len(lex) == 1
         assert lex.report.rejected == 0
+
+    def test_header_after_blank_lines_autodetected(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("\n  \nWord\tRating\n" + "".join(f"w{i}\t3.0\n" for i in range(5)),
+                        encoding="utf-8")
+        lex = load_ratings(path)
+        assert len(lex) == 5
+        assert lex.report == LoadReport(accepted=5)
 
     def test_too_many_rejects_is_hard_error(self, tmp_path):
         rows = [("a", 3.0), ("b", 9.0)]  # 50% rejected

@@ -20,10 +20,15 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write first
+
+
 def _soup(pieces):
-    """Files made of the pieces a reader has to tell apart, in any order."""
-    return st.one_of(st.binary(max_size=64),
+    """Files made of the pieces a reader has to tell apart, in any order, some
+    after a byte-order mark."""
+    body = st.one_of(st.binary(max_size=64),
                      st.lists(st.sampled_from(pieces), max_size=40).map(b"".join))
+    return st.tuples(st.sampled_from([b"", BOM]), body).map(b"".join)
 
 
 TABLE = _soup([b"dog", b"Cat", b"ice cream", b"\t", b"\n", b"\r\n", b" ", b"4.5", b"3",
@@ -71,6 +76,7 @@ def test_load_predictions(tmp_path, blob, fold_case):
 @example(blob=b"a 1 0\n\xff 0 1\n")
 @example(blob=b"a 1e-160 1e-160\n")
 @example(blob=b"a 1e200 1e200\n")
+@example(blob=BOM + b"2 3\na 1 0 0\n")
 def test_load_vectors(tmp_path, blob):
     _reads_or_data_error(load_vectors, _write(tmp_path, blob))
 
@@ -108,11 +114,11 @@ def core_blob(tmp_path_factory):
 
 @FUZZ
 @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
-       blob=st.one_of(st.none(), st.binary(max_size=64)))
-@example(edits=[(30, 0xFF)], blob=None)
-@example(edits=[], blob=b"[" * 100_000)
-def test_load_core(tmp_path, core_blob, edits, blob):
-    data = bytearray(core_blob if blob is None else blob)
+       blob=st.one_of(st.none(), st.binary(max_size=64)), bom=st.booleans())
+@example(edits=[(30, 0xFF)], blob=None, bom=False)
+@example(edits=[], blob=b"[" * 100_000, bom=False)
+def test_load_core(tmp_path, core_blob, edits, blob, bom):
+    data = bytearray((BOM if bom else b"") + (core_blob if blob is None else blob))
     for pos, byte in edits:
         if data:
             data[pos % len(data)] = byte
