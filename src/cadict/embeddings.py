@@ -55,6 +55,16 @@ class LoadReport:
                          if cause != "accepted" and count)
 
 
+def _check_unit_rows(matrix: np.ndarray) -> None:
+    """Raise ValueError unless every row of `matrix` has unit length."""
+    # einsum needs no full-size temporary; a corrupt row's squares may
+    # overflow, and its inf norm then fails the unit check all the same
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    if not np.allclose(norms, 1.0, atol=1e-6):
+        raise ValueError("store rows must be unit-normalized")
+
+
 class VectorStore:
     """Immutable token -> unit vector map over a single dense matrix.
 
@@ -76,12 +86,7 @@ class VectorStore:
         if len(self._index) != len(self._tokens):
             raise ValueError("duplicate tokens in store construction")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        # einsum needs no full-size temporary; a corrupt row's squares may
-        # overflow, and its inf norm then fails the unit check all the same
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        if not np.allclose(norms, 1.0, atol=1e-6):
-            raise ValueError("store rows must be unit-normalized")
+        _check_unit_rows(matrix)
         matrix.setflags(write=False)
         self._matrix = matrix
         self._source_id = source_id
@@ -140,7 +145,7 @@ def _looks_like_header(parts: list[str]) -> bool:
 
 
 class _TextLoad:
-    """One `load_vectors` pass: the records accepted so far and the drop counts."""
+    """One `parse_vectors` pass: the records accepted so far and the drop counts."""
 
     def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool):
         self.path, self.vocab_filter, self.fold_case = path, vocab_filter, fold_case
@@ -148,6 +153,7 @@ class _TextLoad:
         self.rows: list[np.ndarray] = []
         self.index: dict[str, int] = {}
         self.dimension: int | None = None
+        self.started = False  # a non-blank line has been read
         self.drops: Counter[str] = Counter()
 
     def block(self, numbered: list[tuple[int, str]]) -> None:
@@ -161,8 +167,12 @@ class _TextLoad:
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
-            if not head or lineno == 1 and _looks_like_header(line.split()):
+            if not head:
                 continue
+            if not self.started:  # the first non-blank line may be an ``N d`` header
+                self.started = True
+                if _looks_like_header(line.split()):
+                    continue
             token = head[0].lower() if self.fold_case else head[0]
             rest = head[1] if len(head) == 2 else ""
             wanted = self.vocab_filter is None or token in self.vocab_filter
@@ -214,15 +224,31 @@ class _TextLoad:
             self.rows.append(rows)
 
 
-def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
-                 fold_case: bool = True) -> VectorStore:
-    """Parse a word-vectors text file into a VectorStore.
+@dataclass(frozen=True, eq=False)
+class ParsedVectors:
+    """The records that a store keeps from one word-vectors text file: the
+    tokens in file order, their unit rows as one array per parsed block, and the
+    load report."""
 
-    Format: optional first line ``N d`` (two integers), then one
-    ``token v1 ... vd`` record per line, whitespace separated, UTF-8 with an
-    optional byte-order mark. The dimension is inferred from the first record;
-    any later record with a different component count, or a component that
-    does not parse, is a hard error naming the line. Zero-norm
+    tokens: list[str]
+    blocks: list[np.ndarray]
+    report: LoadReport
+    source_id: str
+
+    @property
+    def dimension(self) -> int:
+        return self.blocks[0].shape[1]
+
+
+def parse_vectors(path: str | Path, vocab_filter: set[str] | None = None,
+                  fold_case: bool = True) -> ParsedVectors:
+    """Parse a word-vectors text file into the records a store keeps.
+
+    Format: an optional ``N d`` header (two integers) on the first non-blank
+    line, then one ``token v1 ... vd`` record per line, whitespace separated,
+    UTF-8 with an optional byte-order mark. The dimension is inferred from the
+    first record; any later record with a different component count, or a
+    component that does not parse, is a hard error naming the line. Zero-norm
     vectors (norm below `MIN_NORM`) and non-finite ones are dropped and
     counted apart; a finite vector whose norm overflows is kept. On
     duplicate tokens the first occurrence wins. Tokens are folded to
@@ -247,34 +273,59 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
 
     if not load.tokens:
         raise DataError(f"{path}: no usable vector records")
-    report = LoadReport(accepted=len(load.tokens), **load.drops)
-    if report.zero_norm_skipped or report.non_finite_skipped or report.duplicates_ignored:
-        logger.warning("%s: dropped %s", path, report.drops())
+    return ParsedVectors(load.tokens, load.rows,
+                         LoadReport(accepted=len(load.tokens), **load.drops), str(path))
+
+
+def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
+                 fold_case: bool = True) -> VectorStore:
+    """Parse a word-vectors text file (see `parse_vectors`) into a VectorStore."""
+    parsed = parse_vectors(path, vocab_filter=vocab_filter, fold_case=fold_case)
     try:
-        return VectorStore(load.tokens, np.vstack(load.rows), source_id=str(path),
-                           load_report=report)
+        return VectorStore(parsed.tokens, np.vstack(parsed.blocks),
+                           source_id=parsed.source_id, load_report=parsed.report)
     except ValueError as exc:  # a row the store's checks refuse
         raise DataError(f"{path}: {exc}") from exc
 
 
-def save_cache(store: VectorStore, path: str | Path) -> None:
-    """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
+def _write_cache(path: str | Path, tokens: Sequence[str], blocks: Sequence[np.ndarray],
+                 source_id: str) -> None:
+    """Write the cache of `tokens` whose rows are `blocks`, stacked in order;
+    each block is written as it is, so none is copied."""
     header = {
         "version": 1,
-        "dimension": store.dimension,
-        "count": len(store),
-        "source_id": store.source_id,
+        "dimension": blocks[0].shape[1],
+        "count": len(tokens),
+        "source_id": source_id,
         "dtype": "<f8",
     }
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    token_blob = "\n".join(store.tokens).encode("utf-8")
+    token_blob = "\n".join(tokens).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<I", len(header_blob)))
         fh.write(header_blob)
         fh.write(struct.pack("<Q", len(token_blob)))
         fh.write(token_blob)
-        fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
+        for rows in blocks:
+            fh.write(np.ascontiguousarray(rows, dtype="<f8").data)
+
+
+def save_cache(store: VectorStore, path: str | Path) -> None:
+    """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
+    _write_cache(path, store.tokens, [store.matrix], store.source_id)
+
+
+def write_cache(parsed: ParsedVectors, path: str | Path) -> None:
+    """Write the cache of a parsed text file without stacking its blocks: the
+    bytes that `save_cache(load_vectors(...))` writes, with the rows held once.
+    Each block gets the unit-row check that a VectorStore would make."""
+    for rows in parsed.blocks:
+        try:
+            _check_unit_rows(rows)
+        except ValueError as exc:
+            raise DataError(f"{parsed.source_id}: {exc}") from exc
+    _write_cache(path, parsed.tokens, parsed.blocks, parsed.source_id)
 
 
 def _check_left(fh, size: int, path: Path, what: str) -> None:

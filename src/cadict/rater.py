@@ -118,21 +118,24 @@ def _resolve(words: Iterable[str], store: VectorStore) -> tuple[list[str], list[
     return found, idx, skipped
 
 
-def rate_all(words: Iterable[str], core: SemanticCore, store: VectorStore) -> BatchRating:
+def rate_all(words: Iterable[str] | None, core: SemanticCore, store: VectorStore) -> BatchRating:
     """Rate every resolvable word; OOV tokens go to the skip report, not errors.
 
-    Scaled ratings are the batch min-max rescale of the raw ratio onto [1, 5]
-    (an all-equal batch maps to 3.0), so rank order is preserved exactly.
-    `floored` flags the words whose denominator was floored. Output order
-    equals input order.
+    `words=None` rates the whole store in store order, in place: no token is
+    looked up and the matrix is not copied. Scaled ratings are the batch
+    min-max rescale of the raw ratio onto [1, 5] (an all-equal batch maps to
+    3.0), so rank order is preserved exactly. `floored` flags the words whose
+    denominator was floored. Output order equals input order.
     """
-    found, idx, skipped = _resolve(words, store)
-    if not found:
-        raise DataError("empty resolvable word set: no input word is in the vector store")
-    rows = np.asarray(idx, dtype=np.intp)
-    # the whole store in order is rated in place, not through a full-size copy
-    whole = np.array_equal(rows, np.arange(len(store)))
-    raw, floored = raw_ratings(store.matrix if whole else store.matrix[rows], core, store)
+    if words is None:
+        found, skipped = store.tokens, []
+        matrix = store.matrix
+    else:
+        found, idx, skipped = _resolve(words, store)
+        if not found:
+            raise DataError("empty resolvable word set: no input word is in the vector store")
+        matrix = store.matrix[np.asarray(idx, dtype=np.intp)]
+    raw, floored = raw_ratings(matrix, core, store)
     if skipped:
         logger.info("rate_all: %d token(s) out of vocabulary", len(skipped))
     return BatchRating(tokens=tuple(found), raw=raw, scaled=_min_max_scale(raw),
@@ -146,7 +149,7 @@ def build_dictionary(core: SemanticCore, vocab: Iterable[str] | None,
     Row format: token, raw rating (9 significant digits), scaled rating
     (3 decimals), flags (`-` when none), tab separated.
     """
-    batch = rate_all(store.tokens if vocab is None else vocab, core, store)
+    batch = rate_all(vocab, core, store)
     with open(out, "w", encoding="utf-8") as fh:
         for t, r, s, f in zip(batch.tokens, batch.raw.tolist(), batch.scaled.tolist(),
                               batch.floored.tolist()):

@@ -128,13 +128,16 @@ def load_vectors_by_line(path, vocab_filter=None, fold_case=True):
     tokens, rows, index = [], [], {}
     dimension = None
     zero_norm = non_finite = duplicates = filtered = 0
+    first_line = True
     with open_text(path) as fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if lineno == 1 and _looks_like_header(parts):
-                continue
+            if first_line:  # the first non-blank line may be a header
+                first_line = False
+                if _looks_like_header(parts):
+                    continue
             width = len(parts) - 1
             if dimension is None:
                 if width < 1:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cadict import cli
-from cadict.embeddings import CACHE_MAGIC, load_cache
+from cadict import cli, embeddings
+from cadict.embeddings import CACHE_MAGIC, load_cache, load_vectors, save_cache
 from cadict.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
@@ -217,7 +217,7 @@ class TestRateCommand:
         assert len(out.read_text().splitlines()) == 2
         assert (tmp_path / "dict.tsv.skipped.txt").read_text() == "unseen\n"
 
-    def test_drops_are_reported(self, corpus, core_file, tmp_path, capsys):
+    def test_drops_are_reported(self, corpus, core_file, tmp_path, capsys, caplog):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text(corpus["vectors"].read_text(encoding="utf-8")
                            + "zero " + " ".join(["0"] * 8) + "\n", encoding="utf-8")
@@ -255,10 +255,13 @@ class TestRateCommand:
         assert f"dropped from {freq}: duplicates_ignored=1" in printed
         assert f"dropped from {ratings}: multiword_excluded=1, duplicates_ignored=1" in printed
 
-        assert run(["cache-vectors", "--vectors", str(vectors),
-                    "--out", str(tmp_path / "vectors.cavs")]) == EXIT_OK
+        with caplog.at_level("DEBUG"):
+            assert run(["cache-vectors", "--vectors", str(vectors),
+                        "--out", str(tmp_path / "vectors.cavs")]) == EXIT_OK
         assert f"dropped from {vectors}: zero_norm_skipped=1" in \
             capsys.readouterr().out.splitlines()
+        # reported once, on stdout: the library logs no drop counts of its own
+        assert not [r for r in caplog.records if "zero_norm_skipped" in r.getMessage()]
 
     def test_ratings_tsv_as_words_rates_first_column(self, corpus, core_file, tmp_path):
         out = tmp_path / "dict.tsv"
@@ -388,6 +391,31 @@ class TestCacheCommand:
         monkeypatch.setenv("CADICT_CACHE_DIR", str(cache_dir))
         assert run(["cache-vectors", "--vectors", str(corpus["vectors"])]) == EXIT_OK
         assert (cache_dir / "vectors.cavs").exists()
+
+    # a header, a case-fold collision, an exact duplicate, a zero row, a
+    # non-finite row and a row whose squares overflow, over several blocks
+    VECTORS = ("3 3\nThe 1 0 0\nthe 0 1 0\nzero 0 0 0\nb -2.5 0.5 3e-1\nnan nan 1 0\n"
+               "b 1 1 1\nbig 1e200 -1e200 1e200\nc 2 7 -0.5\nD 0 0 1\nd 1 2 3\n")
+
+    @pytest.mark.parametrize("block_lines", [1, 3, 1024])
+    @pytest.mark.parametrize("fold_flag", ["--fold-case", "--no-fold-case"])
+    def test_cache_equals_the_saved_store(self, tmp_path, monkeypatch, block_lines, fold_flag):
+        # the parsed blocks written straight to disk are the bytes of the saved store
+        path = tmp_path / "v.vec"
+        path.write_text(self.VECTORS, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
+        cache, saved = tmp_path / "v.cavs", tmp_path / "saved.cavs"
+        assert run(["cache-vectors", "--vectors", str(path), "--out", str(cache),
+                    fold_flag]) == EXIT_OK
+        save_cache(load_vectors(path, fold_case=fold_flag == "--fold-case"), saved)
+        assert cache.read_bytes() == saved.read_bytes()
+
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        path, out = tmp_path / "v.vec", tmp_path / "v.cavs"
+        path.write_text("\n2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
+        assert run(["cache-vectors", "--vectors", str(path), "--out", str(out)]) == EXIT_OK
+        assert f"cached 2 vector(s) of dimension 3 -> {out}" in capsys.readouterr().out
+        assert load_cache(out).tokens == ("a", "b")
 
 
 def _cache_bytes(tokens: list[str], rows) -> bytes:

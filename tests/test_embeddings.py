@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from cadict.embeddings import (
     load_cache,
     load_vectors,
     open_store,
+    parse_vectors,
     save_cache,
+    write_cache,
 )
 from cadict.errors import DataError
 from cadict.rater import (
@@ -72,15 +75,14 @@ class TestLoadVectors:
         assert store.tokens == ("b",)
         assert store.load_report.zero_norm_skipped == 1
 
-    def test_non_finite_counted_apart_from_zero_norm(self, tmp_path, caplog):
+    def test_non_finite_counted_apart_from_zero_norm(self, tmp_path):
         path = tmp_path / "nonfinite.txt"
         path.write_text("a 1 0\nb nan 1\nc 0 0\nd inf 1\n", encoding="utf-8")
-        with caplog.at_level("WARNING"):
-            store = load_vectors(path)
+        store = load_vectors(path)
         assert store.tokens == ("a",)
-        assert store.load_report.zero_norm_skipped == 1
-        assert store.load_report.non_finite_skipped == 2
-        assert "zero_norm_skipped=1, non_finite_skipped=2" in caplog.text
+        assert store.load_report == LoadReport(accepted=1, zero_norm_skipped=1,
+                                               non_finite_skipped=2)
+        assert store.load_report.drops() == "zero_norm_skipped=1, non_finite_skipped=2"
 
     @pytest.mark.parametrize("components, cause", [
         ("1e200 1e200", None),
@@ -205,6 +207,8 @@ class TestBlockParser:
     @example(text="a 1 0\nb 1_0 2\na x 1\n", block_lines=3, fold_case=True, vocab_filter=None)
     @example(text="a 1 0\nb 1e200 1e200\n", block_lines=2, fold_case=False, vocab_filter={"b"})
     @example(text="\ufeff2 3\na 1 0 0\n", block_lines=3, fold_case=True, vocab_filter=None)
+    @example(text="\n \n2 3\na 1 0 0\n", block_lines=1, fold_case=True, vocab_filter=None)
+    @example(text="2 1\n5 7\n", block_lines=1, fold_case=True, vocab_filter=None)
     def test_equals_the_line_loader(self, tmp_path, monkeypatch, text, block_lines, fold_case,
                                     vocab_filter):
         path = tmp_path / "vectors.txt"
@@ -244,6 +248,23 @@ class TestBlockParser:
         blob = ("\n".join(store.tokens).encode() + store.matrix.tobytes()
                 + repr(store.load_report).encode())
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("block_lines", [1, 3, 1024])
+    @pytest.mark.parametrize("fold_case, digest", [
+        (True, "3b9139b633436ca37938409c27222214ceff7759c04cf85751da4572d304f35b"),
+        (False, "36718e9ad278679561089764cec792a8b2aa11f292264203ce88b185ddb2ade7"),
+    ])
+    def test_cache_pinned_across_versions(self, tmp_path, monkeypatch, block_lines,
+                                          fold_case, digest):
+        # the cache bytes of the pinned file, written from the parsed blocks and
+        # from the store; the header's source_id is the path as given
+        monkeypatch.chdir(tmp_path)
+        Path("pinned.vec").write_text(self.PINNED, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
+        write_cache(parse_vectors("pinned.vec", fold_case=fold_case), "parsed.cavs")
+        save_cache(load_vectors("pinned.vec", fold_case=fold_case), "saved.cavs")
+        for cache in ("parsed.cavs", "saved.cavs"):
+            assert hashlib.sha256(Path(cache).read_bytes()).hexdigest() == digest
 
     @staticmethod
     def _replays(caplog):
@@ -374,6 +395,25 @@ class TestCache:
             tracemalloc.stop()
         assert peak < 0.1 * store.matrix.nbytes
         assert cache.read_bytes().endswith(store.matrix.tobytes())
+
+    def test_write_holds_the_parsed_matrix_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(20_000, 100)).round(4)
+        path = tmp_path / "v.vec"
+        path.write_text("".join(f"w{i} {' '.join(map(str, row))}\n"
+                                for i, row in enumerate(rows.tolist())), encoding="utf-8")
+        cache = tmp_path / "v.cavs"
+        # a block's lines and parse buffers are held beside the rows parsed so
+        # far; smaller blocks keep them small next to the matrix
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 256)
+        tracemalloc.start()
+        try:
+            write_cache(parse_vectors(path), cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * rows.nbytes
+        assert len(load_cache(cache)) == 20_000
 
     def test_cache_vocab_filter(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])

@@ -146,9 +146,12 @@ class TestRateAll:
         tokens = [f"w{i:02d}" for i in range(40)]
         store = store_from_raw(tokens, rng.normal(size=(40, 8)))
         core = SemanticCore(tuple(tokens[:3]), tuple(tokens[3:6]))
-        with mock.patch.object(rater, "raw_ratings", wraps=rater.raw_ratings) as spy:
-            batch = rate_all(store.tokens, core, store)
+        with mock.patch.object(rater, "raw_ratings", wraps=rater.raw_ratings) as spy, \
+                mock.patch.object(store, "row_index", wraps=store.row_index) as lookups:
+            batch = rate_all(None, core, store)
         assert spy.call_args.args[0] is store.matrix
+        assert lookups.call_count == 0
+        assert batch.tokens == store.tokens and batch.skipped == ()
         # bit-identical to rating a gathered copy of the rows in the same order
         gathered, _ = raw_ratings(store.matrix.copy(), core, store)
         assert batch.raw.tobytes() == gathered.tobytes()
