@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from cadict import __version__
-from cadict.embeddings import LoadReport, open_store, parse_vectors, write_cache
+from cadict.embeddings import LoadReport, load_vectors, open_store, save_cache
 from cadict.errors import DataError, InfeasibleError
 from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
@@ -149,16 +149,8 @@ def _cmd_search(args) -> int:
     # so the store never needs more than the lexicon's vocabulary
     store = open_store(args.vectors, vocab_filter=set(ratings.tokens),
                        fold_case=args.fold_case)
-    cfg = SearchConfig(
-        x_values=args.x,
-        y_start=args.y_start,
-        y_step=args.y_step,
-        z_min=args.z_min,
-        z_step=args.z_step,
-        samples_per_cell=args.samples,
-        rng_seed=args.seed,
-        evaluation_scope=EvaluationScope(args.scope),
-    )
+    # each search option's dest is the SearchConfig field it sets
+    cfg = SearchConfig(**{name: getattr(args, name) for name in SearchConfig().to_dict()})
     report = search_grid(ratings, freq, store, cfg)
     if not report.cells:
         reasons = "; ".join(s.reason for s in report.skipped[:3])
@@ -271,21 +263,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_cache_vectors(args) -> int:
-    # the parsed blocks go to the cache as they are: no store is built, so the
-    # matrix is held once
-    parsed = parse_vectors(args.vectors, fold_case=args.fold_case)
+    store = load_vectors(args.vectors, fold_case=args.fold_case)
     if args.out:
         out = Path(args.out)
     else:
         cache_dir = Path(os.environ.get(CACHE_DIR_ENV, "."))
         cache_dir.mkdir(parents=True, exist_ok=True)
         out = cache_dir / (Path(args.vectors).stem + ".cavs")
-    write_cache(parsed, out)
+    save_cache(store, out)
     manifest = _manifest("cache-vectors", None, {"vectors": args.vectors},
                          {"fold_case": args.fold_case})
     _write_sidecar(out, manifest)
-    print(f"cached {len(parsed.tokens)} vector(s) of dimension {parsed.dimension} -> {out}")
-    _print_drops(args.vectors, parsed.report)
+    print(f"cached {len(store)} vector(s) of dimension {store.dimension} -> {out}")
+    _print_drops(args.vectors, store.load_report)
     return EXIT_OK
 
 
@@ -314,25 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratings", required=True, help="expert ratings TSV (token TAB rating)")
     p.add_argument("--freq", required=True, help="frequency TSV (token TAB count)")
     p.add_argument("--vectors", required=True, help="word-vectors text file or binary cache")
-    p.add_argument("--x", type=_parse_x_values, default=(500, 1000, 1500, 2000, 2500),
+    p.add_argument("--x", dest="x_values", metavar="X", type=_parse_x_values,
                    help="base sizes: start:stop:step, comma list, or one integer "
-                        "(default 500:2500:500)")
-    p.add_argument("--y-start", type=_positive_int, default=50)
-    p.add_argument("--y-step", type=_positive_int, default=50)
-    p.add_argument("--z-min", type=_positive_int, default=10)
-    p.add_argument("--z-step", type=_positive_int, default=20)
-    p.add_argument("--samples", type=_positive_int, default=100,
-                   help="random cores per grid cell (default 100)")
-    p.add_argument("--seed", type=_unsigned_int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--scope", choices=[e.value for e in EvaluationScope],
-                   default=EvaluationScope.BASE_DICTIONARY.value,
+                        f"(default {','.join(map(str, SearchConfig.x_values))})")
+    p.add_argument("--y-start", type=_positive_int)
+    p.add_argument("--y-step", type=_positive_int)
+    p.add_argument("--z-min", type=_positive_int)
+    p.add_argument("--z-step", type=_positive_int)
+    p.add_argument("--samples", dest="samples_per_cell", metavar="SAMPLES", type=_positive_int,
+                   help="random cores per grid cell (default %(default)s)")
+    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=_unsigned_int,
+                   help="RNG seed (default %(default)s)")
+    p.add_argument("--scope", dest="evaluation_scope",
+                   choices=[e.value for e in EvaluationScope],
                    help="what the search objective is computed on")
     p.add_argument("--out-report", default="report.json")
     p.add_argument("--out-core", default="core.json")
     p.add_argument("--out-landscape", default=None,
                    help="optional TSV of (x, y, z, best_r_s) rows")
     _add_fold_flag(p)
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_search, **SearchConfig().to_dict())
 
     p = sub.add_parser("rate", help="build a rating dictionary with a saved core")
     p.add_argument("--core", required=True, help="core JSON file")

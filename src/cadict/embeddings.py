@@ -8,11 +8,13 @@ dominates start-up time otherwise.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import logging
 import math
 import os
+import stat
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ from cadict.errors import DataError, open_text
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"CAVS0001"
+CACHE_FORMAT = {"version": 1, "dtype": "<f8"}  # header fields `load_cache` requires as written
 BLOCK_LINES = 1024  # text lines per np.loadtxt call: larger blocks cost memory, not time
 CHUNK_BYTES = 1 << 24  # cache bytes read at a time by `load_cache`
 # a smaller norm has a subnormal square, too inexact to normalize the row by
@@ -145,12 +148,16 @@ def _looks_like_header(parts: list[str]) -> bool:
 
 
 class _TextLoad:
-    """One `parse_vectors` pass: the records accepted so far and the drop counts."""
+    """One `load_vectors` pass: the records accepted so far, their unit rows in
+    one matrix of `capacity` rows reserved at the first accepted record, and the
+    drop counts."""
 
-    def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool):
+    def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool,
+                 capacity: int):
         self.path, self.vocab_filter, self.fold_case = path, vocab_filter, fold_case
+        self.capacity = capacity
         self.tokens: list[str] = []
-        self.rows: list[np.ndarray] = []
+        self.matrix: np.ndarray | None = None
         self.index: dict[str, int] = {}
         self.dimension: int | None = None
         self.started = False  # a non-blank line has been read
@@ -163,7 +170,9 @@ class _TextLoad:
         it refuses them (``1_0``, a bad component, unequal widths), each rest is
         split and read by `float` instead. One walk in line order then applies
         each rule once: width, filter, duplicate, components, norm, zero and
-        non-finite drops. A bad record is a DataError naming its line."""
+        non-finite drops. A bad record is a DataError naming its line. The kept
+        rows are copied into their slice of the matrix and divided there by
+        their norms."""
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
@@ -219,30 +228,37 @@ class _TextLoad:
             vecs.append(vec)
             norms.append(norm)
         if vecs:
-            rows = np.array(vecs)
+            if self.matrix is None:
+                self.matrix = np.empty((self.capacity, self.dimension))
+            rows = self.matrix[len(self.tokens) - len(vecs):len(self.tokens)]
+            np.stack(vecs, out=rows)
             rows /= np.array(norms)[:, None]
-            self.rows.append(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class ParsedVectors:
-    """The records that a store keeps from one word-vectors text file: the
-    tokens in file order, their unit rows as one array per parsed block, and the
-    load report."""
+def _count_lines(path: Path) -> int:
+    """The number of lines that `open_text` yields from `path`, plus at most one:
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end one line."""
+    count, after_cr = 1, False
+    # small: a freed large buffer would raise glibc's trim threshold, so that
+    # later allocations keep that much free heap resident
+    buf = bytearray(io.DEFAULT_BUFFER_SIZE)
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
+            raise DataError(f"{path}: not a regular file; the text is read twice, "
+                            "to count its lines and to parse them")
+        while size := fh.readinto(buf):
+            count += buf.count(b"\n", 0, size)
+            if buf.find(b"\r", 0, size) >= 0:
+                count += buf.count(b"\r", 0, size) - buf.count(b"\r\n", 0, size)
+            if after_cr and buf[0] == ord("\n"):  # a CRLF split across two chunks
+                count -= 1
+            after_cr = buf[size - 1] == ord("\r")
+    return count
 
-    tokens: list[str]
-    blocks: list[np.ndarray]
-    report: LoadReport
-    source_id: str
 
-    @property
-    def dimension(self) -> int:
-        return self.blocks[0].shape[1]
-
-
-def parse_vectors(path: str | Path, vocab_filter: set[str] | None = None,
-                  fold_case: bool = True) -> ParsedVectors:
-    """Parse a word-vectors text file into the records a store keeps.
+def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
+                 fold_case: bool = True) -> VectorStore:
+    """Parse a word-vectors text file into a VectorStore.
 
     Format: an optional ``N d`` header (two integers) on the first non-blank
     line, then one ``token v1 ... vd`` record per line, whitespace separated,
@@ -254,12 +270,15 @@ def parse_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     duplicate tokens the first occurrence wins. Tokens are folded to
     lowercase unless `fold_case` is off; `vocab_filter`, when given, is
     matched after folding. Records are parsed `BLOCK_LINES` lines at a time
-    by `_TextLoad.block`.
+    by `_TextLoad.block`, into one matrix that the store then holds: it has a
+    row for each member of `vocab_filter`, or for each line of the file.
     """
     path = Path(path)
     if fold_case and vocab_filter is not None:
         vocab_filter = {t.lower() for t in vocab_filter}
-    load = _TextLoad(path, vocab_filter, fold_case)
+    # every kept token is a distinct member of the filter, and each is on its own line
+    capacity = len(vocab_filter) if vocab_filter is not None else _count_lines(path)
+    load = _TextLoad(path, vocab_filter, fold_case, capacity)
 
     # a finite record's squares may overflow; `_TextLoad.block` rescales such a record
     with open_text(path) as fh, np.errstate(over="ignore"):
@@ -273,59 +292,32 @@ def parse_vectors(path: str | Path, vocab_filter: set[str] | None = None,
 
     if not load.tokens:
         raise DataError(f"{path}: no usable vector records")
-    return ParsedVectors(load.tokens, load.rows,
-                         LoadReport(accepted=len(load.tokens), **load.drops), str(path))
-
-
-def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
-                 fold_case: bool = True) -> VectorStore:
-    """Parse a word-vectors text file (see `parse_vectors`) into a VectorStore."""
-    parsed = parse_vectors(path, vocab_filter=vocab_filter, fold_case=fold_case)
+    tokens, matrix = load.tokens, load.matrix[:len(load.tokens)]
+    report = LoadReport(accepted=len(tokens), **load.drops)
+    del load  # its token index goes before the store builds its own
     try:
-        return VectorStore(parsed.tokens, np.vstack(parsed.blocks),
-                           source_id=parsed.source_id, load_report=parsed.report)
+        return VectorStore(tokens, matrix, source_id=str(path), load_report=report)
     except ValueError as exc:  # a row the store's checks refuse
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _write_cache(path: str | Path, tokens: Sequence[str], blocks: Sequence[np.ndarray],
-                 source_id: str) -> None:
-    """Write the cache of `tokens` whose rows are `blocks`, stacked in order;
-    each block is written as it is, so none is copied."""
+def save_cache(store: VectorStore, path: str | Path) -> None:
+    """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
     header = {
-        "version": 1,
-        "dimension": blocks[0].shape[1],
-        "count": len(tokens),
-        "source_id": source_id,
-        "dtype": "<f8",
+        **CACHE_FORMAT,
+        "dimension": store.dimension,
+        "count": len(store),
+        "source_id": store.source_id,
     }
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    token_blob = "\n".join(tokens).encode("utf-8")
+    token_blob = "\n".join(store.tokens).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<I", len(header_blob)))
         fh.write(header_blob)
         fh.write(struct.pack("<Q", len(token_blob)))
         fh.write(token_blob)
-        for rows in blocks:
-            fh.write(np.ascontiguousarray(rows, dtype="<f8").data)
-
-
-def save_cache(store: VectorStore, path: str | Path) -> None:
-    """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
-    _write_cache(path, store.tokens, [store.matrix], store.source_id)
-
-
-def write_cache(parsed: ParsedVectors, path: str | Path) -> None:
-    """Write the cache of a parsed text file without stacking its blocks: the
-    bytes that `save_cache(load_vectors(...))` writes, with the rows held once.
-    Each block gets the unit-row check that a VectorStore would make."""
-    for rows in parsed.blocks:
-        try:
-            _check_unit_rows(rows)
-        except ValueError as exc:
-            raise DataError(f"{parsed.source_id}: {exc}") from exc
-    _write_cache(path, parsed.tokens, parsed.blocks, parsed.source_id)
+        fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
 
 
 def _check_left(fh, size: int, path: Path, what: str) -> None:
@@ -343,7 +335,8 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
     """Load a binary cache written by `save_cache`.
 
     A truncated or corrupt file is a DataError naming the file and the part
-    that is unreadable. With `vocab_filter`, only the kept rows are held.
+    that is unreadable, and so is a header whose version or dtype is not the
+    one `save_cache` writes. With `vocab_filter`, only the kept rows are held.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -359,6 +352,11 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
             raise DataError(f"{path}: corrupt cache header: {exc}") from exc
         if count < 1 or dim < 1:
             raise DataError(f"{path}: corrupt cache header: count={count}, dimension={dim}")
+        for key, expected in CACHE_FORMAT.items():
+            value = header.get(key)
+            if type(value) is not type(expected) or value != expected:
+                raise DataError(f"{path}: unsupported cache {key} {value!r} "
+                                f"(expected {expected!r}); re-run cache-vectors")
         (token_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "token length"))
         try:
             token_blob = _read_exact(fh, token_len, path, "token list").decode("utf-8")

@@ -173,9 +173,10 @@ def save_core(core: SemanticCore, path: str | Path, provenance: dict | None = No
         "seed_concrete": list(core.seed_concrete),
         "provenance": provenance or {},
     }
+    # NaN and infinity are not JSON: fail before the file is opened
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_core(path: str | Path) -> tuple[SemanticCore, dict]:

@@ -22,6 +22,7 @@ from cadict.cli import (
 )
 from cadict.lexicon import load_frequencies, load_ratings
 from cadict.rater import SemanticCore, load_core
+from cadict.search import SearchConfig
 
 from conftest import write_vec_file
 
@@ -100,6 +101,12 @@ FINE_GRID = {"--x": "30,60", "--y-start": 3, "--y-step": 1, "--z-min": 1, "--z-s
 
 
 class TestSearchCommand:
+    def test_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["search", "--ratings", "r", "--freq", "f", "--vectors", "v"])
+        defaults = SearchConfig().to_dict()
+        assert {name: getattr(args, name) for name in defaults} == defaults
+
     def test_happy_path_writes_outputs(self, corpus, tmp_path, capsys):
         code = run(search_args(corpus, tmp_path,
                                **{"--out-landscape": tmp_path / "landscape.tsv"}))
@@ -421,8 +428,8 @@ class TestCacheCommand:
 def _cache_bytes(tokens: list[str], rows) -> bytes:
     """A cache file as save_cache lays it out, with any tokens and rows."""
     rows = np.asarray(rows, dtype="<f8")
-    header = json.dumps({"count": len(tokens), "dimension": rows.shape[1],
-                         "source_id": "x"}).encode()
+    header = json.dumps({"count": len(tokens), "dimension": rows.shape[1], "dtype": "<f8",
+                         "source_id": "x", "version": 1}).encode()
     blob = "\n".join(tokens).encode()
     return (CACHE_MAGIC + struct.pack("<I", len(header)) + header
             + struct.pack("<Q", len(blob)) + blob + rows.tobytes())

@@ -1,5 +1,8 @@
 import hashlib
+import io
+import json
 import math
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -17,9 +20,7 @@ from cadict.embeddings import (
     load_cache,
     load_vectors,
     open_store,
-    parse_vectors,
     save_cache,
-    write_cache,
 )
 from cadict.errors import DataError
 from cadict.rater import (
@@ -169,6 +170,17 @@ def _outcome(load, path, **kwargs):
     return store.tokens, store.matrix.tobytes(), store.load_report
 
 
+def traced_peak(call):
+    """`call`'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 TOKENS = ["a", "A", "b", "B", "\u00e9", "\u00c9", "#", "7"]
 # mostly plain numbers; then what `float` accepts and np.loadtxt refuses, drop
 # causes (zero, non-finite, overflowing squares), and what nothing parses
@@ -256,15 +268,12 @@ class TestBlockParser:
     ])
     def test_cache_pinned_across_versions(self, tmp_path, monkeypatch, block_lines,
                                           fold_case, digest):
-        # the cache bytes of the pinned file, written from the parsed blocks and
-        # from the store; the header's source_id is the path as given
+        # the cache bytes of the pinned file; the header's source_id is the path as given
         monkeypatch.chdir(tmp_path)
         Path("pinned.vec").write_text(self.PINNED, encoding="utf-8")
         monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
-        write_cache(parse_vectors("pinned.vec", fold_case=fold_case), "parsed.cavs")
         save_cache(load_vectors("pinned.vec", fold_case=fold_case), "saved.cavs")
-        for cache in ("parsed.cavs", "saved.cavs"):
-            assert hashlib.sha256(Path(cache).read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(Path("saved.cavs").read_bytes()).hexdigest() == digest
 
     @staticmethod
     def _replays(caplog):
@@ -291,6 +300,36 @@ class TestBlockParser:
         assert self._replays(caplog) == [f"{path}: lines 5-8 parsed line by line"]
         assert len(store) == 12
         assert store.matrix[5].tolist() == (np.array([10.0, 1.0]) / math.sqrt(101)).tolist()
+
+    def test_filtered_load_reserves_the_filter_rows(self, tmp_path):
+        # the store's matrix is the head of one matrix reserved with a row per
+        # member of the folded filter: "W3" and "w3" are one member
+        rng = np.random.default_rng(11)
+        path = write_vec_file(tmp_path / "v.txt",
+                              [(f"w{i}", rng.normal(size=4)) for i in range(50)])
+        store = load_vectors(path, vocab_filter={"W3", "w3", "w7", "absent"})
+        assert store.tokens == ("w3", "w7")
+        assert store.matrix.base.shape == (3, 4)
+
+    def test_unfiltered_load_of_a_non_regular_file_is_data_error(self):
+        # its lines are counted before it is parsed, and a pipe is read only once
+        with pytest.raises(DataError, match="not a regular file"):
+            load_vectors(os.devnull)
+
+    @pytest.mark.parametrize("last", ["", "end"])
+    def test_line_endings_give_one_store(self, tmp_path, last):
+        # the padded header's CRLF is split between the line count's first two reads
+        lines = ["3 2".ljust(io.DEFAULT_BUFFER_SIZE - 1), "", "a 1 0", "b 0 2", "A 3 4", "c 1 1"]
+        outcomes, reserved = set(), set()
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes((newline.join(lines) + (newline if last else "")).encode())
+            outcomes.add(_outcome(load_vectors, path))
+            reserved.add(load_vectors(path).matrix.base.shape[0])
+        assert len(outcomes) == 1
+        ((tokens, _, report),) = outcomes
+        assert tokens == ("a", "b", "c") and report.duplicates_ignored == 1
+        assert len(reserved) == 1 and reserved.pop() <= len(lines) + 1
 
 
 class TestCosine:
@@ -387,33 +426,35 @@ class TestCache:
         rng = np.random.default_rng(5)
         store = store_from_raw([f"w{i}" for i in range(4000)], rng.normal(size=(4000, 100)))
         cache = tmp_path / "store.cavs"
-        tracemalloc.start()
-        try:
-            save_cache(store, cache)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: save_cache(store, cache))
         assert peak < 0.1 * store.matrix.nbytes
         assert cache.read_bytes().endswith(store.matrix.tobytes())
 
-    def test_write_holds_the_parsed_matrix_once(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def big_text(self, tmp_path, monkeypatch):
+        """A 20,000 x 100 text file and its rows, read in 256-line blocks: a
+        block's lines and parse buffers are held beside the matrix, and smaller
+        blocks keep them small next to it."""
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(20_000, 100)).round(4)
         path = tmp_path / "v.vec"
         path.write_text("".join(f"w{i} {' '.join(map(str, row))}\n"
                                 for i, row in enumerate(rows.tolist())), encoding="utf-8")
-        cache = tmp_path / "v.cavs"
-        # a block's lines and parse buffers are held beside the rows parsed so
-        # far; smaller blocks keep them small next to the matrix
         monkeypatch.setattr(embeddings, "BLOCK_LINES", 256)
-        tracemalloc.start()
-        try:
-            write_cache(parse_vectors(path), cache)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        return path, rows
+
+    def test_write_holds_the_parsed_matrix_once(self, tmp_path, big_text):
+        path, rows = big_text
+        cache = tmp_path / "v.cavs"
+        _, peak = traced_peak(lambda: save_cache(load_vectors(path), cache))
         assert peak < 1.3 * rows.nbytes
         assert len(load_cache(cache)) == 20_000
+
+    def test_text_load_holds_the_matrix_once(self, big_text):
+        path, rows = big_text
+        store, peak = traced_peak(lambda: load_vectors(path))
+        assert peak < 1.3 * rows.nbytes
+        assert len(store) == 20_000
 
     def test_cache_vocab_filter(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])
@@ -475,12 +516,7 @@ class TestCache:
         save_cache(store_from_raw(tokens, rng.normal(size=(20_000, 100))), cache)
         monkeypatch.setattr(embeddings, "CHUNK_BYTES", 1 << 16)
         kept = set(tokens[::10])
-        tracemalloc.start()
-        try:
-            store = load_cache(cache, vocab_filter=kept)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        store, peak = traced_peak(lambda: load_cache(cache, vocab_filter=kept))
         assert len(store) == 2_000
         assert peak < 0.5 * 20_000 * 100 * 8
 
@@ -506,8 +542,24 @@ class TestCache:
         with pytest.raises(DataError, match="corrupt cache header"):
             load_cache(cache)
 
+    @pytest.mark.parametrize("edit, named", [
+        ({"dtype": "<f4"}, "dtype '<f4'"),
+        ({"version": 2}, "version 2"),
+        ({"version": True}, "version True"),
+        ({"version": None}, "version None"),
+    ], ids=["f4", "version-2", "version-true", "no-version"])
+    def test_unknown_version_or_dtype_is_data_error(self, tmp_path, edit, named):
+        # the header of a valid cache, edited by hand: the error names the value
+        # it refuses, whatever the rest of the file holds
+        header = {"count": 1, "dimension": 2, "dtype": "<f8", "source_id": "x", "version": 1}
+        cache = tmp_path / "store.cavs"
+        cache.write_bytes(self._cache_bytes(json.dumps({**header, **edit}).encode(), b"a",
+                                            np.array([1.0, 0.0], dtype="<f4").tobytes()))
+        with pytest.raises(DataError, match=f"unsupported cache {named}"):
+            load_cache(cache)
+
     def test_undecodable_tokens_are_data_error(self, tmp_path):
-        header = b'{"count": 1, "dimension": 2, "source_id": "x"}'
+        header = b'{"count": 1, "dimension": 2, "dtype": "<f8", "source_id": "x", "version": 1}'
         cache = tmp_path / "store.cavs"
         cache.write_bytes(self._cache_bytes(header, b"\xff", np.array([1.0, 0.0]).tobytes()))
         with pytest.raises(DataError, match="token list"):

@@ -325,6 +325,12 @@ class TestCoreFiles:
         assert doc["z"] == 2
         assert doc["kind"] == "semantic_core"
 
+    def test_nan_provenance_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "core.json"
+        with pytest.raises(ValueError):
+            save_core(SemanticCore(("idea",), ("rock",)), path, provenance={"r": float("nan")})
+        assert not path.exists()
+
     def test_z_mismatch_rejected(self, tmp_path):
         path = tmp_path / "core.json"
         path.write_text(json.dumps({
