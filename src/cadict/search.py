@@ -206,13 +206,16 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     exactly its r.
     """
     (k, z), y = a_idx.shape, len(pools.abstract)
+    n, d = ctx.matrix.shape
     rows = np.arange(k)[:, None]
     sel_a = np.zeros((k, y))
     sel_c = np.zeros((k, y))
     sel_a[rows, a_idx] = 1.0
     sel_c[rows, c_idx] = 1.0
-    means = np.vstack((sel_c @ ctx.store.matrix[pools.concrete],
-                       sel_a @ ctx.store.matrix[pools.abstract])) / z
+    means = np.empty((2 * k, d))
+    np.matmul(sel_c, ctx.store.matrix[pools.concrete], out=means[:k])
+    np.matmul(sel_a, ctx.store.matrix[pools.abstract], out=means[k:])
+    means /= z
     sims = means @ ctx.matrix.T
     num = np.clip(sims[:k], SIMILARITY_FLOOR, 1.0)
     den = np.clip(sims[k:], SIMILARITY_FLOOR, 1.0)
@@ -224,7 +227,6 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     # the floor is floored on both paths and adds no error; any other adds at
     # most 2 * delta relative to its floored value, with room to spare for
     # rounding the ratio.
-    n, d = ctx.matrix.shape
     delta = 4 * (d + y) * np.finfo(np.float64).eps
     rel = 2 * delta * ((sims[:k] > SIMILARITY_FLOOR - delta) / num
                        + (sims[k:] > SIMILARITY_FLOOR - delta) / den)
