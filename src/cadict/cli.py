@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import math
 import os
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from cadict import __version__
 from cadict.embeddings import LoadReport, load_vectors, open_store, save_cache
-from cadict.errors import DataError, InfeasibleError
+from cadict.errors import DataError, InfeasibleError, write_json
 from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
@@ -57,15 +56,8 @@ def _manifest(command: str, rng_seed: int | None, inputs: dict[str, str | Path],
     }
 
 
-def _write_json(path: str | Path, doc: dict) -> None:
-    # NaN and infinity are not JSON: fail before the file is opened
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
 def _write_sidecar(out_path: str | Path, manifest: dict) -> None:
-    _write_json(str(out_path) + ".manifest.json", manifest)
+    write_json(str(out_path) + ".manifest.json", manifest)
 
 
 def _print_drops(path: str | Path, report: LoadReport) -> None:
@@ -75,41 +67,20 @@ def _print_drops(path: str | Path, report: LoadReport) -> None:
 
 
 def _parse_x_values(text: str) -> tuple[int, ...]:
-    """`start:stop:step` (inclusive stop), a comma list, or a single integer."""
+    """`start:stop:step` (inclusive stop), a comma list, or a single integer.
+    Only the syntax is checked here; `SearchConfig` checks the values."""
     try:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("range syntax is start:stop:step")
             start, stop, step = (int(p) for p in parts)
-            if start < 1 or step < 1 or stop < start:
-                raise ValueError("need 1 <= start <= stop and step >= 1")
+            if step < 1:  # the range counts up to its stop; `10:5:-1` would lose 5 and 6
+                raise ValueError("step must be >= 1")
             return tuple(range(start, stop + 1, step))
-        if "," in text:
-            values = tuple(int(p) for p in text.split(","))
-        else:
-            values = (int(text),)
-        if any(v < 1 for v in values):
-            raise ValueError("x values must be positive")
-        if len(set(values)) != len(values):
-            raise ValueError("x values must not repeat")
-        return values
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad x specification {text!r}: {exc}") from exc
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _unsigned_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
 
 
 def _finite_float(text: str) -> float:
@@ -149,8 +120,7 @@ def _cmd_search(args) -> int:
     # so the store never needs more than the lexicon's vocabulary
     store = open_store(args.vectors, vocab_filter=set(ratings.tokens),
                        fold_case=args.fold_case)
-    # each search option's dest is the SearchConfig field it sets
-    cfg = SearchConfig(**{name: getattr(args, name) for name in SearchConfig().to_dict()})
+    cfg = args.config
     report = search_grid(ratings, freq, store, cfg)
     if not report.cells:
         reasons = "; ".join(s.reason for s in report.skipped[:3])
@@ -163,7 +133,7 @@ def _cmd_search(args) -> int:
     )
     doc = report.to_dict()
     doc["manifest"] = manifest
-    _write_json(args.out_report, doc)
+    write_json(args.out_report, doc)
 
     best = report.best_overall
     save_core(best.best_core, args.out_core, provenance={
@@ -250,7 +220,7 @@ def _cmd_evaluate(args) -> int:
     doc = {"format_version": 1, "kind": "evaluation_report", **report.to_dict(),
            "manifest": manifest}
     if args.out:
-        _write_json(args.out, doc)
+        write_json(args.out, doc)
         print(f"wrote {args.out}")
     print(f"n = {report.n}")
     print(f"r_s = {report.r_s:.6f}")
@@ -307,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", dest="x_values", metavar="X", type=_parse_x_values,
                    help="base sizes: start:stop:step, comma list, or one integer "
                         f"(default {','.join(map(str, SearchConfig.x_values))})")
-    p.add_argument("--y-start", type=_positive_int)
-    p.add_argument("--y-step", type=_positive_int)
-    p.add_argument("--z-min", type=_positive_int)
-    p.add_argument("--z-step", type=_positive_int)
-    p.add_argument("--samples", dest="samples_per_cell", metavar="SAMPLES", type=_positive_int,
+    p.add_argument("--y-start", type=int)
+    p.add_argument("--y-step", type=int)
+    p.add_argument("--z-min", type=int)
+    p.add_argument("--z-step", type=int)
+    p.add_argument("--samples", dest="samples_per_cell", metavar="SAMPLES", type=int,
                    help="random cores per grid cell (default %(default)s)")
-    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=_unsigned_int,
+    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int,
                    help="RNG seed (default %(default)s)")
     p.add_argument("--scope", dest="evaluation_scope",
                    choices=[e.value for e in EvaluationScope],
@@ -359,6 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "search":
+        # each search option's dest is the SearchConfig field it sets, and
+        # SearchConfig alone checks them: its refusal is a usage error
+        try:
+            args.config = SearchConfig(**{name: getattr(args, name)
+                                          for name in SearchConfig().to_dict()})
+        except ValueError as exc:
+            parser.error(str(exc))
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

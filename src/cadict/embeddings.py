@@ -58,16 +58,6 @@ class LoadReport:
                          if cause != "accepted" and count)
 
 
-def _check_unit_rows(matrix: np.ndarray) -> None:
-    """Raise ValueError unless every row of `matrix` has unit length."""
-    # einsum needs no full-size temporary; a corrupt row's squares may
-    # overflow, and its inf norm then fails the unit check all the same
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    if not np.allclose(norms, 1.0, atol=1e-6):
-        raise ValueError("store rows must be unit-normalized")
-
-
 class VectorStore:
     """Immutable token -> unit vector map over a single dense matrix.
 
@@ -89,7 +79,12 @@ class VectorStore:
         if len(self._index) != len(self._tokens):
             raise ValueError("duplicate tokens in store construction")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        _check_unit_rows(matrix)
+        # einsum needs no full-size temporary; a corrupt row's squares may
+        # overflow, and its inf norm then fails the unit check all the same
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        if not np.allclose(norms, 1.0, atol=1e-6):
+            raise ValueError("store rows must be unit-normalized")
         matrix.setflags(write=False)
         self._matrix = matrix
         self._source_id = source_id
@@ -235,6 +230,13 @@ class _TextLoad:
             rows /= np.array(norms)[:, None]
 
 
+def _check_regular(fh, path: Path, reads: str) -> None:
+    """A DataError unless `fh` is a regular file, which `reads` says is read
+    twice: a pipe cannot be, and its second read would miss what the first took."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        raise DataError(f"{path}: not a regular file; it is read twice, {reads}")
+
+
 def _count_lines(path: Path) -> int:
     """The number of lines that `open_text` yields from `path`, plus at most one:
     ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end one line."""
@@ -243,9 +245,7 @@ def _count_lines(path: Path) -> int:
     # later allocations keep that much free heap resident
     buf = bytearray(io.DEFAULT_BUFFER_SIZE)
     with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
-            raise DataError(f"{path}: not a regular file; the text is read twice, "
-                            "to count its lines and to parse them")
+        _check_regular(fh, path, "to count its lines and to parse them")
         while size := fh.readinto(buf):
             count += buf.count(b"\n", 0, size)
             if buf.find(b"\r", 0, size) >= 0:
@@ -396,9 +396,11 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
 
 def open_store(path: str | Path, vocab_filter: set[str] | None = None,
                fold_case: bool = True) -> VectorStore:
-    """Open either a word-vectors text file or a binary cache, by sniffing magic bytes."""
+    """Open either a word-vectors text file or a binary cache, by sniffing magic
+    bytes. The path must name a regular file, since the loader opens it again."""
     path = Path(path)
     with open(path, "rb") as fh:
+        _check_regular(fh, path, "to sniff its format and to load it")
         head = fh.read(len(CACHE_MAGIC))
     if head == CACHE_MAGIC:
         return load_cache(path, vocab_filter=vocab_filter)

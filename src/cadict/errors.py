@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the UTF-8 text opener that maps
-undecodable input onto them."""
+"""Exception types shared across the package, the UTF-8 text opener that maps
+undecodable input onto them, and the strict writer of every JSON output."""
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -31,3 +32,11 @@ def open_text(path: str | Path) -> Iterator[IO[str]]:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write `doc` as indented JSON; NaN and infinity are not JSON, so they are
+    a ValueError raised before the file is opened."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from cadict.embeddings import VectorStore
-from cadict.errors import DataError, open_text
+from cadict.errors import DataError, open_text, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -165,18 +165,14 @@ def build_dictionary(core: SemanticCore, vocab: Iterable[str] | None,
 
 def save_core(core: SemanticCore, path: str | Path, provenance: dict | None = None) -> None:
     """Write a core file: z, both seed arrays, and a provenance block."""
-    doc = {
+    write_json(path, {
         "format_version": 1,
         "kind": "semantic_core",
         "z": core.z,
         "seed_abstract": list(core.seed_abstract),
         "seed_concrete": list(core.seed_concrete),
         "provenance": provenance or {},
-    }
-    # NaN and infinity are not JSON: fail before the file is opened
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    })
 
 
 def load_core(path: str | Path) -> tuple[SemanticCore, dict]:

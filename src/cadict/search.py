@@ -25,6 +25,7 @@ reruns and grid subsets.
 from __future__ import annotations
 
 import logging
+import reprlib
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -72,18 +73,16 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "x_values", tuple(int(x) for x in self.x_values))
         object.__setattr__(self, "evaluation_scope", EvaluationScope(self.evaluation_scope))
-        if not self.x_values or any(x < 1 for x in self.x_values):
-            raise ValueError("x_values must be non-empty positive integers")
-        if len(set(self.x_values)) != len(self.x_values):
-            raise ValueError("x_values must not repeat")
-        if self.y_start < 1 or self.y_step < 1 or self.z_step < 1:
-            raise ValueError("y_start, y_step, z_step must be positive")
-        if self.z_min < 1:
-            raise ValueError("z_min must be >= 1")
-        if self.samples_per_cell < 1:
-            raise ValueError("samples_per_cell must be >= 1")
+        # the one check of every search option; the CLI reports a refusal as a usage error
+        if (not self.x_values or min(self.x_values) < 1
+                or len(set(self.x_values)) != len(self.x_values)):
+            raise ValueError("x_values must be distinct positive integers, "
+                             f"got {reprlib.repr(self.x_values)}")  # a long range abbreviated
+        for name in ("y_start", "y_step", "z_min", "z_step", "samples_per_cell"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be unsigned")
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def to_dict(self) -> dict:
         return dict(vars(self))

@@ -17,9 +17,9 @@ from cadict.cli import (
     EXIT_USAGE,
     _load_predictions,
     _parse_x_values,
-    _write_json,
     main,
 )
+from cadict.errors import write_json
 from cadict.lexicon import load_frequencies, load_ratings
 from cadict.rater import SemanticCore, load_core
 from cadict.search import SearchConfig
@@ -88,11 +88,24 @@ class TestParseXValues:
     def test_comma_list(self):
         assert _parse_x_values("100,200") == (100, 200)
 
-    def test_bad_specs_rejected(self):
-        import argparse
-        for bad in ("0:100:10", "100:50:10", "1:10", "a:b:c", "-5", "10,0", "500,500"):
-            with pytest.raises(argparse.ArgumentTypeError):
-                _parse_x_values(bad)
+    def test_bad_specs_rejected(self, corpus, tmp_path, capsys):
+        # syntax errors are the parser's; bad values are SearchConfig's
+        for bad, message in [
+            ("0:100:10", "x_values must be distinct positive integers, got (0, 10, 20,"),
+            ("0:100000:10", "got (0, 10, 20, 30, 40, 50, ...)\n"),  # a long range abbreviated
+            ("100:50:10", "x_values must be distinct positive integers, got ()"),
+            ("1:10", "bad x specification '1:10': range syntax is start:stop:step"),
+            ("a:b:c", "bad x specification 'a:b:c': invalid literal"),
+            ("-5", "x_values must be distinct positive integers, got (-5,)"),
+            ("10,0", "x_values must be distinct positive integers, got (10, 0)"),
+            ("500,500", "x_values must be distinct positive integers, got (500, 500)"),
+            ("5:10:0", "bad x specification '5:10:0': step must be >= 1"),
+            ("10:5:-1", "bad x specification '10:5:-1': step must be >= 1"),
+        ]:
+            assert run(search_args(corpus, tmp_path, **{"--x": bad})) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
 
 # a 259-cell grid over two base sizes: every Y from 3 and every Z from 1
@@ -195,6 +208,30 @@ class TestSearchCommand:
         assert run(["search", "--ratings", "r.tsv"]) == EXIT_USAGE
         assert run(["bogus-command"]) == EXIT_USAGE
         assert run(search_args(corpus, tmp_path, **{"--threads": 2})) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--y-start", "0", "y_start must be >= 1, got 0"),
+        ("--y-step", "0", "y_step must be >= 1, got 0"),
+        ("--z-min", "0", "z_min must be >= 1, got 0"),
+        ("--z-step", "-3", "z_step must be >= 1, got -3"),
+        ("--samples", "0", "samples_per_cell must be >= 1, got 0"),
+        ("--seed", "-1", "rng_seed must be >= 0, got -1"),
+        ("--seed", "1.5", "argument --seed: invalid int value: '1.5'"),
+    ])
+    def test_bad_option_is_usage_error_naming_the_field(self, corpus, tmp_path, capsys,
+                                                        flag, value, message):
+        assert run(search_args(corpus, tmp_path, **{flag: value})) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith(f"error: {message}") and "Traceback" not in err[0]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_value_error_in_search_propagates(self, corpus, tmp_path, monkeypatch):
+        # only the SearchConfig call is a usage error; a ValueError after it is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+        monkeypatch.setattr(cli, "search_grid", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(search_args(corpus, tmp_path))
 
 
 class TestRateCommand:
@@ -356,10 +393,36 @@ class TestEvaluateCommand:
         if rho is not None:
             assert printed == rho
 
+    def test_thresholds_are_echoed_and_decide_accuracy(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\t1.5\nb\t2.5\nc\t3.0\nd\t4.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("a\t1.0\nb\t2.5\nc\t3.0\nd\t4.0\n", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        argv = ["evaluate", "--pred", str(pred), "--gold", str(gold), "--out", str(out)]
+        # the defaults (gold 3.0, pred median 2.75) split both sides alike
+        assert run(argv) == EXIT_OK
+        assert json.loads(out.read_text())["accuracy"] == 1.0
+        assert run(argv + ["--threshold-gold", "3.5", "--threshold-pred", "2.0"]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert (doc["threshold_gold"], doc["threshold_pred"]) == (3.5, 2.0)
+        assert doc["manifest"]["config"]["threshold_gold"] == 3.5
+        assert doc["manifest"]["config"]["threshold_pred"] == 2.0
+        assert doc["accuracy"] == 0.5  # only a (below both) and d (above both) agree
+        assert "accuracy = 0.500000 (gold >= 3.5, pred >= 2.0)" in capsys.readouterr().out
+
+    def test_unparseable_prediction_is_data_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\t1.5\nb\t2.5\nc\t3.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("a\t1.0\nb\t2,5\nc\t3.0\n", encoding="utf-8")
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {pred}: line 2: unparseable rating '2,5'\n"
+
     def test_json_writer_refuses_nan(self, tmp_path):
         out = tmp_path / "doc.json"
         with pytest.raises(ValueError):
-            _write_json(out, {"rho": float("nan")})
+            write_json(out, {"rho": float("nan")})
         assert not out.exists()
 
     def test_dictionary_tsv_as_predictions(self, corpus, tmp_path):
@@ -464,6 +527,12 @@ BAD_INPUTS = {
                             ["rate", "--core", "{core}", "--vectors", "{bad}", "--out", "{out}"]),
     "cache rows not finite": ("c.cavs", _cache_bytes(["a", "b"], [[np.nan, 0], [0, 1]]),
                               ["rate", "--core", "{core}", "--vectors", "{bad}", "--out", "{out}"]),
+    "cache token count mismatch": ("c.cavs", _cache_bytes(["a\nb"], [[1, 0]]),
+                                   ["rate", "--core", "{core}", "--vectors", "{bad}",
+                                    "--out", "{out}"]),
+    "cache holds no filtered word": ("c.cavs", _cache_bytes(["a", "b"], [[1, 0], [0, 1]]),
+                                     ["rate", "--core", "{core}", "--vectors", "{bad}",
+                                      "--words", "{ratings}", "--out", "{out}"]),
     "constant predictions": ("p.tsv", b"w001\t2.0\nw030\t2.0\nw059\t2.0\n",
                              ["evaluate", "--pred", "{bad}", "--gold", "{ratings}",
                               "--out", "{out}"]),

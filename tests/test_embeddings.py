@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -570,6 +571,31 @@ class TestCache:
         cache.write_bytes(CACHE_MAGIC + struct.pack("<I", 2**32 - 1) + b"{}")
         with pytest.raises(DataError, match=str(cache)):
             load_cache(cache)
+
+    def test_open_store_refuses_a_pipe(self):
+        # the sniff would take the pipe's first buffered read, and the loader
+        # would then load the records after it and report no error
+        lines = [f"w{i:03d} {i + 1} 1 0 0\n" for i in range(3000)]
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, "".join(lines).encode())  # 48 KB: less than a pipe holds
+        # the write end stays open, so that opening the read end does not block;
+        # should the pipe be read to its end, it closes after 5 s so the test fails
+        closed = []
+        closer = threading.Timer(5.0, lambda: closed.append(os.close(write_fd)))
+        closer.start()
+        try:
+            with pytest.raises(DataError, match=f"/dev/fd/{read_fd}: not a regular file"):
+                open_store(f"/dev/fd/{read_fd}", vocab_filter={line.split()[0] for line in lines})
+        finally:
+            closer.cancel()
+            closer.join()
+            os.close(read_fd)
+            if not closed:
+                os.close(write_fd)
+
+    def test_open_store_refuses_a_device(self):
+        with pytest.raises(DataError, match="not a regular file; it is read twice"):
+            open_store(os.devnull, vocab_filter={"a"})
 
     def test_open_store_sniffs_format(self, tmp_path):
         records = [("a", [1, 0]), ("b", [0, 2])]

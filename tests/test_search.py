@@ -42,16 +42,20 @@ class TestSearchConfig:
         assert cfg.evaluation_scope is EvaluationScope.BASE_DICTIONARY
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(x_values=())
-        with pytest.raises(ValueError):
-            SearchConfig(y_step=0)
-        with pytest.raises(ValueError):
-            SearchConfig(samples_per_cell=0)
-        with pytest.raises(ValueError):
-            SearchConfig(rng_seed=-1)
-        with pytest.raises(ValueError):
-            SearchConfig(x_values=(300, 300))
+        # each refusal names the field and the value it got
+        for kwargs, message in [
+            ({"x_values": ()}, r"x_values must be distinct positive integers, got \(\)"),
+            ({"x_values": (300, 0)}, r"x_values .* got \(300, 0\)"),
+            ({"x_values": (300, 300)}, r"x_values .* got \(300, 300\)"),
+            ({"y_start": 0}, "y_start must be >= 1, got 0"),
+            ({"y_step": 0}, "y_step must be >= 1, got 0"),
+            ({"z_min": 0}, "z_min must be >= 1, got 0"),
+            ({"z_step": -1}, "z_step must be >= 1, got -1"),
+            ({"samples_per_cell": 0}, "samples_per_cell must be >= 1, got 0"),
+            ({"rng_seed": -1}, "rng_seed must be >= 0, got -1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SearchConfig(**kwargs)
 
     def test_scope_coerced_from_string(self):
         cfg = SearchConfig(evaluation_scope="full_lexicon")
