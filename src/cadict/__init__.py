@@ -36,7 +36,6 @@ from cadict.rater import (
 )
 from cadict.search import (
     CellResult,
-    EvaluationScope,
     SearchConfig,
     SearchReport,
     SkippedCell,
@@ -53,7 +52,6 @@ __all__ = [
     "CellResult",
     "DataError",
     "EvaluationReport",
-    "EvaluationScope",
     "FrequencyList",
     "InfeasibleError",
     "RatingLexicon",

@@ -11,6 +11,7 @@ Exit codes are a stable scripting contract: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import logging
 import math
@@ -24,7 +25,7 @@ from cadict.errors import DataError, InfeasibleError, write_json
 from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
-from cadict.search import EvaluationScope, SearchConfig, search_grid
+from cadict.search import SearchConfig, search_grid
 
 logger = logging.getLogger(__name__)
 
@@ -285,15 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random cores per grid cell (default %(default)s)")
     p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int,
                    help="RNG seed (default %(default)s)")
-    p.add_argument("--scope", dest="evaluation_scope",
-                   choices=[e.value for e in EvaluationScope],
-                   help="what the search objective is computed on")
     p.add_argument("--out-report", default="report.json")
     p.add_argument("--out-core", default="core.json")
     p.add_argument("--out-landscape", default=None,
                    help="optional TSV of (x, y, z, best_r_s) rows")
     _add_fold_flag(p)
-    p.set_defaults(func=_cmd_search, **SearchConfig().to_dict())
+    # a SearchConfig refusal is reported as this subcommand's usage error
+    p.set_defaults(func=_cmd_search, error=p.error, **vars(SearchConfig()))
 
     p = sub.add_parser("rate", help="build a rating dictionary with a saved core")
     p.add_argument("--core", required=True, help="core JSON file")
@@ -333,10 +332,10 @@ def main(argv=None) -> int:
         # each search option's dest is the SearchConfig field it sets, and
         # SearchConfig alone checks them: its refusal is a usage error
         try:
-            args.config = SearchConfig(**{name: getattr(args, name)
-                                          for name in SearchConfig().to_dict()})
+            args.config = SearchConfig(**{f.name: getattr(args, f.name)
+                                          for f in dataclasses.fields(SearchConfig)})
         except ValueError as exc:
-            parser.error(str(exc))
+            args.error(str(exc))
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -28,7 +28,6 @@ import logging
 import reprlib
 import time
 from dataclasses import dataclass
-from enum import Enum
 from math import comb
 
 import numpy as np
@@ -37,6 +36,7 @@ from cadict import metrics
 from cadict.embeddings import VectorStore
 from cadict.errors import DataError, InfeasibleError
 from cadict.lexicon import (
+    BaseDictionary,
     CandidatePools,
     FrequencyList,
     RatingLexicon,
@@ -52,13 +52,6 @@ logger = logging.getLogger(__name__)
 SCREEN_BLOCK = 1 << 21
 
 
-class EvaluationScope(str, Enum):
-    """What the search objective is computed on."""
-
-    BASE_DICTIONARY = "base_dictionary"
-    FULL_LEXICON = "full_lexicon"
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     x_values: tuple[int, ...] = (500, 1000, 1500, 2000, 2500)
@@ -68,24 +61,31 @@ class SearchConfig:
     z_step: int = 20
     samples_per_cell: int = 100
     rng_seed: int = 0
-    evaluation_scope: EvaluationScope = EvaluationScope.BASE_DICTIONARY
 
     def __post_init__(self):
-        object.__setattr__(self, "x_values", tuple(int(x) for x in self.x_values))
-        object.__setattr__(self, "evaluation_scope", EvaluationScope(self.evaluation_scope))
+        object.__setattr__(self, "x_values", tuple(self.x_values))
         # the one check of every search option; the CLI reports a refusal as a usage error
-        if (not self.x_values or min(self.x_values) < 1
-                or len(set(self.x_values)) != len(self.x_values)):
+        if (not self.x_values or not all(map(_is_int, self.x_values))
+                or min(self.x_values) < 1 or len(set(self.x_values)) != len(self.x_values)):
             raise ValueError("x_values must be distinct positive integers, "
                              f"got {reprlib.repr(self.x_values)}")  # a long range abbreviated
-        for name in ("y_start", "y_step", "z_min", "z_step", "samples_per_cell"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        for name in ("y_start", "y_step", "z_min", "z_step", "samples_per_cell", "rng_seed"):
+            value = getattr(self, name)
+            low = 0 if name == "rng_seed" else 1
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        # the one objective's name, kept as the last key so that reports,
+        # cores and manifests keep their bytes; dropping it changes the format
+        return {**vars(self), "evaluation_scope": "base_dictionary"}
+
+
+def _is_int(value) -> bool:
+    # bool subclasses int, but True is no grid size or seed
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,16 @@ class SearchReport:
 
 
 class _EvalContext:
-    """Fixed word set, given as store rows, with its vectors and gold ranks."""
+    """One X's base dictionary as the search scores it: its vectors and gold ranks."""
 
-    def __init__(self, rows, gold, store: VectorStore):
-        rows = np.asarray(rows, dtype=np.intp)
-        gold = np.asarray(gold, dtype=np.float64)
-        if len(rows) < 2:
+    def __init__(self, base: BaseDictionary, store: VectorStore):
+        if len(base.rows) < 2:
             raise DataError("evaluation needs at least 2 words")
-        if np.all(gold == gold[0]):
+        if np.all(base.ratings == base.ratings[0]):
             raise DataError("evaluation undefined: constant gold ratings")
         self.store = store
-        self.matrix = store.matrix[rows]
-        self.gold_ranks = metrics.average_ranks(gold)
+        self.matrix = store.matrix[base.rows]
+        self.gold_ranks = metrics.average_ranks(base.ratings)
 
     def evaluate(self, core: SemanticCore) -> float:
         """Spearman of the core's raw ratings against gold; NaN when undefined."""
@@ -279,19 +277,11 @@ def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
     t0 = time.perf_counter()
     jobs: list[tuple[int, int, int, CandidatePools, _EvalContext]] = []
     skipped: list[SkippedCell] = []
-    full_ctx: _EvalContext | None = None
 
     for x in cfg.x_values:
         try:
             base = select_base(lex, freq, store, x)
-            if cfg.evaluation_scope is EvaluationScope.FULL_LEXICON:
-                if full_ctx is None:
-                    in_store = [t for t in lex.tokens if t in store]
-                    full_ctx = _EvalContext([store.row_index(t) for t in in_store],
-                                            [lex.rating(t) for t in in_store], store)
-                ctx = full_ctx
-            else:
-                ctx = _EvalContext(base.rows, base.ratings, store)
+            ctx = _EvalContext(base, store)
         except (InfeasibleError, DataError) as exc:
             skipped.append(SkippedCell(x=x, y=None, z=None, reason=str(exc)))
             continue

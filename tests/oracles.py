@@ -62,7 +62,7 @@ def evaluate_core(core, base, store):
     """Spearman r of the core's raw ratings against the expert ratings of every
     base-dictionary word (NaN when undefined): the exact path that a search
     cell's best_r_s must equal bit for bit."""
-    return _EvalContext(base.rows, base.ratings, store).evaluate(core)
+    return _EvalContext(base, store).evaluate(core)
 
 
 def tokens_of(tokens, rows):

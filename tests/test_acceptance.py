@@ -149,7 +149,7 @@ def test_criterion_5_determinism_across_reruns(clustered):
 def test_criterion_6_small_cells_cover_every_pair(tmp_path):
     store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=9)
     base = select_base(lex, freq, store, 30)
-    ctx = _EvalContext(base.rows, base.ratings, store)
+    ctx = _EvalContext(base, store)
     agreements = []
     for y, z in ((3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 5)):
         pair_count = comb(y, z) ** 2

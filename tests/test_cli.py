@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cadict
 from cadict import cli, embeddings
 from cadict.embeddings import CACHE_MAGIC, load_cache, load_vectors, save_cache
 from cadict.cli import (
@@ -78,6 +79,11 @@ def search_args(corpus, outdir, **extra):
     return args
 
 
+def test_every_public_name_resolves():
+    # a stale __all__ entry breaks `from cadict import *`
+    assert [name for name in cadict.__all__ if not hasattr(cadict, name)] == []
+
+
 class TestParseXValues:
     def test_range_syntax(self):
         assert _parse_x_values("500:2500:500") == (500, 1000, 1500, 2000, 2500)
@@ -117,7 +123,7 @@ class TestSearchCommand:
     def test_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(
             ["search", "--ratings", "r", "--freq", "f", "--vectors", "v"])
-        defaults = SearchConfig().to_dict()
+        defaults = vars(SearchConfig())
         assert {name: getattr(args, name) for name in defaults} == defaults
 
     def test_happy_path_writes_outputs(self, corpus, tmp_path, capsys):
@@ -134,6 +140,10 @@ class TestSearchCommand:
         assert core["kind"] == "semantic_core"
         assert len(core["seed_abstract"]) == core["z"]
         assert core["provenance"]["rng_seed"] == 11
+        # the one objective stays echoed as the last config key in every output
+        for config in (report["config"], core["provenance"]["config"],
+                       report["manifest"]["config"]):
+            assert list(config.items())[-1] == ("evaluation_scope", "base_dictionary")
         landscape = (tmp_path / "landscape.tsv").read_text().splitlines()
         assert landscape[0] == "x\ty\tz\tbest_r_s"
         assert len(landscape) == 1 + len(report["cells"])
@@ -175,13 +185,6 @@ class TestSearchCommand:
         assert report["cells"]
         assert report["skipped"][0]["x"] == 5000
 
-    def test_scope_flag(self, corpus, tmp_path):
-        args = search_args(corpus, tmp_path) + ["--scope", "full_lexicon"]
-        args[args.index("--x") + 1] = "45"  # base smaller than the lexicon
-        assert run(args) == EXIT_OK
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["config"]["evaluation_scope"] == "full_lexicon"
-
     def test_progress_is_logged_with_an_eta(self, corpus, tmp_path, caplog):
         args = search_args(corpus, tmp_path, **FINE_GRID)
         with caplog.at_level("INFO", logger="cadict.search"):
@@ -192,22 +195,24 @@ class TestSearchCommand:
                    for m in progress)
         assert progress[-1].startswith("259/259 cells, ")
 
-    @pytest.mark.parametrize("scope, digest", [
-        ("base_dictionary", "ee673a808dfe1066cecf13e89a80f635b98426a58b31bbfae48e4e5a5df3bc57"),
-        ("full_lexicon", "57f0980af92a7ec1c614c91209ab8ba5849eee4461a2fc35826640c6ea22cc28"),
-    ])
-    def test_report_pinned_across_versions(self, corpus, tmp_path, scope, digest):
-        # reruns agree within a version; these digests hold the fine grid's
+    def test_report_pinned_across_versions(self, corpus, tmp_path):
+        # reruns agree within a version; this digest holds the fine grid's
         # every cell, core and score fixed across versions too
-        assert run(search_args(corpus, tmp_path, **FINE_GRID, **{"--scope": scope})) == EXIT_OK
+        assert run(search_args(corpus, tmp_path, **FINE_GRID)) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
         report.pop("timing"), report.pop("manifest")
-        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
+            "ee673a808dfe1066cecf13e89a80f635b98426a58b31bbfae48e4e5a5df3bc57"
 
-    def test_usage_error_exits_1(self, corpus, tmp_path):
+    def test_usage_error_exits_1(self, corpus, tmp_path, capsys):
         assert run(["search", "--ratings", "r.tsv"]) == EXIT_USAGE
         assert run(["bogus-command"]) == EXIT_USAGE
-        assert run(search_args(corpus, tmp_path, **{"--threads": 2})) == EXIT_USAGE
+        for flag, value in (("--threads", 2), ("--scope", "full_lexicon")):  # deleted options
+            capsys.readouterr()
+            assert run(search_args(corpus, tmp_path, **{flag: value})) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "Traceback" not in err
+            assert f"unrecognized arguments: {flag} {value}" in err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--y-start", "0", "y_start must be >= 1, got 0"),
@@ -222,7 +227,9 @@ class TestSearchCommand:
                                                         flag, value, message):
         assert run(search_args(corpus, tmp_path, **{flag: value})) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
-        assert err[-1].endswith(f"error: {message}") and "Traceback" not in err[0]
+        # the search subcommand reports it, whether argparse or SearchConfig refused
+        assert err[0].startswith("usage: cadict search ")
+        assert err[-1] == f"cadict search: error: {message}"
         assert not (tmp_path / "report.json").exists()
 
     def test_value_error_in_search_propagates(self, corpus, tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from cadict.lexicon import FrequencyList, RatingLexicon, select_base, select_poo
 from cadict.rater import SemanticCore
 from cadict.search import (
     CellResult,
-    EvaluationScope,
     SearchConfig,
     SkippedCell,
     _EvalContext,
@@ -39,7 +38,6 @@ class TestSearchConfig:
         assert cfg.y_start == 50 and cfg.y_step == 50
         assert cfg.z_min == 10 and cfg.z_step == 20
         assert cfg.samples_per_cell == 100
-        assert cfg.evaluation_scope is EvaluationScope.BASE_DICTIONARY
 
     def test_validation(self):
         # each refusal names the field and the value it got
@@ -53,13 +51,19 @@ class TestSearchConfig:
             ({"z_step": -1}, "z_step must be >= 1, got -1"),
             ({"samples_per_cell": 0}, "samples_per_cell must be >= 1, got 0"),
             ({"rng_seed": -1}, "rng_seed must be >= 0, got -1"),
+            # a value that is not an int (bool included) is refused, never coerced
+            ({"x_values": (1.9, 2.5)}, r"x_values .* got \(1\.9, 2\.5\)"),
+            ({"x_values": (300, True)}, r"x_values .* got \(300, True\)"),
+            ({"x_values": ("300",)}, r"x_values .* got \('300',\)"),
+            ({"y_start": 1.5}, "y_start must be an integer, got 1.5"),
+            ({"y_start": "3"}, "y_start must be an integer, got '3'"),
+            ({"samples_per_cell": 2.5}, "samples_per_cell must be an integer, got 2.5"),
+            ({"z_step": 2.0}, "z_step must be an integer, got 2.0"),
+            ({"rng_seed": True}, "rng_seed must be an integer, got True"),
+            ({"y_step": None}, "y_step must be an integer, got None"),
         ]:
             with pytest.raises(ValueError, match=message):
                 SearchConfig(**kwargs)
-
-    def test_scope_coerced_from_string(self):
-        cfg = SearchConfig(evaluation_scope="full_lexicon")
-        assert cfg.evaluation_scope is EvaluationScope.FULL_LEXICON
 
 
 class TestSeedPairs:
@@ -154,14 +158,11 @@ class TestSearchGrid:
         assert not r1.skipped
         assert report_fingerprint(r1) == report_fingerprint(r2)
 
-    @pytest.mark.parametrize("scope", list(EvaluationScope))
-    def test_grid_subset_reproduces_cells(self, tmp_path, scope):
+    def test_grid_subset_reproduces_cells(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path)
-        full = search_grid(lex, freq, store, SearchConfig(
-            x_values=(150, 300), rng_seed=42, evaluation_scope=scope))
+        full = search_grid(lex, freq, store, SearchConfig(x_values=(150, 300), rng_seed=42))
         part = search_grid(lex, freq, store, SearchConfig(
-            x_values=(300,), y_start=100, y_step=50, z_min=30, rng_seed=42,
-            evaluation_scope=scope))
+            x_values=(300,), y_start=100, y_step=50, z_min=30, rng_seed=42))
         cells = {(c.x, c.y, c.z): c.to_dict() for c in full.cells}
         assert part.cells
         for cell in part.cells:
@@ -229,16 +230,6 @@ class TestSearchGrid:
             assert not set(core.seed_abstract) & set(core.seed_concrete)
             assert all(t in store for t in core.seed_abstract + core.seed_concrete)
 
-    def test_full_lexicon_scope(self, tmp_path):
-        store, lex, freq = clustered_dataset(tmp_path, n_words=40, d=6, seed=8)
-        # base is limited to 30 words but the objective runs over all 40
-        cfg = toy_config(x_values=(30,), evaluation_scope="full_lexicon")
-        report = search_grid(lex, freq, store, cfg)
-        assert report.cells
-        base_cfg = toy_config(x_values=(30,))
-        base_report = search_grid(lex, freq, store, base_cfg)
-        assert report_fingerprint(report) != report_fingerprint(base_report)
-
     def test_tie_free_grid_resolves_no_tokens(self, tmp_path):
         # cells work on store rows; only a flagged core's seeds go through rows()
         store, lex, freq = clustered_dataset(tmp_path)
@@ -263,7 +254,7 @@ class TestSmallCellsCoverEveryPair:
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=9)
         base = select_base(lex, freq, store, 30)
         pools = select_pools(base, 4)
-        ctx = _EvalContext(base.rows, base.ratings, store)
+        ctx = _EvalContext(base, store)
         cfg = toy_config(samples_per_cell=100)  # >= the 36 pairs
         cell = _evaluate_cell(30, 4, 2, pools, ctx, cfg)
         assert isinstance(cell, CellResult) and cell.cores_evaluated == 36
@@ -324,7 +315,7 @@ class TestBatchedKernelOracle:
                 continue
             base = select_base(RatingLexicon(dict(zip(tokens, ratings))),
                                FrequencyList({t: 1 for t in tokens}), store, n)
-            ctx = _EvalContext(base.rows, base.ratings, store)
+            ctx = _EvalContext(base, store)
             y = int(rng.integers(1, n // 3 + 1))
             z = int(rng.integers(1, y + 1))
             _assert_unflagged_screen_exact(*_seed_pairs(y, z, 10, rng), select_pools(base, y), ctx)
@@ -333,7 +324,7 @@ class TestBatchedKernelOracle:
         # no core is flagged on a tie-free store, so the screen alone decides
         store, lex, freq = clustered_dataset(tmp_path)
         base = select_base(lex, freq, store, 300)
-        ctx = _EvalContext(base.rows, base.ratings, store)
+        ctx = _EvalContext(base, store)
         pools = select_pools(base, 100)
         cfg = toy_config(samples_per_cell=100)
         with mock.patch.object(search, "raw_ratings", wraps=search.raw_ratings) as spy:
@@ -346,7 +337,7 @@ class TestBatchedKernelOracle:
         # its exact r must not push the best unflagged core out of the settle
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
         base = select_base(lex, freq, store, 30)
-        ctx = _EvalContext(base.rows, base.ratings, store)
+        ctx = _EvalContext(base, store)
         pools = select_pools(base, 9)
         cfg = toy_config(samples_per_cell=20)
 
@@ -380,7 +371,7 @@ class TestBatchedKernelOracle:
         lex = RatingLexicon({t: 1.0 + i / 2 for i, t in enumerate(tokens)})
         freq = FrequencyList({t: 1 for t in tokens})
         base = select_base(lex, freq, store, 9)
-        ctx = _EvalContext(base.rows, base.ratings, store)
+        ctx = _EvalContext(base, store)
         cfg = toy_config(samples_per_cell=4)
         cell = _evaluate_cell(9, 3, 2, select_pools(base, 3), ctx, cfg)
         assert cell == evaluate_cell_loop(9, 3, 2, select_pools(base, 3), ctx, cfg)

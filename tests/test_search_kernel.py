@@ -13,7 +13,6 @@ from hypothesis import strategies as st  # noqa: E402
 from cadict import search  # noqa: E402
 from cadict.lexicon import FrequencyList, RatingLexicon, select_base, select_pools  # noqa: E402
 from cadict.search import (  # noqa: E402
-    EvaluationScope,
     SearchConfig,
     _EvalContext,
     _seed_pairs,
@@ -52,18 +51,8 @@ def search_problems(draw):
         z_step=draw(st.integers(1, 3)),
         samples_per_cell=draw(st.integers(1, 40)),
         rng_seed=draw(st.integers(0, 3)),
-        evaluation_scope=draw(st.sampled_from(list(EvaluationScope))),
     )
     return store, lex, freq, cfg
-
-
-def _exact_context(lex, freq, store, cfg, x):
-    if cfg.evaluation_scope is EvaluationScope.FULL_LEXICON:
-        in_store = [t for t in lex.tokens if t in store]
-        return _EvalContext([store.row_index(t) for t in in_store],
-                            [lex.rating(t) for t in in_store], store)
-    base = select_base(lex, freq, store, x)
-    return _EvalContext(base.rows, base.ratings, store)
 
 
 class TestBatchedKernelProperties:
@@ -78,12 +67,8 @@ class TestBatchedKernelProperties:
         # same best core, bit-identical best_r_s (repr round-trips), same counts
         assert report_fingerprint(report) == report_fingerprint(reference)
         for cell in report.cells:
-            if cfg.evaluation_scope is EvaluationScope.BASE_DICTIONARY:
-                base = select_base(lex, freq, store, cell.x)
-                assert cell.best_r_s == evaluate_core(cell.best_core, base, store)
-            else:
-                ctx = _exact_context(lex, freq, store, cfg, cell.x)
-                assert cell.best_r_s == ctx.evaluate(cell.best_core)
+            base = select_base(lex, freq, store, cell.x)
+            assert cell.best_r_s == evaluate_core(cell.best_core, base, store)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -92,9 +77,10 @@ class TestBatchedKernelProperties:
         store, lex, freq, cfg = problem
         assume(len({lex.rating(t) for t in lex.tokens}) > 1)
         x = len(store)
-        ctx = _exact_context(lex, freq, store, cfg, x)
+        base = select_base(lex, freq, store, x)
+        ctx = _EvalContext(base, store)
         y = rnd.randint(1, x // 3)
         z = rnd.randint(1, y)
-        pools = select_pools(select_base(lex, freq, store, x), y)
+        pools = select_pools(base, y)
         pairs = _seed_pairs(y, z, samples, np.random.default_rng(rnd.randint(0, 9)))
         _assert_unflagged_screen_exact(*pairs, pools, ctx)
