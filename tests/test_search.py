@@ -65,6 +65,19 @@ class TestSearchConfig:
             with pytest.raises(ValueError, match=message):
                 SearchConfig(**kwargs)
 
+    def test_to_dict_echoes_the_one_objective_last(self):
+        cfg = SearchConfig(x_values=(30, 60), rng_seed=3)
+        doc = cfg.to_dict()
+        assert list(doc) == [*vars(cfg), "evaluation_scope"]
+        assert doc["evaluation_scope"] == "base_dictionary"
+        assert "evaluation_scope" not in vars(cfg)  # the echo is no option
+
+    def test_evaluation_scope_is_not_an_option(self):
+        # an old caller that still picks a scope fails loudly, never silently
+        with pytest.raises(TypeError, match="evaluation_scope"):
+            SearchConfig(evaluation_scope="full_lexicon")
+        assert not hasattr(search, "EvaluationScope")
+
 
 class TestSeedPairs:
     @pytest.mark.parametrize("y, z", [(3, 1), (4, 2), (5, 2), (3, 2)])
@@ -167,6 +180,34 @@ class TestSearchGrid:
         assert part.cells
         for cell in part.cells:
             assert cell.to_dict() == cells[cell.x, cell.y, cell.z]
+
+    def test_each_x_is_searched_alone(self, tmp_path):
+        # no context is shared across X: a slice is the same alone or in a grid
+        store, lex, freq = clustered_dataset(tmp_path, n_words=60, d=6, seed=6)
+        both = search_grid(lex, freq, store, toy_config(x_values=(30, 60)))
+        alone = [c.to_dict() for x in (30, 60)
+                 for c in search_grid(lex, freq, store, toy_config(x_values=(x,))).cells]
+        assert [c.to_dict() for c in both.cells] == alone
+
+    def test_best_r_s_is_scored_on_its_own_base(self, tmp_path):
+        store, lex, freq = clustered_dataset(tmp_path, n_words=60, d=6, seed=6)
+        report = search_grid(lex, freq, store, toy_config(x_values=(30, 60)))
+        assert {c.x for c in report.cells} == {30, 60}
+        for cell in report.cells:
+            base = select_base(lex, freq, store, cell.x)
+            assert cell.best_r_s == evaluate_core(cell.best_core, base, store)
+
+    def test_ratings_outside_the_base_do_not_change_cells(self, tmp_path):
+        # the objective reads only the base: the 10 rarest of 40 words, out of
+        # the X = 30 base, may carry any rating without moving a cell
+        store, lex, freq = clustered_dataset(tmp_path, n_words=40, d=6, seed=8)
+        outside = [t for t in lex.tokens if freq.count(t) <= 10]
+        assert len(outside) == 10
+        flipped = RatingLexicon({t: 6.0 - lex.rating(t) if t in outside else lex.rating(t)
+                                 for t in lex.tokens})
+        cfg = toy_config(x_values=(30,))
+        assert report_fingerprint(search_grid(flipped, freq, store, cfg)) == \
+            report_fingerprint(search_grid(lex, freq, store, cfg))
 
     def test_workers_other_than_one_rejected(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path, n_words=30, d=6, seed=5)
