@@ -8,7 +8,6 @@ dominates start-up time otherwise.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import logging
@@ -238,21 +237,13 @@ def _check_regular(fh, path: Path, reads: str) -> None:
 
 
 def _count_lines(path: Path) -> int:
-    """The number of lines that `open_text` yields from `path`, plus at most one:
-    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end one line."""
-    count, after_cr = 1, False
-    # small: a freed large buffer would raise glibc's trim threshold, so that
-    # later allocations keep that much free heap resident
-    buf = bytearray(io.DEFAULT_BUFFER_SIZE)
-    with open(path, "rb") as fh:
+    """The number of lines that `open_text` yields from `path`, plus at most one.
+    Bytes that do not decode are replaced here and left to the parse to report."""
+    count = 1
+    with open_text(path, errors="replace") as fh:
         _check_regular(fh, path, "to count its lines and to parse them")
-        while size := fh.readinto(buf):
-            count += buf.count(b"\n", 0, size)
-            if buf.find(b"\r", 0, size) >= 0:
-                count += buf.count(b"\r", 0, size) - buf.count(b"\r\n", 0, size)
-            if after_cr and buf[0] == ord("\n"):  # a CRLF split across two chunks
-                count -= 1
-            after_cr = buf[size - 1] == ord("\r")
+        while chunk := fh.read(1 << 15):
+            count += chunk.count("\n")
     return count
 
 

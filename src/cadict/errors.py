@@ -24,11 +24,12 @@ class InfeasibleError(CadictError):
 
 
 @contextmanager
-def open_text(path: str | Path) -> Iterator[IO[str]]:
+def open_text(path: str | Path, errors: str = "strict") -> Iterator[IO[str]]:
     """Open an input file as UTF-8 text, dropping a leading byte-order mark; bytes
-    that do not decode while it is read become a DataError naming the file."""
+    that do not decode while it is read become a DataError naming the file, or
+    are decoded as `errors` says when that is not ``"strict"``."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig", errors=errors) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc

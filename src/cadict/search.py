@@ -63,12 +63,18 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x_values", tuple(self.x_values))
+        values = self.x_values
+        if not isinstance(values, str):  # a string iterates, but as characters
+            try:
+                values = tuple(values)
+            except TypeError:  # not iterable: refused below as given
+                pass
         # the one check of every search option; the CLI reports a refusal as a usage error
-        if (not self.x_values or not all(map(_is_int, self.x_values))
-                or min(self.x_values) < 1 or len(set(self.x_values)) != len(self.x_values)):
+        if (not isinstance(values, tuple) or not values or not all(map(_is_int, values))
+                or min(values) < 1 or len(set(values)) != len(values)):
             raise ValueError("x_values must be distinct positive integers, "
-                             f"got {reprlib.repr(self.x_values)}")  # a long range abbreviated
+                             f"got {reprlib.repr(values)}")  # a long range abbreviated
+        object.__setattr__(self, "x_values", values)
         for name in ("y_start", "y_step", "z_min", "z_step", "samples_per_cell", "rng_seed"):
             value = getattr(self, name)
             low = 0 if name == "rng_seed" else 1
@@ -161,11 +167,16 @@ def _seed_pairs(y: int, z: int, limit: int,
     over pools of size y, uniformly without pair repetition from `rng`.
 
     Returns two (k, z) integer arrays with sorted rows; row i of each is pair i.
-    A cell whose budget covers every pair draws each pair once.
+    A cell whose budget covers every pair draws each pair once. Arrays that
+    cannot be allocated are an InfeasibleError naming k and z.
     """
     k = min(limit, comb(y, z) ** 2)
-    a_idx = np.empty((k, z), dtype=np.int64)
-    c_idx = np.empty((k, z), dtype=np.int64)
+    try:
+        a_idx = np.empty((k, z), dtype=np.int64)
+        c_idx = np.empty((k, z), dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
+        msg = f"seed draws too large to allocate: k = {k} pairs of z = {z}"
+        raise InfeasibleError(msg) from exc
     seen: set[bytes] = set()
     while len(seen) < k:
         a = np.sort(rng.choice(y, size=z, replace=False))
@@ -245,7 +256,10 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
 def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalContext,
                    cfg: SearchConfig) -> CellResult | SkippedCell:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
-    a_idx, c_idx = _seed_pairs(y, z, cfg.samples_per_cell, rng)
+    try:
+        a_idx, c_idx = _seed_pairs(y, z, cfg.samples_per_cell, rng)
+    except InfeasibleError as exc:  # a --samples budget too large to hold
+        return SkippedCell(x=x, y=y, z=z, reason=str(exc))
     step = max(1, SCREEN_BLOCK // len(ctx.gold_ranks))
     blocks = [_screen_cell(a_idx[i:i + step], c_idx[i:i + step], pools, ctx)
               for i in range(0, len(a_idx), step)]

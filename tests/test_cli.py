@@ -177,6 +177,33 @@ class TestSearchCommand:
         assert run(args) == EXIT_INFEASIBLE
         assert "no (Y, Z) cell: X/3 = 1, y_start = 10, z_min = 2" in capsys.readouterr().err
 
+    def test_one_word_base_gives_reason(self, corpus, tmp_path, capsys):
+        args = search_args(corpus, tmp_path, **{"--x": 1})
+        assert run(args) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "zero feasible cells (evaluation needs at least 2 words)" in err
+
+    @pytest.mark.parametrize("samples", [10**17, 10**19])
+    def test_samples_too_large_to_allocate_exits_3(self, tmp_path, capsys, samples):
+        # 120 words give Y = 40 and C(40, 20)^2 > 10**19 pairs: numpy refuses
+        # the seed arrays before touching memory, and the one cell is skipped
+        tokens = [f"w{i:03d}" for i in range(120)]
+        latent = np.linspace(-1.0, 1.0, len(tokens))
+        wide = {"vectors": write_vec_file(tmp_path / "vectors.txt", [
+                    (t, [c, 0.1 * (i % 7) + 0.5]) for i, (t, c) in enumerate(zip(tokens, latent))]),
+                "ratings": tmp_path / "ratings.tsv", "freq": tmp_path / "freq.tsv"}
+        wide["ratings"].write_text("".join(f"{t}\t{3.0 + 2.0 * c}\n"
+                                           for t, c in zip(tokens, latent)), encoding="utf-8")
+        wide["freq"].write_text("".join(f"{t}\t{1000 - i}\n" for i, t in enumerate(tokens)),
+                                encoding="utf-8")
+        args = search_args(wide, tmp_path, **{"--x": 120, "--y-start": 40, "--z-min": 20,
+                                             "--z-step": 100, "--samples": samples})
+        assert run(args) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert f"seed draws too large to allocate: k = {samples} pairs of z = 20" in err
+
     def test_partially_skipped_sweep_still_succeeds(self, corpus, tmp_path):
         args = search_args(corpus, tmp_path)
         args[args.index("--x") + 1] = "60,5000"

@@ -319,18 +319,33 @@ class TestBlockParser:
 
     @pytest.mark.parametrize("last", ["", "end"])
     def test_line_endings_give_one_store(self, tmp_path, last):
-        # the padded header's CRLF is split between the line count's first two reads
-        lines = ["3 2".ljust(io.DEFAULT_BUFFER_SIZE - 1), "", "a 1 0", "b 0 2", "A 3 4", "c 1 1"]
+        # the padded header's line ending falls at the end of the file's first
+        # 8 KB buffered read, or of the line count's first 32K-character read
         outcomes, reserved = set(), set()
-        for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
-            path = tmp_path / f"{name}.txt"
-            path.write_bytes((newline.join(lines) + (newline if last else "")).encode())
-            outcomes.add(_outcome(load_vectors, path))
-            reserved.add(load_vectors(path).matrix.base.shape[0])
+        for pad in (io.DEFAULT_BUFFER_SIZE - 1, (1 << 15) - 1):
+            lines = ["3 2".ljust(pad), "", "a 1 0", "b 0 2", "A 3 4", "c 1 1"]
+            for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+                path = tmp_path / f"{name}.txt"
+                path.write_bytes((newline.join(lines) + (newline if last else "")).encode())
+                outcomes.add(_outcome(load_vectors, path))
+                reserved.add(load_vectors(path).matrix.base.shape[0])
         assert len(outcomes) == 1
         ((tokens, _, report),) = outcomes
         assert tokens == ("a", "b", "c") and report.duplicates_ignored == 1
         assert len(reserved) == 1 and reserved.pop() <= len(lines) + 1
+
+    @pytest.mark.parametrize("vocab_filter", [None, {"a", "b"}])
+    def test_bad_record_before_an_undecodable_byte_is_reported_first(self, tmp_path,
+                                                                   vocab_filter):
+        # the line count leaves undecodable bytes to the parse, which meets them
+        # in line order, after the bad record on line 2
+        text = b"a 1 0\nb 1 2 3\n" + b"".join(b"w%d 1 0\n" % i for i in range(2000))
+        path = tmp_path / "v.txt"
+        path.write_bytes(text + b"\xff 1 0\n")
+        assert len(text) > 18 * 1024
+        with pytest.raises(DataError) as exc:
+            load_vectors(path, vocab_filter=vocab_filter)
+        assert str(exc.value) == f"{path}: line 2: expected 2 components, found 3"
 
 
 class TestCosine:
@@ -616,6 +631,18 @@ class TestStoreConstruction:
     def test_constructor_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="unit"):
             VectorStore(["a"], np.array([[2.0, 0.0]]), source_id="x")
+
+    @pytest.mark.parametrize("tokens, matrix", [
+        (["a", "b"], np.array([[1.0, 0.0]])),  # fewer rows than tokens
+        (["a"], np.array([1.0, 0.0])),  # not two-dimensional
+    ])
+    def test_constructor_rejects_shape_mismatch(self, tokens, matrix):
+        with pytest.raises(ValueError, match="matrix shape does not match token count"):
+            VectorStore(tokens, matrix, source_id="x")
+
+    def test_empty_store_is_data_error(self):
+        with pytest.raises(DataError, match="vector store from 'x' is empty"):
+            VectorStore([], np.empty((0, 2)), source_id="x")
 
     def test_constructor_rejects_bad_tokens(self):
         with pytest.raises(ValueError, match="token"):

@@ -42,6 +42,11 @@ class TestLoadRatings:
         assert "dog" not in lex
         assert lex.report.rejected == 1
 
+    @pytest.mark.parametrize("rating", [0.5, 5.5])
+    def test_constructor_rejects_rating_outside_scale(self, rating):
+        with pytest.raises(ValueError, match=rf"rating out of \[1, 5\] for 'dog': {rating}"):
+            RatingLexicon({"cat": 3.0, "dog": rating})
+
     def test_header_autodetected(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("Word\tRating\ndog\t4.85\n", encoding="utf-8")
@@ -92,6 +97,10 @@ class TestLoadFrequencies:
         assert "x" not in freq
         assert freq.report.rejected == 1
 
+    def test_constructor_rejects_negative_count(self):
+        with pytest.raises(ValueError, match="negative count for 'x': -1"):
+            FrequencyList({"the": 5, "x": -1})
+
     def test_non_integer_rejected(self, tmp_path):
         rows = [("x", "1.5")] + [(f"w{i}", 5) for i in range(20)]
         freq = load_frequencies(write_tsv(tmp_path / "f.tsv", rows))
@@ -133,6 +142,12 @@ class TestSelectBase:
         lex, freq, store = _simple_inputs(tmp_path)
         with pytest.raises(InfeasibleError, match="only 3"):
             select_base(lex, freq, store, 4)
+
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_non_positive_size_rejected(self, tmp_path, x):
+        lex, freq, store = _simple_inputs(tmp_path)
+        with pytest.raises(ValueError, match="x must be a positive integer"):
+            select_base(lex, freq, store, x)
 
     def test_store_intersection(self, tmp_path):
         lex = RatingLexicon({"a": 1.2, "b": 4.8, "c": 3.0})
@@ -182,6 +197,12 @@ class TestSelectPools:
         base = _base([(f"w{i}", 1 + i * 0.5) for i in range(9)])
         with pytest.raises(InfeasibleError):
             select_pools(base, 4)
+
+    @pytest.mark.parametrize("y", [0, -1])
+    def test_non_positive_size_rejected(self, y):
+        base = _base([(f"w{i}", 1 + i * 0.5) for i in range(9)])
+        with pytest.raises(ValueError, match="y must be a positive integer"):
+            select_pools(base, y)
 
     def test_rating_tie_prefers_higher_frequency(self):
         ratings = {"a": 1.0, "b": 1.0, "c": 3.0, "d": 3.0, "e": 5.0, "f": 5.0}

@@ -121,6 +121,16 @@ class TestPearson:
         with pytest.raises(ValueError, match="variance"):
             pearson([1.0, 1.0], [1, 2])
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "two equal-length 1-d sequences"),
+        ([[1.0, 2.0]], [[1.0, 2.0]], "two equal-length 1-d sequences"),
+        ([1.0], [2.0], "at least 2 points"),
+        ([], [], "at least 2 points"),
+    ])
+    def test_bad_shapes_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            pearson(x, y)
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(15)
         for _ in range(50):

@@ -39,6 +39,11 @@ class TestSemanticCore:
         with pytest.raises(ValueError, match="duplicate"):
             SemanticCore(("idea", "idea"), ("rock", "tree"))
 
+    def test_duplicate_concrete_rejected(self):
+        # equal sizes, so the size check passes and the concrete half is reached
+        with pytest.raises(ValueError, match="duplicate tokens in concrete seed"):
+            SemanticCore(("a", "c"), ("b", "b"))
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             SemanticCore(("idea", "rock"), ("rock", "tree"))

@@ -61,6 +61,10 @@ class TestSearchConfig:
             ({"z_step": 2.0}, "z_step must be an integer, got 2.0"),
             ({"rng_seed": True}, "rng_seed must be an integer, got True"),
             ({"y_step": None}, "y_step must be an integer, got None"),
+            # a value that `tuple` cannot iterate, or a string, is shown as given
+            ({"x_values": 5}, "x_values must be distinct positive integers, got 5$"),
+            ({"x_values": "500"}, "x_values must be distinct positive integers, got '500'$"),
+            ({"x_values": None}, "x_values must be distinct positive integers, got None$"),
         ]:
             with pytest.raises(ValueError, match=message):
                 SearchConfig(**kwargs)
@@ -144,6 +148,11 @@ class TestEvaluateCore:
         base = select_base(lex, freq, store, 2)
         core = SemanticCore(("ice",), ("fire",))
         assert evaluate_core(core, base, store) in (-1.0, 1.0)
+
+    def test_one_word_base_rejected(self, tmp_path):
+        store, lex, freq = clustered_dataset(tmp_path, n_words=6, d=3)
+        with pytest.raises(DataError, match="evaluation needs at least 2 words"):
+            _EvalContext(select_base(lex, freq, store, 1), store)
 
     def test_oov_core_rejected(self, tmp_path):
         store, lex, freq = clustered_dataset(tmp_path)
@@ -418,3 +427,25 @@ class TestBatchedKernelOracle:
         assert cell == evaluate_cell_loop(9, 3, 2, select_pools(base, 3), ctx, cfg)
         assert isinstance(cell, SkippedCell)
         assert cell.reason == "correlation undefined for every evaluated core"
+
+
+class TestSeedBudgetTooLarge:
+    @pytest.mark.parametrize("samples", [10**17, 10**19])
+    def test_seed_draws_too_large_to_allocate_are_skipped(self, tmp_path, samples):
+        # C(40, 20)^2 exceeds both budgets; numpy refuses each array before any
+        # memory is touched (10**17 pairs by malloc, 10**19 by its dimension limit)
+        store, lex, freq = clustered_dataset(tmp_path, n_words=120, d=4)
+        base = select_base(lex, freq, store, 120)
+        cfg = toy_config(x_values=(120,), samples_per_cell=samples)
+        cell = _evaluate_cell(120, 40, 20, select_pools(base, 40), _EvalContext(base, store), cfg)
+        assert cell == SkippedCell(x=120, y=40, z=20, reason=(
+            f"seed draws too large to allocate: k = {samples} pairs of z = 20"))
+
+    def test_cells_that_fit_still_run_beside_one_too_large(self, tmp_path):
+        # the Y = Z cell has one pair, so it runs on any budget
+        store, lex, freq = clustered_dataset(tmp_path, n_words=120, d=4)
+        cfg = toy_config(x_values=(120,), y_start=40, z_min=20, z_step=20,
+                         samples_per_cell=10**19)
+        report = search_grid(lex, freq, store, cfg)
+        assert [(c.y, c.z, c.cores_evaluated) for c in report.cells] == [(40, 40, 1)]
+        assert [(s.y, s.z) for s in report.skipped] == [(40, 20)]
