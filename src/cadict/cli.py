@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from cadict import __version__
-from cadict.embeddings import LoadReport, load_vectors, open_store, save_cache
+from cadict.embeddings import LoadReport, cache_vectors, open_store
 from cadict.errors import DataError, InfeasibleError, write_json
 from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
@@ -234,19 +234,18 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_cache_vectors(args) -> int:
-    store = load_vectors(args.vectors, fold_case=args.fold_case)
     if args.out:
         out = Path(args.out)
     else:
         cache_dir = Path(os.environ.get(CACHE_DIR_ENV, "."))
         cache_dir.mkdir(parents=True, exist_ok=True)
         out = cache_dir / (Path(args.vectors).stem + ".cavs")
-    save_cache(store, out)
+    report, dimension = cache_vectors(args.vectors, out, fold_case=args.fold_case)
     manifest = _manifest("cache-vectors", None, {"vectors": args.vectors},
                          {"fold_case": args.fold_case})
     _write_sidecar(out, manifest)
-    print(f"cached {len(store)} vector(s) of dimension {store.dimension} -> {out}")
-    _print_drops(args.vectors, store.load_report)
+    print(f"cached {report.accepted} vector(s) of dimension {dimension} -> {out}")
+    _print_drops(args.vectors, report)
     return EXIT_OK
 
 

@@ -13,12 +13,14 @@ import json
 import logging
 import math
 import os
+import shutil
 import stat
 import struct
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,16 @@ class LoadReport:
                          if cause != "accepted" and count)
 
 
+def _check_unit_rows(matrix: np.ndarray) -> None:
+    """A ValueError unless every row of the 2-d `matrix` has unit L2 norm."""
+    # einsum needs no full-size temporary; a corrupt row's squares may
+    # overflow, and its inf norm then fails the unit check all the same
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    if not np.allclose(norms, 1.0, atol=1e-6):
+        raise ValueError("store rows must be unit-normalized")
+
+
 class VectorStore:
     """Immutable token -> unit vector map over a single dense matrix.
 
@@ -78,12 +90,7 @@ class VectorStore:
         if len(self._index) != len(self._tokens):
             raise ValueError("duplicate tokens in store construction")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        # einsum needs no full-size temporary; a corrupt row's squares may
-        # overflow, and its inf norm then fails the unit check all the same
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        if not np.allclose(norms, 1.0, atol=1e-6):
-            raise ValueError("store rows must be unit-normalized")
+        _check_unit_rows(matrix)
         matrix.setflags(write=False)
         self._matrix = matrix
         self._source_id = source_id
@@ -142,14 +149,16 @@ def _looks_like_header(parts: list[str]) -> bool:
 
 
 class _TextLoad:
-    """One `load_vectors` pass: the records accepted so far, their unit rows in
-    one matrix of `capacity` rows reserved at the first accepted record, and the
-    drop counts."""
+    """One pass over a word-vectors text file: the records accepted so far, the
+    drop counts, and the unit rows of the kept records in a matrix of `capacity`
+    rows reserved at the first accepted record. Without `staging` that matrix
+    holds every kept row; with it, it is one block's buffer, reused for each
+    block and written to `staging` after it."""
 
     def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool,
-                 capacity: int):
+                 capacity: int, staging: BinaryIO | None = None):
         self.path, self.vocab_filter, self.fold_case = path, vocab_filter, fold_case
-        self.capacity = capacity
+        self.capacity, self.staging = capacity, staging
         self.tokens: list[str] = []
         self.matrix: np.ndarray | None = None
         self.index: dict[str, int] = {}
@@ -165,8 +174,8 @@ class _TextLoad:
         split and read by `float` instead. One walk in line order then applies
         each rule once: width, filter, duplicate, components, norm, zero and
         non-finite drops. A bad record is a DataError naming its line. The kept
-        rows are copied into their slice of the matrix and divided there by
-        their norms."""
+        rows are copied into their slice of the matrix, or into the head of the
+        block buffer, and divided there by their norms."""
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
@@ -224,9 +233,37 @@ class _TextLoad:
         if vecs:
             if self.matrix is None:
                 self.matrix = np.empty((self.capacity, self.dimension))
-            rows = self.matrix[len(self.tokens) - len(vecs):len(self.tokens)]
+            start = 0 if self.staging is not None else len(self.tokens) - len(vecs)
+            rows = self.matrix[start:start + len(vecs)]
             np.stack(vecs, out=rows)
             rows /= np.array(norms)[:, None]
+            if self.staging is not None:
+                try:
+                    _check_unit_rows(rows)
+                except ValueError as exc:  # the check `VectorStore` would make
+                    raise DataError(f"{self.path}: {exc}") from exc
+                self.staging.write(rows.astype("<f8", copy=False).data)
+
+    def parse(self, reads: str | None = None) -> None:
+        """Read the whole file through `block`, `BLOCK_LINES` lines at a time; a
+        file with no usable record is a DataError. With `reads`, the file must be
+        a regular one, which `reads` says is read twice (`_check_regular`)."""
+        # a finite record's squares may overflow; `block` rescales such a record
+        with open_text(self.path) as fh, np.errstate(over="ignore"):
+            if reads is not None:
+                _check_regular(fh, self.path, reads)
+            numbered = enumerate(fh, start=1)
+            for first in numbered:
+                lines = [first]
+                try:
+                    lines.extend(itertools.islice(numbered, BLOCK_LINES - 1))
+                finally:  # the lines read before an undecodable one still count, and err, first
+                    self.block(lines)
+        if not self.tokens:
+            raise DataError(f"{self.path}: no usable vector records")
+
+    def report(self) -> LoadReport:
+        return LoadReport(accepted=len(self.tokens), **self.drops)
 
 
 def _check_regular(fh, path: Path, reads: str) -> None:
@@ -270,21 +307,8 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     # every kept token is a distinct member of the filter, and each is on its own line
     capacity = len(vocab_filter) if vocab_filter is not None else _count_lines(path)
     load = _TextLoad(path, vocab_filter, fold_case, capacity)
-
-    # a finite record's squares may overflow; `_TextLoad.block` rescales such a record
-    with open_text(path) as fh, np.errstate(over="ignore"):
-        numbered = enumerate(fh, start=1)
-        for first in numbered:
-            block = [first]
-            try:
-                block.extend(itertools.islice(numbered, BLOCK_LINES - 1))
-            finally:  # the lines read before an undecodable one still count, and err, first
-                load.block(block)
-
-    if not load.tokens:
-        raise DataError(f"{path}: no usable vector records")
-    tokens, matrix = load.tokens, load.matrix[:len(load.tokens)]
-    report = LoadReport(accepted=len(tokens), **load.drops)
+    load.parse()
+    tokens, matrix, report = load.tokens, load.matrix[:len(load.tokens)], load.report()
     del load  # its token index goes before the store builds its own
     try:
         return VectorStore(tokens, matrix, source_id=str(path), load_report=report)
@@ -292,23 +316,50 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
         raise DataError(f"{path}: {exc}") from exc
 
 
-def save_cache(store: VectorStore, path: str | Path) -> None:
-    """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
+def _cache_head(tokens: Sequence[str], dimension: int, source_id: str) -> bytes:
+    """Everything a cache holds before its rows: the magic, the header and the tokens."""
     header = {
         **CACHE_FORMAT,
-        "dimension": store.dimension,
-        "count": len(store),
-        "source_id": store.source_id,
+        "dimension": dimension,
+        "count": len(tokens),
+        "source_id": source_id,
     }
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    token_blob = "\n".join(store.tokens).encode("utf-8")
+    token_blob = "\n".join(tokens).encode("utf-8")
+    return b"".join((CACHE_MAGIC, struct.pack("<I", len(header_blob)), header_blob,
+                     struct.pack("<Q", len(token_blob)), token_blob))
+
+
+def save_cache(store: VectorStore, path: str | Path) -> None:
+    """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
+    head = _cache_head(store.tokens, store.dimension, store.source_id)
     with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", len(header_blob)))
-        fh.write(header_blob)
-        fh.write(struct.pack("<Q", len(token_blob)))
-        fh.write(token_blob)
+        fh.write(head)
         fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
+
+
+def cache_vectors(path: str | Path, out: str | Path,
+                  fold_case: bool = True) -> tuple[LoadReport, int]:
+    """Parse a word-vectors text file and write its binary cache to `out`: the
+    bytes of ``save_cache(load_vectors(path, fold_case=fold_case), out)``, with
+    the same checks and errors. It returns the load report and the dimension.
+
+    Only the token index and one block of rows are held. Each block's unit rows
+    are written to a staging file in `out`'s directory, which takes about the
+    matrix's bytes there, and copied after the header and the tokens once the
+    parse has succeeded; `out` is not opened before then. `path` must be a
+    regular file, since the caller reads it again to hash it."""
+    path, out = Path(path), Path(out)
+    # removed when closed; its prefix names `out` in an error from creating it
+    with tempfile.TemporaryFile(dir=out.parent, prefix=f"{out.name}.staging.") as staging:
+        load = _TextLoad(path, None, fold_case, BLOCK_LINES, staging)
+        load.parse(reads="to parse it and to hash it for the manifest")
+        head = _cache_head(load.tokens, load.dimension, str(path))
+        staging.seek(0)
+        with open(out, "wb") as fh:
+            fh.write(head)
+            shutil.copyfileobj(staging, fh)
+    return load.report(), load.dimension
 
 
 def _check_left(fh, size: int, path: Path, what: str) -> None:

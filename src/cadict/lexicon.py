@@ -193,7 +193,8 @@ def select_base(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
             f"base dictionary of {x} requested but only {len(common)} words are in the "
             "intersection of ratings, frequencies, and vectors"
         )
-    common.sort(key=lambda t: (-freq.count(t), t))
+    common.sort()
+    common.sort(key=freq.count, reverse=True)  # a reversed sort keeps equal counts in order
     chosen = common[:x]
     return BaseDictionary(
         tokens=tuple(chosen),

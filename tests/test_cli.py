@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -520,6 +521,39 @@ class TestCacheCommand:
         assert run(["cache-vectors", "--vectors", str(path), "--out", str(out)]) == EXIT_OK
         assert f"cached 2 vector(s) of dimension 3 -> {out}" in capsys.readouterr().out
         assert load_cache(out).tokens == ("a", "b")
+
+    def test_bad_record_in_a_later_block_leaves_the_old_cache(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the blocks before the bad one are staged, yet the old cache is not
+        # opened and the staging file does not outlive the command
+        path, out = tmp_path / "v.vec", tmp_path / "v.cavs"
+        path.write_text(self.VECTORS, encoding="utf-8")
+        assert run(["cache-vectors", "--vectors", str(path), "--out", str(out)]) == EXIT_OK
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        path.write_text(self.VECTORS + "e 1 2\n", encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 3)
+        capsys.readouterr()
+        assert run(["cache-vectors", "--vectors", str(path), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"error: {path}: line 12: expected 3 components, found 2\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != path} == \
+            {name: blob for name, blob in old.items() if name != path.name}
+
+    def test_pipe_is_refused(self, tmp_path, capsys):
+        # the manifest hashes the input in a second read, which a pipe cannot give
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b"a 1 0\nb 0 1\n")
+        os.close(write_fd)
+        out = tmp_path / "v.cavs"
+        try:
+            assert run(["cache-vectors", "--vectors", f"/dev/fd/{read_fd}",
+                        "--out", str(out)]) == EXIT_DATA
+        finally:
+            os.close(read_fd)
+        assert capsys.readouterr().err == (
+            f"error: /dev/fd/{read_fd}: not a regular file; it is read twice, "
+            "to parse it and to hash it for the manifest\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _cache_bytes(tokens: list[str], rows) -> bytes:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cadict import embeddings
+from cadict import cli, embeddings
 from cadict.embeddings import (
     CACHE_MAGIC,
     LoadReport,
@@ -471,6 +471,16 @@ class TestCache:
         store, peak = traced_peak(lambda: load_vectors(path))
         assert peak < 1.3 * rows.nbytes
         assert len(store) == 20_000
+
+    def test_cache_command_holds_one_block_not_the_matrix(self, tmp_path, big_text):
+        # the token index and one 256-line block, not 20,000 rows
+        path, rows = big_text
+        cache = tmp_path / "v.cavs"
+        code, peak = traced_peak(lambda: cli.main(["cache-vectors", "--vectors", str(path),
+                                                   "--out", str(cache)]))
+        assert code == 0
+        assert peak < 0.25 * rows.nbytes
+        assert np.array_equal(load_cache(cache).matrix, load_vectors(path).matrix)
 
     def test_cache_vocab_filter(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])

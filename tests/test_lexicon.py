@@ -164,6 +164,16 @@ class TestSelectBase:
         assert base.tokens == ("a", "m")
         assert base.rows.tolist() == [2, 1]  # their store rows
 
+    def test_order_is_count_descending_then_token(self, tmp_path):
+        # many equal counts, in neither token nor count order
+        rng = np.random.default_rng(12)
+        tokens = [f"w{i:03d}" for i in rng.permutation(200)]
+        lex = RatingLexicon({t: 3.0 for t in tokens})
+        freq = FrequencyList({t: int(c) for t, c in zip(tokens, rng.integers(0, 6, 200))})
+        store = store_from_records(tmp_path, [(t, [1, 1]) for t in tokens])
+        expected = sorted(tokens, key=lambda t: (-freq.count(t), t))[:150]
+        assert select_base(lex, freq, store, 150).tokens == tuple(expected)
+
     def test_deterministic(self, tmp_path):
         lex, freq, store = _simple_inputs(tmp_path)
         b1 = select_base(lex, freq, store, 3)
