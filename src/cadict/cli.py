@@ -21,7 +21,7 @@ from pathlib import Path
 
 from cadict import __version__
 from cadict.embeddings import LoadReport, cache_vectors, open_store
-from cadict.errors import DataError, InfeasibleError, write_json
+from cadict.errors import DataError, InfeasibleError, check_regular, write_json
 from cadict.lexicon import load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
@@ -45,20 +45,54 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, rng_seed: int | None, inputs: dict[str, str | Path],
-              config: dict) -> dict:
+def _inputs(args) -> dict[str, str]:
+    """The command's input paths by flag name, as its manifest records them."""
+    return {name: getattr(args, name) for name in args.inputs if getattr(args, name)}
+
+
+def _check_paths(args) -> None:
+    """Refuse a run before it reads anything. Every input must be a regular file,
+    since the manifest hashes it in a second read (a DataError), and no path the
+    command writes may be one of its inputs (a usage error)."""
+    inputs = _inputs(args).values()
+    for path in inputs:
+        check_regular(path, "to parse it and to hash it for the manifest")
+    for out in args.outputs(args):
+        for path in inputs:
+            if os.path.exists(out) and os.path.samefile(out, path):
+                args.error(f"{out} is written by this command, and it is the input {path}")
+
+
+def _manifest(args, rng_seed: int | None, config: dict) -> dict:
     """The provenance block written into every output."""
     return {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "rng_seed": rng_seed,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
+        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
+                   for name, p in _inputs(args).items()},
         "config": config,
     }
 
 
-def _write_sidecar(out_path: str | Path, manifest: dict) -> None:
-    write_json(str(out_path) + ".manifest.json", manifest)
+def _sidecar(out_path: str | Path) -> str:
+    return str(out_path) + ".manifest.json"
+
+
+def _with_sidecar(out_path: str | Path | None) -> list[str | Path]:
+    """An optional output and its sidecar, as paths the command writes."""
+    return [out_path, _sidecar(out_path)] if out_path else []
+
+
+def _skipped(out_path: str | Path) -> str:
+    return str(out_path) + ".skipped.txt"
+
+
+def _cache_out(args) -> Path:
+    """`cache-vectors`' output: `--out`, or ``<stem>.cavs`` in the cache directory."""
+    if args.out:
+        return Path(args.out)
+    return Path(os.environ.get(CACHE_DIR_ENV, ".")) / (Path(args.vectors).stem + ".cavs")
 
 
 def _print_drops(path: str | Path, report: LoadReport) -> None:
@@ -127,11 +161,7 @@ def _cmd_search(args) -> int:
         reasons = "; ".join(s.reason for s in report.skipped[:3])
         raise InfeasibleError(f"zero feasible cells ({reasons})")
 
-    manifest = _manifest(
-        "search", cfg.rng_seed,
-        {"ratings": args.ratings, "freq": args.freq, "vectors": args.vectors},
-        cfg.to_dict(),
-    )
+    manifest = _manifest(args, cfg.rng_seed, cfg.to_dict())
     doc = report.to_dict()
     doc["manifest"] = manifest
     write_json(args.out_report, doc)
@@ -151,7 +181,7 @@ def _cmd_search(args) -> int:
             fh.write("x\ty\tz\tbest_r_s\n")
             for c in report.cells:
                 fh.write(f"{c.x}\t{c.y}\t{c.z}\t{c.best_r_s!r}\n")
-        _write_sidecar(args.out_landscape, manifest)
+        write_json(_sidecar(args.out_landscape), manifest)
 
     print(f"cells evaluated: {len(report.cells)} (skipped: {len(report.skipped)})")
     print(f"best r_s = {best.best_r_s:.4f} at X={best.x} Y={best.y} Z={best.z}")
@@ -173,14 +203,8 @@ def _cmd_rate(args) -> int:
     store = open_store(args.vectors, vocab_filter=vocab_filter, fold_case=args.fold_case)
     summary = build_dictionary(core, words, store, args.out)
 
-    manifest = _manifest(
-        "rate", None,
-        {"core": args.core, "vectors": args.vectors,
-         **({"words": args.words} if args.words else {})},
-        {"fold_case": args.fold_case},
-    )
-    _write_sidecar(args.out, manifest)
-    skip_path = str(args.out) + ".skipped.txt"
+    write_json(_sidecar(args.out), _manifest(args, None, {"fold_case": args.fold_case}))
+    skip_path = _skipped(args.out)
     with open(skip_path, "w", encoding="utf-8") as fh:
         for token in summary.skipped_tokens:
             fh.write(token + "\n")
@@ -213,11 +237,9 @@ def _cmd_evaluate(args) -> int:
         threshold_gold=args.threshold_gold,
         threshold_pred=args.threshold_pred,
     )
-    manifest = _manifest("evaluate", None,
-                         {"pred": args.pred, "gold": args.gold},
-                         {"threshold_gold": args.threshold_gold,
-                          "threshold_pred": args.threshold_pred,
-                          "fold_case": args.fold_case})
+    manifest = _manifest(args, None, {"threshold_gold": args.threshold_gold,
+                                      "threshold_pred": args.threshold_pred,
+                                      "fold_case": args.fold_case})
     doc = {"format_version": 1, "kind": "evaluation_report", **report.to_dict(),
            "manifest": manifest}
     if args.out:
@@ -234,16 +256,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_cache_vectors(args) -> int:
-    if args.out:
-        out = Path(args.out)
-    else:
-        cache_dir = Path(os.environ.get(CACHE_DIR_ENV, "."))
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        out = cache_dir / (Path(args.vectors).stem + ".cavs")
+    out = _cache_out(args)
+    if not args.out:
+        out.parent.mkdir(parents=True, exist_ok=True)
     report, dimension = cache_vectors(args.vectors, out, fold_case=args.fold_case)
-    manifest = _manifest("cache-vectors", None, {"vectors": args.vectors},
-                         {"fold_case": args.fold_case})
-    _write_sidecar(out, manifest)
+    write_json(_sidecar(out), _manifest(args, None, {"fold_case": args.fold_case}))
     print(f"cached {report.accepted} vector(s) of dimension {dimension} -> {out}")
     _print_drops(args.vectors, report)
     return EXIT_OK
@@ -291,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional TSV of (x, y, z, best_r_s) rows")
     _add_fold_flag(p)
     # a SearchConfig refusal is reported as this subcommand's usage error
-    p.set_defaults(func=_cmd_search, error=p.error, **vars(SearchConfig()))
+    p.set_defaults(func=_cmd_search, error=p.error, inputs=("ratings", "freq", "vectors"),
+                   outputs=lambda a: [a.out_report, a.out_core,
+                                      *_with_sidecar(a.out_landscape)],
+                   **vars(SearchConfig()))
 
     p = sub.add_parser("rate", help="build a rating dictionary with a saved core")
     p.add_argument("--core", required=True, help="core JSON file")
@@ -301,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "line (default: whole vector store)")
     p.add_argument("--out", default="dictionary.tsv")
     _add_fold_flag(p)
-    p.set_defaults(func=_cmd_rate)
+    p.set_defaults(func=_cmd_rate, error=p.error, inputs=("core", "vectors", "words"),
+                   outputs=lambda a: [*_with_sidecar(a.out), _skipped(a.out)])
 
     p = sub.add_parser("evaluate", help="score predicted ratings against gold ratings")
     p.add_argument("--pred", required=True,
@@ -312,14 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: median of the evaluated predictions")
     p.add_argument("--out", default=None, help="optional JSON report path")
     _add_fold_flag(p)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, error=p.error, inputs=("pred", "gold"),
+                   outputs=lambda a: [a.out] if a.out else [])
 
     p = sub.add_parser("cache-vectors", help="precompile a text vector file to a binary cache")
     p.add_argument("--vectors", required=True, help="word-vectors text file")
     p.add_argument("--out", default=None,
                    help=f"cache path (default: ${CACHE_DIR_ENV} or ./<stem>.cavs)")
     _add_fold_flag(p)
-    p.set_defaults(func=_cmd_cache_vectors)
+    p.set_defaults(func=_cmd_cache_vectors, error=p.error, inputs=("vectors",),
+                   outputs=lambda a: _with_sidecar(_cache_out(a)))
 
     return parser
 
@@ -341,6 +364,7 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
+        _check_paths(args)
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import shutil
-import stat
 import struct
 import tempfile
 from collections import Counter
@@ -24,7 +23,7 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from cadict.errors import DataError, open_text
+from cadict.errors import DataError, check_regular, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -150,17 +149,15 @@ def _looks_like_header(parts: list[str]) -> bool:
 
 class _TextLoad:
     """One pass over a word-vectors text file: the records accepted so far, the
-    drop counts, and the unit rows of the kept records in a matrix of `capacity`
-    rows reserved at the first accepted record. Without `staging` that matrix
-    holds every kept row; with it, it is one block's buffer, reused for each
-    block and written to `staging` after it."""
+    drop counts, and one block buffer, reused for each block, whose unit rows
+    are written to `staging` after it."""
 
     def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool,
-                 capacity: int, staging: BinaryIO | None = None):
+                 staging: BinaryIO):
         self.path, self.vocab_filter, self.fold_case = path, vocab_filter, fold_case
-        self.capacity, self.staging = capacity, staging
+        self.staging = staging
         self.tokens: list[str] = []
-        self.matrix: np.ndarray | None = None
+        self.buffer: np.ndarray | None = None
         self.index: dict[str, int] = {}
         self.dimension: int | None = None
         self.started = False  # a non-blank line has been read
@@ -174,8 +171,8 @@ class _TextLoad:
         split and read by `float` instead. One walk in line order then applies
         each rule once: width, filter, duplicate, components, norm, zero and
         non-finite drops. A bad record is a DataError naming its line. The kept
-        rows are copied into their slice of the matrix, or into the head of the
-        block buffer, and divided there by their norms."""
+        rows are copied into the head of the block buffer, divided there by
+        their norms, checked and written to the staging file."""
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
@@ -231,27 +228,22 @@ class _TextLoad:
             vecs.append(vec)
             norms.append(norm)
         if vecs:
-            if self.matrix is None:
-                self.matrix = np.empty((self.capacity, self.dimension))
-            start = 0 if self.staging is not None else len(self.tokens) - len(vecs)
-            rows = self.matrix[start:start + len(vecs)]
+            if self.buffer is None:
+                self.buffer = np.empty((BLOCK_LINES, self.dimension))
+            rows = self.buffer[:len(vecs)]
             np.stack(vecs, out=rows)
             rows /= np.array(norms)[:, None]
-            if self.staging is not None:
-                try:
-                    _check_unit_rows(rows)
-                except ValueError as exc:  # the check `VectorStore` would make
-                    raise DataError(f"{self.path}: {exc}") from exc
-                self.staging.write(rows.astype("<f8", copy=False).data)
+            try:
+                _check_unit_rows(rows)
+            except ValueError as exc:  # the check `VectorStore` would make
+                raise DataError(f"{self.path}: {exc}") from exc
+            self.staging.write(rows.astype("<f8", copy=False).data)
 
-    def parse(self, reads: str | None = None) -> None:
+    def parse(self) -> None:
         """Read the whole file through `block`, `BLOCK_LINES` lines at a time; a
-        file with no usable record is a DataError. With `reads`, the file must be
-        a regular one, which `reads` says is read twice (`_check_regular`)."""
+        file with no usable record is a DataError."""
         # a finite record's squares may overflow; `block` rescales such a record
         with open_text(self.path) as fh, np.errstate(over="ignore"):
-            if reads is not None:
-                _check_regular(fh, self.path, reads)
             numbered = enumerate(fh, start=1)
             for first in numbered:
                 lines = [first]
@@ -266,22 +258,17 @@ class _TextLoad:
         return LoadReport(accepted=len(self.tokens), **self.drops)
 
 
-def _check_regular(fh, path: Path, reads: str) -> None:
-    """A DataError unless `fh` is a regular file, which `reads` says is read
-    twice: a pipe cannot be, and its second read would miss what the first took."""
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        raise DataError(f"{path}: not a regular file; it is read twice, {reads}")
-
-
-def _count_lines(path: Path) -> int:
-    """The number of lines that `open_text` yields from `path`, plus at most one.
-    Bytes that do not decode are replaced here and left to the parse to report."""
-    count = 1
-    with open_text(path, errors="replace") as fh:
-        _check_regular(fh, path, "to count its lines and to parse them")
-        while chunk := fh.read(1 << 15):
-            count += chunk.count("\n")
-    return count
+def _unstage(staging: BinaryIO, count: int, dimension: int) -> np.ndarray:
+    """The `count` rows staged in `staging`, read into one matrix last
+    `CHUNK_BYTES` chunk first; the file is cut behind each chunk, so the staged
+    bytes and the matrix never both hold every row."""
+    matrix = np.empty((count, dimension), dtype="<f8")
+    step = max(1, CHUNK_BYTES // (dimension * 8))
+    for start in reversed(range(0, count, step)):
+        staging.seek(start * dimension * 8)
+        staging.readinto(matrix[start:start + step].data)
+        staging.truncate(start * dimension * 8)
+    return matrix
 
 
 def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
@@ -298,17 +285,17 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
     duplicate tokens the first occurrence wins. Tokens are folded to
     lowercase unless `fold_case` is off; `vocab_filter`, when given, is
     matched after folding. Records are parsed `BLOCK_LINES` lines at a time
-    by `_TextLoad.block`, into one matrix that the store then holds: it has a
-    row for each member of `vocab_filter`, or for each line of the file.
+    by `_TextLoad.block`, whose kept rows are staged in a temporary file in
+    ``TMPDIR`` (about the matrix's bytes) and read back by `_unstage`.
     """
     path = Path(path)
     if fold_case and vocab_filter is not None:
         vocab_filter = {t.lower() for t in vocab_filter}
-    # every kept token is a distinct member of the filter, and each is on its own line
-    capacity = len(vocab_filter) if vocab_filter is not None else _count_lines(path)
-    load = _TextLoad(path, vocab_filter, fold_case, capacity)
-    load.parse()
-    tokens, matrix, report = load.tokens, load.matrix[:len(load.tokens)], load.report()
+    with tempfile.TemporaryFile() as staging:
+        load = _TextLoad(path, vocab_filter, fold_case, staging)
+        load.parse()
+        matrix = _unstage(staging, len(load.tokens), load.dimension)
+    tokens, report = load.tokens, load.report()
     del load  # its token index goes before the store builds its own
     try:
         return VectorStore(tokens, matrix, source_id=str(path), load_report=report)
@@ -347,13 +334,12 @@ def cache_vectors(path: str | Path, out: str | Path,
     Only the token index and one block of rows are held. Each block's unit rows
     are written to a staging file in `out`'s directory, which takes about the
     matrix's bytes there, and copied after the header and the tokens once the
-    parse has succeeded; `out` is not opened before then. `path` must be a
-    regular file, since the caller reads it again to hash it."""
+    parse has succeeded; `out` is not opened before then."""
     path, out = Path(path), Path(out)
     # removed when closed; its prefix names `out` in an error from creating it
     with tempfile.TemporaryFile(dir=out.parent, prefix=f"{out.name}.staging.") as staging:
-        load = _TextLoad(path, None, fold_case, BLOCK_LINES, staging)
-        load.parse(reads="to parse it and to hash it for the manifest")
+        load = _TextLoad(path, None, fold_case, staging)
+        load.parse()
         head = _cache_head(load.tokens, load.dimension, str(path))
         staging.seek(0)
         with open(out, "wb") as fh:
@@ -441,8 +427,8 @@ def open_store(path: str | Path, vocab_filter: set[str] | None = None,
     """Open either a word-vectors text file or a binary cache, by sniffing magic
     bytes. The path must name a regular file, since the loader opens it again."""
     path = Path(path)
+    check_regular(path, "to sniff its format and to load it")
     with open(path, "rb") as fh:
-        _check_regular(fh, path, "to sniff its format and to load it")
         head = fh.read(len(CACHE_MAGIC))
     if head == CACHE_MAGIC:
         return load_cache(path, vocab_filter=vocab_filter)

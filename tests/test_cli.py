@@ -624,6 +624,71 @@ class TestInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}")
 
+    @staticmethod
+    def _argv(corpus, tmp_path, command):
+        """A run of `command` that succeeds and writes into ``tmp_path/out``."""
+        out = tmp_path / "out"
+        out.mkdir()
+        core = tmp_path / "core.json"
+        core.write_text(json.dumps({"seed_abstract": ["w000"], "seed_concrete": ["w059"]}))
+        return {
+            "search": search_args(corpus, out) + ["--out-landscape", str(out / "landscape.tsv")],
+            "rate": ["rate", "--core", str(core), "--vectors", str(corpus["vectors"]),
+                     "--words", str(corpus["ratings"]), "--out", str(out / "dict.tsv")],
+            "evaluate": ["evaluate", "--pred", str(corpus["ratings"]),
+                         "--gold", str(corpus["ratings"]), "--out", str(out / "eval.json")],
+            "cache-vectors": ["cache-vectors", "--vectors", str(corpus["vectors"]),
+                              "--out", str(out / "v.cavs")],
+        }[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("search", "--ratings"), ("search", "--freq"), ("search", "--vectors"),
+        ("rate", "--core"), ("rate", "--vectors"), ("rate", "--words"),
+        ("evaluate", "--pred"), ("evaluate", "--gold"),
+    ])
+    def test_piped_input_is_one_line_data_error(self, corpus, tmp_path, capsys, command,
+                                                flag):
+        # the manifest hashes each input in a second read, which from a pipe would
+        # give the digest of nothing; so the run is refused before it reads
+        argv = self._argv(corpus, tmp_path, command)
+        i = argv.index(flag) + 1
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, Path(argv[i]).read_bytes())  # less than a pipe holds
+        os.close(write_fd)
+        argv[i] = f"/dev/fd/{read_fd}"
+        try:
+            assert run(argv) == EXIT_DATA
+        finally:
+            os.close(read_fd)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: /dev/fd/{read_fd}: not a regular file; it is read twice, "
+            "to parse it and to hash it for the manifest"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, written", [
+        ("cache-vectors", "--vectors", "v.cavs"),
+        ("cache-vectors", "--vectors", "v.cavs.manifest.json"),
+        ("rate", "--words", "dict.tsv"),
+        ("rate", "--words", "dict.tsv.skipped.txt"),
+        ("search", "--ratings", "landscape.tsv"),
+        ("evaluate", "--pred", "eval.json"),
+    ])
+    def test_an_output_that_is_an_input_is_usage_error(self, corpus, tmp_path, capsys,
+                                                       command, flag, written):
+        # the input is spelled with a ``./``, so only the file, not the string, is the same
+        argv = self._argv(corpus, tmp_path, command)
+        i = argv.index(flag) + 1
+        target = tmp_path / "out" / written
+        blob = Path(argv[i]).read_bytes()
+        target.write_bytes(blob)
+        argv[i] = os.path.join(tmp_path, "out", ".", written)
+        assert run(argv) == EXIT_USAGE
+        assert target.read_bytes() == blob
+        assert list((tmp_path / "out").iterdir()) == [target]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"cadict {command}: error: {target} is written by this command, "
+            f"and it is the input {argv[i]}")
+
     @pytest.mark.parametrize("flag", ["--threshold-gold", "--threshold-pred"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_is_usage_error(self, corpus, tmp_path, flag, value):

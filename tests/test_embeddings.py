@@ -7,6 +7,7 @@ import struct
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,43 +303,68 @@ class TestBlockParser:
         assert len(store) == 12
         assert store.matrix[5].tolist() == (np.array([10.0, 1.0]) / math.sqrt(101)).tolist()
 
-    def test_filtered_load_reserves_the_filter_rows(self, tmp_path):
-        # the store's matrix is the head of one matrix reserved with a row per
-        # member of the folded filter: "W3" and "w3" are one member
+    @pytest.mark.parametrize("vocab_filter", [None, {f"W{i}" for i in range(0, 50, 7)}])
+    def test_staged_rows_are_read_back_last_chunk_first(self, tmp_path, monkeypatch,
+                                                        vocab_filter):
+        # 3-line blocks are staged; chunks of 3 rows and 5 bytes are read back from
+        # the end, and the staging file is cut behind each, so it ends empty
         rng = np.random.default_rng(11)
         path = write_vec_file(tmp_path / "v.txt",
                               [(f"w{i}", rng.normal(size=4)) for i in range(50)])
-        store = load_vectors(path, vocab_filter={"W3", "w3", "w7", "absent"})
-        assert store.tokens == ("w3", "w7")
-        assert store.matrix.base.shape == (3, 4)
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 3)
+        monkeypatch.setattr(embeddings, "CHUNK_BYTES", 3 * 4 * 8 + 5)
+        sizes = []
 
-    def test_unfiltered_load_of_a_non_regular_file_is_data_error(self):
-        # its lines are counted before it is parsed, and a pipe is read only once
-        with pytest.raises(DataError, match="not a regular file"):
-            load_vectors(os.devnull)
+        class Staging(io.BufferedRandom):
+            def readinto(self, buffer):
+                sizes.append(os.fstat(self.fileno()).st_size)
+                return super().readinto(buffer)
+
+            def close(self):
+                sizes.append(os.fstat(self.fileno()).st_size)
+                super().close()
+
+        monkeypatch.setattr(embeddings, "tempfile", SimpleNamespace(
+            TemporaryFile=lambda: Staging(open(tmp_path / "staging", "w+b", buffering=0))))
+        outcome = _outcome(load_vectors, path, vocab_filter=vocab_filter)
+        assert outcome == _outcome(load_vectors_by_line, path, vocab_filter=vocab_filter)
+        kept = len(outcome[0])
+        assert sizes == [min(kept, start + 3) * 4 * 8
+                         for start in reversed(range(0, kept, 3))] + [0]
+
+    def test_unfiltered_load_reads_a_pipe_once(self, tmp_path):
+        rng = np.random.default_rng(12)
+        path = write_vec_file(tmp_path / "v.txt",
+                              [(f"w{i}", rng.normal(size=4)) for i in range(50)])
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, path.read_bytes())  # less than a pipe holds
+        os.close(write_fd)
+        try:
+            piped = _outcome(load_vectors, f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        assert piped == _outcome(load_vectors, path)
 
     @pytest.mark.parametrize("last", ["", "end"])
     def test_line_endings_give_one_store(self, tmp_path, last):
         # the padded header's line ending falls at the end of the file's first
-        # 8 KB buffered read, or of the line count's first 32K-character read
-        outcomes, reserved = set(), set()
+        # 8 KB buffered read, or of its fourth
+        outcomes = set()
         for pad in (io.DEFAULT_BUFFER_SIZE - 1, (1 << 15) - 1):
             lines = ["3 2".ljust(pad), "", "a 1 0", "b 0 2", "A 3 4", "c 1 1"]
             for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
                 path = tmp_path / f"{name}.txt"
                 path.write_bytes((newline.join(lines) + (newline if last else "")).encode())
                 outcomes.add(_outcome(load_vectors, path))
-                reserved.add(load_vectors(path).matrix.base.shape[0])
         assert len(outcomes) == 1
         ((tokens, _, report),) = outcomes
         assert tokens == ("a", "b", "c") and report.duplicates_ignored == 1
-        assert len(reserved) == 1 and reserved.pop() <= len(lines) + 1
 
     @pytest.mark.parametrize("vocab_filter", [None, {"a", "b"}])
     def test_bad_record_before_an_undecodable_byte_is_reported_first(self, tmp_path,
                                                                    vocab_filter):
-        # the line count leaves undecodable bytes to the parse, which meets them
-        # in line order, after the bad record on line 2
+        # the file is read once, and the parse meets its undecodable bytes in
+        # line order, after the bad record on line 2
         text = b"a 1 0\nb 1 2 3\n" + b"".join(b"w%d 1 0\n" % i for i in range(2000))
         path = tmp_path / "v.txt"
         path.write_bytes(text + b"\xff 1 0\n")
