@@ -50,17 +50,29 @@ def _inputs(args) -> dict[str, str]:
     return {name: getattr(args, name) for name in args.inputs if getattr(args, name)}
 
 
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    """Whether `a` and `b` name one file: one resolved path (a path not yet
+    written has one too), or one existing file under two names."""
+    return (os.path.realpath(a) == os.path.realpath(b)
+            or (os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)))
+
+
 def _check_paths(args) -> None:
     """Refuse a run before it reads anything. Every input must be a regular file,
-    since the manifest hashes it in a second read (a DataError), and no path the
-    command writes may be one of its inputs (a usage error)."""
+    since the manifest hashes it in a second read (a DataError); no path the
+    command writes may be one of its inputs, nor another path it writes, whose
+    contents the later write would replace (usage errors)."""
     inputs = _inputs(args).values()
     for path in inputs:
         check_regular(path, "to parse it and to hash it for the manifest")
-    for out in args.outputs(args):
+    outputs = args.outputs(args)
+    for i, out in enumerate(outputs):
         for path in inputs:
-            if os.path.exists(out) and os.path.samefile(out, path):
+            if _same_file(out, path):
                 args.error(f"{out} is written by this command, and it is the input {path}")
+        for other in outputs[:i]:
+            if _same_file(out, other):
+                args.error(f"{other} and {out} are one file, and this command writes both")
 
 
 def _manifest(args, rng_seed: int | None, config: dict) -> dict:
@@ -150,11 +162,11 @@ def _load_predictions(path: str | Path, fold_case: bool) -> tuple[dict[str, floa
 
 def _cmd_search(args) -> int:
     ratings = load_ratings(args.ratings, fold_case=args.fold_case)
-    freq = load_frequencies(args.freq, fold_case=args.fold_case)
-    # only rated words can enter the base dictionary or the evaluation,
-    # so the store never needs more than the lexicon's vocabulary
-    store = open_store(args.vectors, vocab_filter=set(ratings.tokens),
-                       fold_case=args.fold_case)
+    # only rated words can enter the base dictionary or the evaluation, so
+    # neither the frequencies nor the store need more than the lexicon's words
+    rated = set(ratings.tokens)
+    freq = load_frequencies(args.freq, fold_case=args.fold_case, vocab_filter=rated)
+    store = open_store(args.vectors, vocab_filter=rated, fold_case=args.fold_case)
     cfg = args.config
     report = search_grid(ratings, freq, store, cfg)
     if not report.cells:
@@ -237,13 +249,12 @@ def _cmd_evaluate(args) -> int:
         threshold_gold=args.threshold_gold,
         threshold_pred=args.threshold_pred,
     )
-    manifest = _manifest(args, None, {"threshold_gold": args.threshold_gold,
-                                      "threshold_pred": args.threshold_pred,
-                                      "fold_case": args.fold_case})
-    doc = {"format_version": 1, "kind": "evaluation_report", **report.to_dict(),
-           "manifest": manifest}
-    if args.out:
-        write_json(args.out, doc)
+    if args.out:  # the manifest hashes both inputs, so only a written report gets one
+        manifest = _manifest(args, None, {"threshold_gold": args.threshold_gold,
+                                          "threshold_pred": args.threshold_pred,
+                                          "fold_case": args.fold_case})
+        write_json(args.out, {"format_version": 1, "kind": "evaluation_report",
+                              **report.to_dict(), "manifest": manifest})
         print(f"wrote {args.out}")
     print(f"n = {report.n}")
     print(f"r_s = {report.r_s:.6f}")

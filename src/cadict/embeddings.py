@@ -8,6 +8,7 @@ dominates start-up time otherwise.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import json
 import logging
@@ -16,10 +17,11 @@ import os
 import shutil
 import struct
 import tempfile
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ CACHE_MAGIC = b"CAVS0001"
 CACHE_FORMAT = {"version": 1, "dtype": "<f8"}  # header fields `load_cache` requires as written
 BLOCK_LINES = 1024  # text lines per np.loadtxt call: larger blocks cost memory, not time
 CHUNK_BYTES = 1 << 24  # cache bytes read at a time by `load_cache`
+TOKEN_PIECE_BYTES = 1 << 16  # token-list bytes decoded and split at a time by `load_cache`
 # a smaller norm has a subnormal square, too inexact to normalize the row by
 MIN_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -359,15 +362,35 @@ def _read_exact(fh, size: int, path: Path, what: str) -> bytes:
     return fh.read(size)
 
 
+def _token_pieces(fh, size: int, path: Path) -> Iterator[list[str]]:
+    """The `size`-byte token list at `fh`, decoded and split `TOKEN_PIECE_BYTES`
+    at a time: each piece's whole tokens, in order. A token cut by a piece's end
+    comes with the next piece, so only one piece's tokens exist at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    tail = ""
+    for start in range(0, size, TOKEN_PIECE_BYTES):
+        last = start + TOKEN_PIECE_BYTES >= size
+        try:
+            text = decoder.decode(fh.read(min(TOKEN_PIECE_BYTES, size - start)), final=last)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: corrupt cache token list: {exc}") from exc
+        tokens = (tail + text).split("\n")
+        tail = "" if last else tokens.pop()
+        yield tokens
+
+
 def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> VectorStore:
     """Load a binary cache written by `save_cache`.
 
     A truncated or corrupt file is a DataError naming the file and the part
     that is unreadable, and so is a header whose version or dtype is not the
-    one `save_cache` writes. With `vocab_filter`, only the kept rows are held.
+    one `save_cache` writes. With `vocab_filter`, only the kept tokens and rows
+    are held: the token list is split a piece at a time (`_token_pieces`), and
+    each run of consecutive kept rows is read straight into its place.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
+    # unbuffered, so that each run of kept rows costs one read of just its bytes
+    with open(path, "rb", buffering=0) as fh:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
             raise DataError(f"{path}: not a cadict vector cache (bad magic)")
@@ -386,40 +409,53 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
                 raise DataError(f"{path}: unsupported cache {key} {value!r} "
                                 f"(expected {expected!r}); re-run cache-vectors")
         (token_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "token length"))
-        try:
-            token_blob = _read_exact(fh, token_len, path, "token list").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: corrupt cache token list: {exc}") from exc
-        tokens = token_blob.split("\n") if token_blob else []
-        if len(tokens) != count:
+        _check_left(fh, token_len, path, "token list")
+        tokens: list[str] = []
+        rows = None if vocab_filter is None else array("q")  # each kept token's row
+        total = 0
+        for piece in _token_pieces(fh, token_len, path):
+            if rows is None:
+                tokens += piece
+            else:
+                kept = list(map(vocab_filter.__contains__, piece))
+                tokens += itertools.compress(piece, kept)
+                rows.extend(itertools.compress(range(total, total + len(piece)), kept))
+            total += len(piece)
+        if total != count:
             raise DataError(f"{path}: cache token count mismatch")
         _check_left(fh, count * dim * 8, path, "vector data")
-        keep = (np.arange(count) if vocab_filter is None
-                else np.flatnonzero([t in vocab_filter for t in tokens]))
-        if not keep.size:
+        if not tokens:
             raise DataError(f"{path}: vocab filter removed every cached vector")
-        # a chunk whose rows are all kept is read into its place, any other through
-        # one reused buffer, so only the kept rows and one chunk are ever held
-        matrix = np.empty((keep.size, dim), dtype="<f8")
-        step = max(1, CHUNK_BYTES // (dim * 8))
-        chunk = np.empty((min(step, count), dim), dtype="<f8")
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            lo, hi = np.searchsorted(keep, [start, stop])
-            whole = hi - lo == stop - start
-            rows = matrix[lo:hi] if whole else chunk[:stop - start]
-            if fh.readinto(rows.data) != rows.nbytes:
-                raise DataError(f"{path}: cache truncated in the vector data")
-            if not whole:
-                matrix[lo:hi] = rows[keep[lo:hi] - start]
-        if vocab_filter is not None:
-            tokens = [tokens[i] for i in keep]
+        matrix = np.empty((len(tokens), dim), dtype="<f8")
+        _read_rows(fh, matrix, rows, path)
 
     report = LoadReport(accepted=len(tokens), filtered_out=count - len(tokens))
     try:
         return VectorStore(tokens, matrix, source_id=source_id, load_report=report)
     except ValueError as exc:  # blank or duplicate tokens, rows not unit length
         raise DataError(f"{path}: corrupt cache: {exc}") from exc
+
+
+def _read_rows(fh, matrix: np.ndarray, rows: array | None, path: Path) -> None:
+    """Fill `matrix` with the cache rows numbered `rows` (every row when None),
+    read from `fh`, which stands at the first row. Each run of consecutive rows
+    is read straight into its place, at most `CHUNK_BYTES` a read, so nothing
+    but the matrix is held."""
+    row_bytes = matrix.shape[1] * 8
+    if rows is None:
+        runs = [(0, len(matrix), 0)]
+    else:
+        breaks = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+        starts = [0, *breaks]
+        runs = zip(starts, [*breaks, len(rows)], [rows[i] for i in starts])
+    data = fh.tell()
+    step = max(1, CHUNK_BYTES // row_bytes)
+    for lo, hi, first in runs:
+        fh.seek(data + first * row_bytes)
+        for start in range(lo, hi, step):
+            part = matrix[start:min(start + step, hi)]
+            if fh.readinto(part.data) != part.nbytes:
+                raise DataError(f"{path}: cache truncated in the vector data")
 
 
 def open_store(path: str | Path, vocab_filter: set[str] | None = None,

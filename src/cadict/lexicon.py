@@ -88,8 +88,8 @@ class CandidatePools:
     concrete: np.ndarray
 
 
-def read_table(path: str | Path, fold_case: bool,
-               parse: Callable[[list[str]], Any]) -> tuple[dict[str, Any], LoadReport]:
+def read_table(path: str | Path, fold_case: bool, parse: Callable[[list[str]], Any],
+               vocab_filter: set[str] | None = None) -> tuple[dict[str, Any], LoadReport]:
     """Read a `token TAB value ...` UTF-8 table into a token -> value map.
 
     Blank lines are skipped, and the first non-blank line is a header when its
@@ -97,7 +97,9 @@ def read_table(path: str | Path, fold_case: bool,
     `fold_case` is on; the first row of a token wins. `parse` maps one row's
     tab-separated fields to its value. It may instead return the name of the
     LoadReport field that counts the row as dropped, or raise DataError to
-    reject the file; the message then gets the file and line prefixed.
+    reject the file; the message then gets the file and line prefixed. With
+    `vocab_filter`, a valid row whose (folded) token is not in it is counted
+    as `filtered_out`, not kept; every row is still parsed and counted.
     """
     entries: dict[str, Any] = {}
     drops: dict[str, int] = {}
@@ -121,6 +123,9 @@ def read_table(path: str | Path, fold_case: bool,
                 continue
             if fold_case:
                 token = token.lower()
+            if vocab_filter is not None and token not in vocab_filter:
+                drops["filtered_out"] = drops.get("filtered_out", 0) + 1
+                continue
             if token in entries:
                 drops["duplicates_ignored"] = drops.get("duplicates_ignored", 0) + 1
                 continue
@@ -151,8 +156,9 @@ def _parse_count(fields: list[str]) -> int | str:
 
 
 def _read_lexicon_table(path: str | Path, fold_case: bool, parse: Callable[[list[str]], Any],
-                        kind: str) -> tuple[dict[str, Any], LoadReport]:
-    entries, report = read_table(path, fold_case, parse)
+                        kind: str, vocab_filter: set[str] | None = None
+                        ) -> tuple[dict[str, Any], LoadReport]:
+    entries, report = read_table(path, fold_case, parse, vocab_filter)
     if report.rejected * 10 > report.rows:
         raise DataError(f"{path}: {report.rejected} of {report.rows} rows rejected (>10%); "
                         f"this does not look like a {kind} file")
@@ -172,10 +178,14 @@ def load_ratings(path: str | Path, fold_case: bool = True) -> RatingLexicon:
     return RatingLexicon(*_read_lexicon_table(path, fold_case, _parse_rating, "ratings"))
 
 
-def load_frequencies(path: str | Path, fold_case: bool = True) -> FrequencyList:
+def load_frequencies(path: str | Path, fold_case: bool = True,
+                     vocab_filter: set[str] | None = None) -> FrequencyList:
     """Load a `token TAB count` TSV; negative or non-integer counts are rejected,
-    and more than 10% rejected rows is a hard error, as in `load_ratings`."""
-    return FrequencyList(*_read_lexicon_table(path, fold_case, _parse_count, "frequency"))
+    and more than 10% rejected rows is a hard error, as in `load_ratings`. With
+    `vocab_filter`, only its tokens' counts are kept; the others count as
+    `filtered_out`, and the 10% rule still counts every row."""
+    return FrequencyList(*_read_lexicon_table(path, fold_case, _parse_count, "frequency",
+                                              vocab_filter))
 
 
 def select_base(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,

@@ -91,7 +91,9 @@ def rank_correlation(ranks, gold_ranks):
     n = gold.size
     if gold.ndim != 1 or n < 2 or ranks.shape[-1:] != (n,):
         raise ValueError("rank_correlation needs 1-d gold ranks (n >= 2) and rows of length n")
-    u = (2 * ranks).astype(np.int64) - (n + 1)
+    # one int64 array, filled in place: twice a fractional rank is an exact integer
+    u = np.multiply(ranks, 2, out=np.empty(ranks.shape, np.int64), casting="unsafe")
+    u -= n + 1
     g = (2 * gold).astype(np.int64) - (n + 1)
     # a sum over all n terms is at most (n^3 - n) / 3 and one term at most
     # (n - 1)^2: past about 3M words, blocks short enough to sum in int64

@@ -28,7 +28,7 @@ import logging
 import reprlib
 import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -200,8 +200,26 @@ def _core_sort_key(core: SemanticCore) -> tuple[str, ...]:
     return tuple(sorted(core.seed_abstract)) + tuple(sorted(core.seed_concrete))
 
 
+class _Workspace:
+    """The arrays `_screen_cell` fills, kept from block to block by name as flat
+    buffers. One search passes one workspace to every block, so each buffer
+    grows to the search's largest block and is reused by every other."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The head of buffer `name` as a C-contiguous array of `shape`; its
+        values are whatever the last block left there."""
+        size = prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
 def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
-                 ctx: _EvalContext) -> tuple[np.ndarray, np.ndarray]:
+                 ctx: _EvalContext, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Screened Spearman r of every core (row pair of `a_idx`, `c_idx`) in a
     cell (NaN when undefined) and a mask of the cores whose screened ranks may
     differ from the exact path's.
@@ -211,23 +229,27 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     `raw_ratings`. Each raw rating therefore carries an error bound; a core
     whose sorted ratings have two neighbours closer than their bounds allow
     is flagged. Every other core has exactly the exact path's ranks, and so
-    exactly its r.
+    exactly its r. Every array of the block's size is a view of `ws`, filled
+    with ``out=``, but the sort order and `metrics.rank_correlation`'s sums.
     """
     (k, z), y = a_idx.shape, len(pools.abstract)
     n, d = ctx.matrix.shape
     rows = np.arange(k)[:, None]
-    sel_a = np.zeros((k, y))
-    sel_c = np.zeros((k, y))
-    sel_a[rows, a_idx] = 1.0
-    sel_c[rows, c_idx] = 1.0
-    means = np.empty((2 * k, d))
-    np.matmul(sel_c, ctx.store.matrix[pools.concrete], out=means[:k])
-    np.matmul(sel_a, ctx.store.matrix[pools.abstract], out=means[k:])
+    means = ws.view("means", (2 * k, d))
+    for half, idx, pool in ((means[:k], c_idx, pools.concrete),
+                            (means[k:], a_idx, pools.abstract)):
+        sel = ws.view("sel", (k, y))
+        sel.fill(0.0)
+        sel[rows, idx] = 1.0
+        # mode="clip" writes straight into `out`; "raise" would buffer a copy of it
+        vectors = np.take(ctx.store.matrix, pool, axis=0, out=ws.view("pool", (y, d)),
+                          mode="clip")
+        np.matmul(sel, vectors, out=half)
     means /= z
-    sims = means @ ctx.matrix.T
-    num = np.clip(sims[:k], SIMILARITY_FLOOR, 1.0)
-    den = np.clip(sims[k:], SIMILARITY_FLOOR, 1.0)
-    raw = num / den
+    sims = np.matmul(means, ctx.matrix.T, out=ws.view("sims", (2 * k, n)))
+    num = np.clip(sims[:k], SIMILARITY_FLOOR, 1.0, out=ws.view("num", (k, n)))
+    den = np.clip(sims[k:], SIMILARITY_FLOOR, 1.0, out=ws.view("den", (k, n)))
+    raw = np.divide(num, den, out=ws.view("raw", (k, n)))
 
     # Each path gets a similarity within (d + y + 1) * eps / 2 of its true
     # value (unit rows, d components, means over at most y rows), so the two
@@ -236,32 +258,40 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     # most 2 * delta relative to its floored value, with room to spare for
     # rounding the ratio.
     delta = 4 * (d + y) * np.finfo(np.float64).eps
-    rel = 2 * delta * ((sims[:k] > SIMILARITY_FLOOR - delta) / num
-                       + (sims[k:] > SIMILARITY_FLOOR - delta) / den)
+    live = np.greater(sims, SIMILARITY_FLOOR - delta, out=ws.view("live", (2 * k, n), bool))
+    rel = np.divide(live[:k], num, out=num)  # num and den are spent: they take the bound
+    rel += np.divide(live[k:], den, out=den)
+    rel *= 2 * delta
+    bound = np.multiply(raw, rel, out=rel)
     # each core's ascending order, as indices into the flattened (k, n) arrays
-    order = np.argsort(raw, axis=1) + rows * n
-    gaps = np.diff(raw.ravel()[order], axis=1)
-    err = (raw * rel).ravel()[order]
-    slack = err[:, 1:] + err[:, :-1]
-    unsure = np.any((gaps <= slack) & (slack > 0), axis=1)
+    order = np.argsort(raw, axis=1)
+    order += rows * n
+    # sims is spent too: its halves take the sorted ratings and their sorted bounds
+    ordered = np.take(raw, order, out=sims[:k], mode="clip")
+    gaps = np.subtract(ordered[:, 1:], ordered[:, :-1], out=ws.view("gaps", (k, n - 1)))
+    err = np.take(bound, order, out=sims[k:], mode="clip")
+    slack = np.add(err[:, 1:], err[:, :-1], out=ws.view("slack", (k, n - 1)))
+    close = np.less_equal(gaps, slack, out=ws.view("close", (k, n - 1), bool))
+    close &= np.greater(slack, 0.0, out=live[:k, :n - 1])
+    unsure = np.any(close, axis=1)
 
-    ranks = np.empty(k * n)
-    ranks[order] = np.arange(1.0, n + 1)
-    ranks = ranks.reshape(k, n)
-    for i in np.flatnonzero(np.any(gaps == 0, axis=1) & ~unsure):
+    ranks = ws.view("ranks", (k, n))
+    np.put(ranks, order, np.arange(1.0, n + 1))  # the n ranks repeat for every row of order
+    tied = np.any(np.equal(gaps, 0.0, out=close), axis=1)
+    for i in np.flatnonzero(tied & ~unsure):
         ranks[i] = metrics.average_ranks(raw[i])
     return metrics.rank_correlation(ranks, ctx.gold_ranks), unsure
 
 
 def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalContext,
-                   cfg: SearchConfig) -> CellResult | SkippedCell:
+                   cfg: SearchConfig, ws: _Workspace) -> CellResult | SkippedCell:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
     try:
         a_idx, c_idx = _seed_pairs(y, z, cfg.samples_per_cell, rng)
     except InfeasibleError as exc:  # a --samples budget too large to hold
         return SkippedCell(x=x, y=y, z=z, reason=str(exc))
     step = max(1, SCREEN_BLOCK // len(ctx.gold_ranks))
-    blocks = [_screen_cell(a_idx[i:i + step], c_idx[i:i + step], pools, ctx)
+    blocks = [_screen_cell(a_idx[i:i + step], c_idx[i:i + step], pools, ctx, ws)
               for i in range(0, len(a_idx), step)]
     r = np.concatenate([screened for screened, _ in blocks])
     # only a flagged core's screened ranks may differ from the exact path's
@@ -312,9 +342,10 @@ def search_grid(lex: RatingLexicon, freq: FrequencyList, store: VectorStore,
         logger.info("x=%d: %d cell(s) queued", x, len(jobs) - n_before)
 
     outcomes: list[CellResult | SkippedCell] = []
+    ws = _Workspace()
     t_cells, every = time.perf_counter(), max(1, len(jobs) // 10)
     for done, job in enumerate(jobs, start=1):
-        outcomes.append(_evaluate_cell(*job, cfg))
+        outcomes.append(_evaluate_cell(*job, cfg, ws))
         if done % every == 0 or done == len(jobs):
             elapsed = time.perf_counter() - t_cells
             logger.info("%d/%d cells, %.1f s elapsed, ETA %.1f s",

@@ -94,9 +94,9 @@ def _best_cell(x, y, z, index_pairs, pools, ctx):
                       cores_evaluated=evaluated)
 
 
-def evaluate_cell_loop(x, y, z, pools, ctx, cfg):
+def evaluate_cell_loop(x, y, z, pools, ctx, cfg, ws=None):
     """Score every drawn core of one search cell through the exact path and keep
-    the best."""
+    the best; `ws`, the batched kernel's workspace, goes unused."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, x, y, z]))
     return _best_cell(x, y, z, zip(*_seed_pairs(y, z, cfg.samples_per_cell, rng)), pools, ctx)
 

@@ -19,6 +19,7 @@ from cadict.search import (
     CellResult,
     SearchConfig,
     _EvalContext,
+    _Workspace,
     _evaluate_cell,
     search_grid,
 )
@@ -157,7 +158,7 @@ def test_criterion_6_small_cells_cover_every_pair(tmp_path):
         pools = select_pools(base, y)
         cfg = SearchConfig(x_values=(30,), y_start=y, y_step=1, z_min=z, z_step=1,
                            samples_per_cell=pair_count, rng_seed=3)
-        cell = _evaluate_cell(30, y, z, pools, ctx, cfg)
+        cell = _evaluate_cell(30, y, z, pools, ctx, cfg, _Workspace())
         assert isinstance(cell, CellResult)
         agreements.append(cell.cores_evaluated == pair_count
                           and cell == every_pair_cell(30, y, z, pools, ctx))

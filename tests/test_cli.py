@@ -318,7 +318,7 @@ class TestRateCommand:
         ratings, freq = tmp_path / "ratings.tsv", tmp_path / "freq.tsv"
         ratings.write_text(corpus["ratings"].read_text(encoding="utf-8")
                            + "ice cream\t3\nw005\t3\n", encoding="utf-8")
-        freq.write_text(corpus["freq"].read_text(encoding="utf-8") + "w005\t3\n",
+        freq.write_text(corpus["freq"].read_text(encoding="utf-8") + "w005\t3\nunrated\t3\n",
                         encoding="utf-8")
         (tmp_path / "search").mkdir()
         argv = search_args({**corpus, "ratings": ratings, "freq": freq, "vectors": vectors},
@@ -326,8 +326,9 @@ class TestRateCommand:
         assert run(argv) == EXIT_OK
         printed = capsys.readouterr().out.splitlines()
         assert f"dropped from {ratings}: multiword_excluded=1, duplicates_ignored=1" in printed
-        assert f"dropped from {freq}: duplicates_ignored=1" in printed
-        assert f"dropped from {vectors}: filtered_out=1" in printed  # only rated words load
+        # only rated words load, from the frequencies as from the vectors
+        assert f"dropped from {freq}: duplicates_ignored=1, filtered_out=1" in printed
+        assert f"dropped from {vectors}: filtered_out=1" in printed
 
         assert run(["evaluate", "--pred", str(freq), "--gold", str(ratings)]) == EXIT_OK
         printed = capsys.readouterr().out.splitlines()
@@ -445,6 +446,29 @@ class TestEvaluateCommand:
         assert doc["manifest"]["config"]["threshold_pred"] == 2.0
         assert doc["accuracy"] == 0.5  # only a (below both) and d (above both) agree
         assert "accuracy = 0.500000 (gold >= 3.5, pred >= 2.0)" in capsys.readouterr().out
+
+    def test_inputs_are_hashed_only_for_a_written_report(self, tmp_path, monkeypatch):
+        # the manifest's digests read both inputs again; without --out nothing keeps them
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\t1.5\nb\t2.5\nc\t3.5\nd\t4.5\n", encoding="utf-8")
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        argv = ["evaluate", "--pred", str(gold), "--gold", str(gold)]
+        assert run(argv) == EXIT_OK
+        assert hashed == []
+        out = tmp_path / "eval.json"
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        assert hashed == [str(gold), str(gold)]
+        # the report's bytes: its fields in order, then the manifest
+        digest = {"path": str(gold), "sha256": hashlib.sha256(gold.read_bytes()).hexdigest()}
+        assert out.read_text(encoding="utf-8") == json.dumps({
+            "format_version": 1, "kind": "evaluation_report", "r_s": 1.0, "rho": 1.0,
+            "accuracy": 1.0, "n": 4, "threshold_gold": 3.0, "threshold_pred": 3.0,
+            "manifest": {"command": "evaluate", "tool_version": cadict.__version__,
+                         "rng_seed": None, "inputs": {"pred": digest, "gold": digest},
+                         "config": {"threshold_gold": 3.0, "threshold_pred": None,
+                                    "fold_case": True}},
+        }, indent=2) + "\n"
 
     def test_unparseable_prediction_is_data_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
@@ -688,6 +712,23 @@ class TestInputErrors:
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"cadict {command}: error: {target} is written by this command, "
             f"and it is the input {argv[i]}")
+
+    @pytest.mark.parametrize("flag, written", [
+        ("--out-core", "report.json"),  # the core would replace the report
+        ("--out-landscape", "core.json"),  # the landscape would replace the core
+    ])
+    def test_two_outputs_that_are_one_file_are_usage_error(self, corpus, tmp_path, capsys,
+                                                           flag, written):
+        # the second spelling has a ``./``, so only the file, not the string, is the same
+        argv = self._argv(corpus, tmp_path, "search")
+        first = argv[argv.index({"--out-core": "--out-report",
+                                 "--out-landscape": "--out-core"}[flag]) + 1]
+        argv[argv.index(flag) + 1] = second = os.path.join(tmp_path, "out", ".", written)
+        assert run(argv) == EXIT_USAGE
+        assert list((tmp_path / "out").iterdir()) == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"cadict search: error: {first} and {second} are one file, "
+            "and this command writes both")
 
     @pytest.mark.parametrize("flag", ["--threshold-gold", "--threshold-pred"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

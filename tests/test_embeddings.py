@@ -542,15 +542,18 @@ class TestCache:
         with pytest.raises(DataError, match="truncated"):
             load_cache(cache, vocab_filter=vocab_filter)
 
-    def test_filtered_load_equals_the_kept_rows(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("piece", [1, 3, 7])
+    def test_filtered_load_equals_the_kept_rows(self, tmp_path, monkeypatch, piece):
+        # token-list pieces of a few bytes cut tokens, and their 2- and 3-byte characters
+        monkeypatch.setattr(embeddings, "TOKEN_PIECE_BYTES", piece)
         rng = np.random.default_rng(7)
-        tokens = [f"w{i}" for i in range(50)]
+        tokens = ["w\u00e9\u65e5"[i % 3] + str(i) for i in range(50)]
         cache = tmp_path / "store.cavs"
         saved = store_from_raw(tokens, rng.normal(size=(50, 6)))
         save_cache(saved, cache)
         # scattered rows; whole kept chunks around a partial one; no filter at all
-        for kept in ({t for t in tokens if rng.random() < 0.3} | {"w0", "w49"},
-                     set(tokens[:21]) | set(tokens[42:]) | {"w30"}, None):
+        for kept in ({t for t in tokens if rng.random() < 0.3} | {tokens[0], tokens[49]},
+                     set(tokens[:21]) | set(tokens[42:]) | {tokens[30]}, None):
             idx = [i for i, t in enumerate(tokens) if kept is None or t in kept]
             for rows_per_chunk in (1, 3, 7, 50, 64):
                 # a chunk size that is not a whole number of rows reads whole rows
@@ -571,6 +574,17 @@ class TestCache:
         store, peak = traced_peak(lambda: load_cache(cache, vocab_filter=kept))
         assert len(store) == 2_000
         assert peak < 0.5 * 20_000 * 100 * 8
+
+    def test_filtered_load_holds_only_the_kept_tokens(self, tmp_path):
+        # 100,000 tokens of 6 characters: as Python strings they take about 6 MB
+        rng = np.random.default_rng(9)
+        tokens = [f"w{i:05d}" for i in range(100_000)]
+        cache = tmp_path / "store.cavs"
+        save_cache(store_from_raw(tokens, rng.normal(size=(100_000, 2))), cache)
+        kept = set(tokens[::100])
+        store, peak = traced_peak(lambda: load_cache(cache, vocab_filter=kept))
+        assert store.tokens == tuple(tokens[::100])
+        assert peak < 3_000_000  # one 64 kB piece of tokens is about 1.5 MB of strings
 
     @staticmethod
     def _cache_bytes(header: bytes, tokens: bytes, data: bytes = b"") -> bytes:

@@ -122,6 +122,20 @@ class TestLoadFrequencies:
         assert len(freq) == 1
         assert freq.report.rejected == 0
 
+    def test_vocab_filter_keeps_only_its_words(self, tmp_path):
+        # a valid row outside the filter is filtered out before the duplicate
+        # check; a bad row is still rejected, and the 10% rule counts every row
+        rows = [("The", 9), ("cat", 5), ("the", 3), ("dog", -1), ("CAT", 2), ("emu", 1),
+                *((f"w{i}", 1) for i in range(10))]
+        path = write_tsv(tmp_path / "f.tsv", rows)
+        freq = load_frequencies(path, vocab_filter={"the", "emu"})
+        assert (len(freq), freq.count("the"), freq.count("emu")) == (2, 9, 1)
+        assert freq.report == LoadReport(accepted=2, rejected=1, duplicates_ignored=1,
+                                         filtered_out=12)
+        bad = write_tsv(tmp_path / "bad.tsv", rows + [("x", "1.5")] * 8)
+        with pytest.raises(DataError, match=r"9 of 24 rows rejected"):
+            load_frequencies(bad, vocab_filter={"the"})
+
 
 def _simple_inputs(tmp_path):
     lex = RatingLexicon({"a": 1.2, "b": 4.8, "c": 3.0})

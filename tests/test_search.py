@@ -1,7 +1,12 @@
 import hashlib
 import itertools
 import json
+import os
+import platform
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +22,7 @@ from cadict.search import (
     SearchConfig,
     SkippedCell,
     _EvalContext,
+    _Workspace,
     _evaluate_cell,
     _screen_cell,
     _seed_pairs,
@@ -306,7 +312,7 @@ class TestSmallCellsCoverEveryPair:
         pools = select_pools(base, 4)
         ctx = _EvalContext(base, store)
         cfg = toy_config(samples_per_cell=100)  # >= the 36 pairs
-        cell = _evaluate_cell(30, 4, 2, pools, ctx, cfg)
+        cell = _evaluate_cell(30, 4, 2, pools, ctx, cfg, _Workspace())
         assert isinstance(cell, CellResult) and cell.cores_evaluated == 36
         assert cell == every_pair_cell(30, 4, 2, pools, ctx)
 
@@ -335,7 +341,7 @@ class TestTieBreak:
 
 
 def _assert_unflagged_screen_exact(a_pairs, c_pairs, pools, ctx):
-    screened, unsure = _screen_cell(a_pairs, c_pairs, pools, ctx)
+    screened, unsure = _screen_cell(a_pairs, c_pairs, pools, ctx, _Workspace())
     for a_idx, c_idx, r, flagged in zip(a_pairs, c_pairs, screened, unsure):
         if flagged:
             continue
@@ -378,7 +384,7 @@ class TestBatchedKernelOracle:
         pools = select_pools(base, 100)
         cfg = toy_config(samples_per_cell=100)
         with mock.patch.object(search, "raw_ratings", wraps=search.raw_ratings) as spy:
-            cell = _evaluate_cell(300, 100, 10, pools, ctx, cfg)
+            cell = _evaluate_cell(300, 100, 10, pools, ctx, cfg, _Workspace())
         assert spy.call_count == 0
         assert cell == evaluate_cell_loop(300, 100, 10, pools, ctx, cfg)
 
@@ -391,7 +397,7 @@ class TestBatchedKernelOracle:
         pools = select_pools(base, 9)
         cfg = toy_config(samples_per_cell=20)
 
-        def inflated_screen(a_pairs, c_pairs, pools, ctx):
+        def inflated_screen(a_pairs, c_pairs, pools, ctx, ws):
             exact = np.array([ctx.evaluate(SemanticCore(
                 tokens_of(ctx.store.tokens, pools.abstract[a_idx]),
                 tokens_of(ctx.store.tokens, pools.concrete[c_idx])))
@@ -403,7 +409,7 @@ class TestBatchedKernelOracle:
             return exact, unsure
 
         with mock.patch.object(search, "_screen_cell", inflated_screen):
-            cell = _evaluate_cell(30, 9, 2, pools, ctx, cfg)
+            cell = _evaluate_cell(30, 9, 2, pools, ctx, cfg, _Workspace())
         assert cell == evaluate_cell_loop(30, 9, 2, pools, ctx, cfg)
 
     def test_screen_blocks_do_not_change_cells(self, tmp_path):
@@ -423,10 +429,65 @@ class TestBatchedKernelOracle:
         base = select_base(lex, freq, store, 9)
         ctx = _EvalContext(base, store)
         cfg = toy_config(samples_per_cell=4)
-        cell = _evaluate_cell(9, 3, 2, select_pools(base, 3), ctx, cfg)
+        cell = _evaluate_cell(9, 3, 2, select_pools(base, 3), ctx, cfg, _Workspace())
         assert cell == evaluate_cell_loop(9, 3, 2, select_pools(base, 3), ctx, cfg)
         assert isinstance(cell, SkippedCell)
         assert cell.reason == "correlation undefined for every evaluated core"
+
+
+class TestWorkspace:
+    def test_reused_workspace_screens_as_fresh_arrays(self, tmp_path):
+        # a block of another X, with more cores, words and pool rows, leaves its
+        # values in every buffer that the smaller block then views
+        store, lex, freq = clustered_dataset(tmp_path, n_words=300, d=10, seed=3)
+        rng = np.random.default_rng(4)
+        ws = _Workspace()
+        big = select_base(lex, freq, store, 300)
+        _screen_cell(*_seed_pairs(90, 30, 60, rng), select_pools(big, 90),
+                     _EvalContext(big, store), ws)
+        small = select_base(lex, freq, store, 120)
+        pairs = _seed_pairs(30, 10, 25, rng)
+        ctx, pools = _EvalContext(small, store), select_pools(small, 30)
+        reused_r, reused_unsure = _screen_cell(*pairs, pools, ctx, ws)
+        fresh_r, fresh_unsure = _screen_cell(*pairs, pools, ctx, _Workspace())
+        assert reused_r.tobytes() == fresh_r.tobytes()
+        assert np.array_equal(reused_unsure, fresh_unsure)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="MALLOC_MMAP_THRESHOLD_ is a glibc setting")
+    def test_cells_fault_few_pages_with_mmap_threshold_pinned(self):
+        # With glibc's mmap threshold pinned at 128 kB, every array above it is
+        # mapped anew and faulted in page by page when it is written. Each cell
+        # here holds (100 cores x 600 words) arrays of 480 kB, 118 pages each:
+        # reused workspace views fault once per search, while the sort order and
+        # the rank correlation's sums still fault on every cell.
+        code = """if True:
+            import resource
+            import numpy as np
+            from cadict.embeddings import VectorStore
+            from cadict.lexicon import FrequencyList, RatingLexicon
+            from cadict.search import SearchConfig, search_grid
+            rng = np.random.default_rng(3)
+            n = 600
+            matrix = rng.normal(size=(n, 50))
+            matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+            tokens = [f"w{i}" for i in range(n)]
+            store = VectorStore(tokens, matrix, "synthetic")
+            lex = RatingLexicon({t: 1.0 + 4.0 * i / n for i, t in enumerate(tokens)})
+            freq = FrequencyList({t: n - i for i, t in enumerate(tokens)})
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            report = search_grid(lex, freq, store, SearchConfig(x_values=(n,), rng_seed=1))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print(len(report.cells), (after - before) / len(report.cells))
+        """
+        src = str(Path(search.__file__).parents[1])
+        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout.split()
+        cells, faults_per_cell = int(out[0]), float(out[1])
+        assert cells == 26
+        assert faults_per_cell < 1000
 
 
 class TestSeedBudgetTooLarge:
@@ -437,7 +498,8 @@ class TestSeedBudgetTooLarge:
         store, lex, freq = clustered_dataset(tmp_path, n_words=120, d=4)
         base = select_base(lex, freq, store, 120)
         cfg = toy_config(x_values=(120,), samples_per_cell=samples)
-        cell = _evaluate_cell(120, 40, 20, select_pools(base, 40), _EvalContext(base, store), cfg)
+        cell = _evaluate_cell(120, 40, 20, select_pools(base, 40), _EvalContext(base, store),
+                              cfg, _Workspace())
         assert cell == SkippedCell(x=120, y=40, z=20, reason=(
             f"seed draws too large to allocate: k = {samples} pairs of z = 20"))
 
