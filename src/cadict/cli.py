@@ -22,7 +22,7 @@ from pathlib import Path
 from cadict import __version__
 from cadict.embeddings import LoadReport, cache_vectors, open_store
 from cadict.errors import DataError, InfeasibleError, check_regular, write_json
-from cadict.lexicon import load_frequencies, load_ratings, read_table
+from cadict.lexicon import PREDICTIONS, WORDS, load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
 from cadict.search import SearchConfig, search_grid
@@ -137,24 +137,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_prediction(fields: list[str]) -> float:
-    if len(fields) < 2:
-        raise DataError("need at least 2 tab-separated columns")
-    try:
-        value = float(fields[1])
-    except ValueError:
-        raise DataError(f"unparseable rating {fields[1]!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite rating {fields[1]!r}")
-    return value
-
-
 def _load_predictions(path: str | Path, fold_case: bool) -> tuple[dict[str, float], LoadReport]:
     """Read predicted ratings from a 2-column ratings TSV or the 4-column
     dictionary TSV. Dictionary files contribute the raw-ratio column: it keeps
     full rank fidelity, while the scaled column is quantized to 3 decimals
     (and the correlations are affine-invariant, so the choice costs nothing)."""
-    preds, report = read_table(path, fold_case, _parse_prediction)
+    preds, report = read_table(path, fold_case, PREDICTIONS)
     if not preds:
         raise DataError(f"{path}: no predictions found")
     return preds, report
@@ -209,7 +197,7 @@ def _cmd_rate(args) -> int:
     words = words_report = vocab_filter = None
     if args.words:
         # a word list is a table whose first column is the word
-        table, words_report = read_table(args.words, args.fold_case, lambda fields: None)
+        table, words_report = read_table(args.words, args.fold_case, WORDS)
         words = list(table)
         vocab_filter = set(words) | set(core.seed_abstract) | set(core.seed_concrete)
     store = open_store(args.vectors, vocab_filter=vocab_filter, fold_case=args.fold_case)
@@ -233,12 +221,13 @@ def _cmd_rate(args) -> int:
 def _cmd_evaluate(args) -> int:
     gold = load_ratings(args.gold, fold_case=args.fold_case)
     preds, pred_report = _load_predictions(args.pred, fold_case=args.fold_case)
-    joined = [t for t in preds if t in gold]
+    ratings = gold._entries  # its dict's own methods: no Python call per token
+    joined = list(filter(ratings.__contains__, preds))
     if len(joined) < 2:
         detail = "empty join" if not joined else f"join of only {len(joined)} token(s)"
         raise DataError(f"prediction/gold {detail}; need at least 2 shared tokens")
-    pred_values = [preds[t] for t in joined]
-    gold_values = [gold.rating(t) for t in joined]
+    pred_values = list(map(preds.__getitem__, joined))
+    gold_values = list(map(ratings.__getitem__, joined))
     for path, values in ((args.pred, pred_values), (args.gold, gold_values)):
         if min(values) == max(values):
             raise DataError(f"{path}: every rating over the {len(joined)} shared tokens is "

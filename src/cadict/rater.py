@@ -24,6 +24,8 @@ logger = logging.getLogger(__name__)
 
 SIMILARITY_FLOOR = 1e-6
 FLAG_DENOMINATOR_FLOORED = "denominator_floored"
+DICTIONARY_CHUNK_ROWS = 4096  # dictionary TSV rows formatted and written at a time
+_DICTIONARY_ROW = "%s\t%.9g\t%.3f\t%s\n"
 
 
 @dataclass(frozen=True)
@@ -147,14 +149,20 @@ def build_dictionary(core: SemanticCore, vocab: Iterable[str] | None,
     """Rate `vocab` (default: the whole store) and write the dictionary TSV.
 
     Row format: token, raw rating (9 significant digits), scaled rating
-    (3 decimals), flags (`-` when none), tab separated.
+    (3 decimals), flags (`-` when none), tab separated. Each chunk of
+    `DICTIONARY_CHUNK_ROWS` rows is formatted by one `%` and written at once.
     """
     batch = rate_all(vocab, core, store)
     with open(out, "w", encoding="utf-8") as fh:
-        for t, r, s, f in zip(batch.tokens, batch.raw.tolist(), batch.scaled.tolist(),
-                              batch.floored.tolist()):
-            flags = FLAG_DENOMINATOR_FLOORED if f else "-"
-            fh.write(f"{t}\t{r:.9g}\t{s:.3f}\t{flags}\n")
+        for start in range(0, len(batch.tokens), DICTIONARY_CHUNK_ROWS):
+            stop = min(start + DICTIONARY_CHUNK_ROWS, len(batch.tokens))
+            cells = ["-"] * (4 * (stop - start))  # a row not floored keeps its "-" flag
+            cells[0::4] = batch.tokens[start:stop]
+            cells[1::4] = batch.raw[start:stop].tolist()
+            cells[2::4] = batch.scaled[start:stop].tolist()
+            for i in np.flatnonzero(batch.floored[start:stop]).tolist():
+                cells[4 * i + 3] = FLAG_DENOMINATOR_FLOORED
+            fh.write(_DICTIONARY_ROW * (stop - start) % tuple(cells))
     return DictionarySummary(
         rated=len(batch.tokens),
         skipped=len(batch.skipped),

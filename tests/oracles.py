@@ -10,7 +10,10 @@ base dictionary. `tokens_of` names the store rows that a pool holds.
 `pools_by_rule` picks candidate pools by sorting on the frequency counts
 themselves, which `select_pools` leaves to the base order.
 `load_vectors_by_line` is the word-vectors text loader as it was before it
-parsed blocks: one `split` and one `np.array` per line.
+parsed blocks: one `split` and one `np.array` per line. `read_table_by_row`
+is the table reader as it was before it checked blocks: one parse function per
+row, each kind's rules written out in it. `write_dictionary_by_row` is the
+dictionary writer as it was before it formatted chunks: one f-string per row.
 """
 
 import itertools
@@ -21,7 +24,7 @@ import numpy as np
 
 from cadict.embeddings import MIN_NORM, LoadReport, VectorStore, _looks_like_header
 from cadict.errors import DataError, open_text
-from cadict.rater import SemanticCore
+from cadict.rater import FLAG_DENOMINATOR_FLOORED, SemanticCore
 from cadict.search import CellResult, SkippedCell, _EvalContext, _core_sort_key, _seed_pairs
 
 
@@ -179,3 +182,101 @@ def load_vectors_by_line(path, vocab_filter=None, fold_case=True):
         return VectorStore(tokens, np.vstack(rows), source_id=str(path), load_report=report)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _parse_rating(fields):
+    if len(fields) != 2:
+        return "rejected"
+    if len(fields[0].split()) > 1:
+        return "multiword_excluded"
+    try:
+        rating = float(fields[1])
+    except ValueError:
+        return "rejected"
+    return rating if 1.0 <= rating <= 5.0 else "rejected"
+
+
+def _parse_count(fields):
+    if len(fields) != 2:
+        return "rejected"
+    try:
+        count = int(fields[1])
+    except ValueError:
+        return "rejected"
+    return count if count >= 0 else "rejected"
+
+
+def _parse_prediction(fields):
+    if len(fields) < 2:
+        raise DataError("need at least 2 tab-separated columns")
+    try:
+        value = float(fields[1])
+    except ValueError:
+        raise DataError(f"unparseable rating {fields[1]!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite rating {fields[1]!r}")
+    return value
+
+
+ROW_PARSERS = {"ratings": _parse_rating, "counts": _parse_count,
+               "predictions": _parse_prediction, "words": lambda fields: None}
+
+
+def _is_number(fields):
+    """Whether a row has a second field that reads as a number."""
+    try:
+        float(fields[1])
+    except (IndexError, ValueError):
+        return False
+    return True
+
+
+def read_table_by_row(path, fold_case, kind, vocab_filter=None):
+    """`lexicon.read_table` one row at a time over the non-blank lines, for the
+    table kind named `kind` (a key of ROW_PARSERS): the header sniff, the
+    kind's parse, the empty-token rule, folding, the filter and duplicates, in
+    that order. A word list's header must be followed by a row whose second
+    field is a number."""
+    parse = ROW_PARSERS[kind]
+    entries, drops = {}, {}
+    with open_text(path) as fh:
+        rows = ((n, line.rstrip("\r\n").split("\t"))
+                for n, line in enumerate(fh, start=1) if line.strip())
+        first = list(itertools.islice(rows, 1))
+        if first and len(first[0][1]) >= 2 and not _is_number(first[0][1]):
+            if kind == "words":  # the next row, if any, is read only to sniff the header
+                first += itertools.islice(rows, 1)
+                header = len(first) == 2 and _is_number(first[1][1])
+            else:
+                header = True
+            if header:
+                first.pop(0)
+        for lineno, fields in itertools.chain(first, rows):
+            try:
+                value = parse(fields)
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            token = fields[0].strip()
+            if isinstance(value, str) or not token:
+                cause = value if token else "rejected"
+                drops[cause] = drops.get(cause, 0) + 1
+                continue
+            if fold_case:
+                token = token.lower()
+            if vocab_filter is not None and token not in vocab_filter:
+                drops["filtered_out"] = drops.get("filtered_out", 0) + 1
+                continue
+            if token in entries:
+                drops["duplicates_ignored"] = drops.get("duplicates_ignored", 0) + 1
+                continue
+            entries[token] = value
+    return entries, LoadReport(accepted=len(entries), **drops)
+
+
+def write_dictionary_by_row(batch, path):
+    """The dictionary TSV of a `rater.BatchRating`, one f-string per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for t, r, s, f in zip(batch.tokens, batch.raw.tolist(), batch.scaled.tolist(),
+                              batch.floored.tolist()):
+            flags = FLAG_DENOMINATOR_FLOORED if f else "-"
+            fh.write(f"{t}\t{r:.9g}\t{s:.3f}\t{flags}\n")

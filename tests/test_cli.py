@@ -351,6 +351,16 @@ class TestRateCommand:
             corpus["tokens"]
         assert (tmp_path / "dict.tsv.skipped.txt").read_text() == ""
 
+    def test_word_list_with_tags_rates_its_first_word(self, corpus, core_file, tmp_path):
+        # a second column that is no number does not make the first row a header
+        words = tmp_path / "words.tsv"
+        words.write_text("w005\tNOUN\nw010\tNOUN\nw020\tVERB\n", encoding="utf-8")
+        out = tmp_path / "dict.tsv"
+        assert run(["rate", "--core", str(core_file), "--vectors", str(corpus["vectors"]),
+                    "--words", str(words), "--out", str(out)]) == EXIT_OK
+        assert [line.split("\t")[0] for line in out.read_text().splitlines()] == \
+            ["w005", "w010", "w020"]
+
     def test_core_store_mismatch_fatal(self, corpus, tmp_path):
         core = tmp_path / "core.json"
         core.write_text(json.dumps({
