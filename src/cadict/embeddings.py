@@ -21,7 +21,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,11 @@ logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"CAVS0001"
 CACHE_FORMAT = {"version": 1, "dtype": "<f8"}  # header fields `load_cache` requires as written
-BLOCK_LINES = 1024  # text lines per np.loadtxt call: larger blocks cost memory, not time
+# text lines per np.loadtxt call. On a 40k x 300 text (2-vCPU Xeon), cache_vectors'
+# median CPU time was 1.09 s at 1024 lines, 1.02 s at 512 and 256 and 1.04-1.07 s
+# at 128, and the ingest benchmark's peak RSS 45.2 MB at 512, 42.8 MB at 256 and
+# 41.5 MB at 128: larger blocks cost memory, and smaller ones time
+BLOCK_LINES = 256
 CHUNK_BYTES = 1 << 24  # cache bytes read at a time by `load_cache`
 TOKEN_PIECE_BYTES = 1 << 16  # token-list bytes decoded and split at a time by `load_cache`
 # a smaller norm has a subnormal square, too inexact to normalize the row by
@@ -151,17 +155,16 @@ def _looks_like_header(parts: list[str]) -> bool:
 
 
 class _TextLoad:
-    """One pass over a word-vectors text file: the records accepted so far, the
-    drop counts, and one block buffer, reused for each block, whose unit rows
-    are written to `staging` after it."""
+    """One pass over a word-vectors text file: the tokens kept so far, in order,
+    and the drop counts; each block's unit rows are written to `staging`."""
 
     def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool,
                  staging: BinaryIO):
         self.path, self.vocab_filter, self.fold_case = path, vocab_filter, fold_case
         self.staging = staging
-        self.tokens: list[str] = []
-        self.buffer: np.ndarray | None = None
-        self.index: dict[str, int] = {}
+        # the kept tokens in row order, as an ordered dict's keys: not a set,
+        # whose table grows 4x at a time below 50k entries
+        self.tokens: dict[str, None] = {}
         self.dimension: int | None = None
         self.started = False  # a non-blank line has been read
         self.drops: Counter[str] = Counter()
@@ -169,13 +172,11 @@ class _TextLoad:
     def block(self, numbered: list[tuple[int, str]]) -> None:
         """Add (line number, line) pairs, each split once into token and rest.
 
-        One np.loadtxt call parses the rests of the records that may be kept; if
-        it refuses them (``1_0``, a bad component, unequal widths), each rest is
-        split and read by `float` instead. One walk in line order then applies
-        each rule once: width, filter, duplicate, components, norm, zero and
-        non-finite drops. A bad record is a DataError naming its line. The kept
-        rows are copied into the head of the block buffer, divided there by
-        their norms, checked and written to the staging file."""
+        One np.loadtxt call parses the rests of the records that may be kept.
+        When it parsed every record of the block at the store's width, `rows`
+        checks them as arrays. Otherwise, and when numpy refuses the rests
+        (``1_0``, a bad component, unequal widths), `records` walks the block
+        in line order; it alone names a bad record's line in a DataError."""
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
@@ -188,18 +189,60 @@ class _TextLoad:
             token = head[0].lower() if self.fold_case else head[0]
             rest = head[1] if len(head) == 2 else ""
             wanted = self.vocab_filter is None or token in self.vocab_filter
-            sent = bool(rest) and wanted and token not in self.index
+            sent = bool(rest) and wanted and token not in self.tokens
             records.append((lineno, token, rest, wanted, sent))
             if sent:
                 rests.append(rest)
         try:
-            matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2) if rests else ()
-            parsed = iter(matrix) if len(matrix) == len(rests) else None
+            matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2) if rests else None
         except ValueError:
-            parsed = None
-        if parsed is None:
-            logger.debug("%s: lines %d-%d parsed line by line",
-                         self.path, numbered[0][0], numbered[-1][0])
+            matrix = None
+        if matrix is None or len(matrix) != len(rests):
+            if rests:
+                logger.debug("%s: lines %d-%d parsed line by line",
+                             self.path, numbered[0][0], numbered[-1][0])
+            self.records(records, None)
+        elif len(rests) == len(records) and self.dimension in (None, matrix.shape[1]):
+            self.dimension = matrix.shape[1]
+            self.rows([token for _, token, *_ in records], matrix)
+        else:
+            self.records(records, iter(matrix))
+
+    def rows(self, tokens: list[str], matrix: np.ndarray) -> None:
+        """Keep the rows of `matrix`, the parsed records of `tokens`, by the
+        rules of `records`, checked as arrays: one batched row dot gives the
+        squared norms, the same ``ddot`` per row as ``vec.dot(vec)``."""
+        squares = np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel()
+        for i in np.flatnonzero(~np.isfinite(squares)).tolist():
+            vec = matrix[i]
+            if np.isfinite(vec).all():  # finite, but its squares overflowed
+                np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1], out=vec)
+                squares[i] = vec.dot(vec)
+        norms = np.sqrt(squares)
+        zero = norms < MIN_NORM
+        keep = ~zero & np.isfinite(norms)
+        kept, duplicates = self.tokens, []
+        for i, (token, good) in enumerate(zip(tokens, keep.tolist())):
+            if token in kept:  # a first occurrence dropped for its norm kept no token
+                duplicates.append(i)
+            elif good:
+                kept[token] = None
+        dropped = ~keep
+        dropped[duplicates] = keep[duplicates] = False
+        self.drops["duplicates_ignored"] += len(duplicates)
+        self.drops["zero_norm_skipped"] += int(np.count_nonzero(dropped & zero))
+        self.drops["non_finite_skipped"] += int(np.count_nonzero(dropped & ~zero))
+        if not keep.all():
+            matrix, norms = matrix[keep], norms[keep]
+        self.write(matrix, norms)
+
+    def records(self, records: list[tuple[int, str, str, bool, bool]],
+                parsed: Iterator[np.ndarray] | None) -> None:
+        """Keep the `records` of one block one at a time, applying each rule once
+        in line order: width, filter, duplicate, components, norm, zero and
+        non-finite drops. A record sent to numpy takes its row from `parsed`;
+        without it, or for a record not sent, the rest is split and read by
+        `float`. A bad record is a DataError naming its line."""
         vecs, norms = [], []
         for lineno, token, rest, wanted, sent in records:
             fields = next(parsed) if sent and parsed is not None else rest.split()
@@ -210,7 +253,7 @@ class _TextLoad:
             elif len(fields) != self.dimension:
                 raise DataError(f"{self.path}: line {lineno}: "
                                 f"expected {self.dimension} components, found {len(fields)}")
-            if not wanted or token in self.index:
+            if not wanted or token in self.tokens:
                 self.drops["duplicates_ignored" if wanted else "filtered_out"] += 1
                 continue
             try:
@@ -226,26 +269,28 @@ class _TextLoad:
             if norm < MIN_NORM or not math.isfinite(norm):
                 self.drops["zero_norm_skipped" if norm < MIN_NORM else "non_finite_skipped"] += 1
                 continue
-            self.index[token] = len(self.tokens)
-            self.tokens.append(token)
+            self.tokens[token] = None
             vecs.append(vec)
             norms.append(norm)
         if vecs:
-            if self.buffer is None:
-                self.buffer = np.empty((BLOCK_LINES, self.dimension))
-            rows = self.buffer[:len(vecs)]
-            np.stack(vecs, out=rows)
-            rows /= np.array(norms)[:, None]
-            try:
-                _check_unit_rows(rows)
-            except ValueError as exc:  # the check `VectorStore` would make
-                raise DataError(f"{self.path}: {exc}") from exc
-            self.staging.write(rows.astype("<f8", copy=False).data)
+            self.write(np.stack(vecs), np.array(norms))
+
+    def write(self, rows: np.ndarray, norms: np.ndarray) -> None:
+        """Divide the kept `rows` by their `norms` in place, check that they are
+        unit rows and write them to the staging file."""
+        if not len(rows):
+            return
+        rows /= norms[:, None]
+        try:
+            _check_unit_rows(rows)
+        except ValueError as exc:  # the check `VectorStore` would make
+            raise DataError(f"{self.path}: {exc}") from exc
+        self.staging.write(rows.astype("<f8", copy=False).data)
 
     def parse(self) -> None:
         """Read the whole file through `block`, `BLOCK_LINES` lines at a time; a
         file with no usable record is a DataError."""
-        # a finite record's squares may overflow; `block` rescales such a record
+        # a finite record's squares may overflow; `rows` and `records` rescale it
         with open_text(self.path) as fh, np.errstate(over="ignore"):
             numbered = enumerate(fh, start=1)
             for first in numbered:
@@ -298,16 +343,19 @@ def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
         load = _TextLoad(path, vocab_filter, fold_case, staging)
         load.parse()
         matrix = _unstage(staging, len(load.tokens), load.dimension)
-    tokens, report = load.tokens, load.report()
-    del load  # its token index goes before the store builds its own
+    tokens, report = tuple(load.tokens), load.report()
+    del load  # its tokens' dict goes before the store builds its index
     try:
         return VectorStore(tokens, matrix, source_id=str(path), load_report=report)
     except ValueError as exc:  # a row the store's checks refuse
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _cache_head(tokens: Sequence[str], dimension: int, source_id: str) -> bytes:
-    """Everything a cache holds before its rows: the magic, the header and the tokens."""
+def _cache_head(tokens: Collection[str], dimension: int, source_id: str) -> list[bytes]:
+    """Everything a cache holds before its rows, in pieces to write in turn: the
+    magic, the header and the token list's length, then the token list. The
+    tokens are encoded once, a piece at a time, so the list's bytes are held
+    once and never beside one joined str of every token."""
     header = {
         **CACHE_FORMAT,
         "dimension": dimension,
@@ -315,16 +363,20 @@ def _cache_head(tokens: Sequence[str], dimension: int, source_id: str) -> bytes:
         "source_id": source_id,
     }
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    token_blob = "\n".join(tokens).encode("utf-8")
-    return b"".join((CACHE_MAGIC, struct.pack("<I", len(header_blob)), header_blob,
-                     struct.pack("<Q", len(token_blob)), token_blob))
+    rest = iter(tokens)
+    blob: list[bytes] = []
+    while piece := list(itertools.islice(rest, 1 << 14)):  # tokens a piece
+        blob += (b"\n", "\n".join(piece).encode("utf-8"))
+    del blob[:1]  # no newline before the first piece
+    return [CACHE_MAGIC, struct.pack("<I", len(header_blob)), header_blob,
+            struct.pack("<Q", sum(map(len, blob))), *blob]
 
 
 def save_cache(store: VectorStore, path: str | Path) -> None:
     """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
     head = _cache_head(store.tokens, store.dimension, store.source_id)
     with open(path, "wb") as fh:
-        fh.write(head)
+        fh.writelines(head)
         fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
 
 
@@ -334,7 +386,7 @@ def cache_vectors(path: str | Path, out: str | Path,
     bytes of ``save_cache(load_vectors(path, fold_case=fold_case), out)``, with
     the same checks and errors. It returns the load report and the dimension.
 
-    Only the token index and one block of rows are held. Each block's unit rows
+    Only the kept tokens and one block of rows are held. Each block's unit rows
     are written to a staging file in `out`'s directory, which takes about the
     matrix's bytes there, and copied after the header and the tokens once the
     parse has succeeded; `out` is not opened before then."""
@@ -346,7 +398,7 @@ def cache_vectors(path: str | Path, out: str | Path,
         head = _cache_head(load.tokens, load.dimension, str(path))
         staging.seek(0)
         with open(out, "wb") as fh:
-            fh.write(head)
+            fh.writelines(head)
             shutil.copyfileobj(staging, fh)
     return load.report(), load.dimension
 

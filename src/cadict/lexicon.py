@@ -151,10 +151,11 @@ def _row_value(kind: TableKind, fields: list[str]) -> Any:
     return value if kind.lo <= value <= kind.hi else kind.refuse(2, fields[1])
 
 
-def _block_rows(kind: TableKind, lines: list[str]) -> tuple[list[str], list] | None:
-    """The stripped tokens and the values of the rows of `lines` when each line
-    has the first one's tab count, a token, and keeps `kind`'s rules; None when
-    some row may not. The joined block is split once and checked by column."""
+def _block_rows(kind: TableKind, lines: list[str]) -> tuple[list[str], list, int] | None:
+    """The stripped tokens and the values of the rows of `lines` that `kind`
+    keeps, and the number of multiword rows it drops, when each line has the
+    first one's tab count and a token and no other row breaks a rule; None when
+    some row may. The joined block is split once and checked by column."""
     width = lines[0].count("\t") + 1
     if not kind.min_fields <= width <= kind.max_fields:
         return None
@@ -167,18 +168,27 @@ def _block_rows(kind: TableKind, lines: list[str]) -> tuple[list[str], list] | N
         return None
     # a last cell keeps its line's newline, which `strip`, `float` and `int` skip
     tokens = list(map(str.strip, cells[0::width]))
-    if "" in tokens or kind.multiword and len(" ".join(tokens).split()) != len(tokens):
+    if "" in tokens:
         return None
+    fields = cells[1::width]
+    multiword = 0
+    if kind.multiword and len(" ".join(tokens).split()) != len(tokens):
+        # the rows of one word; a multiword row is dropped before its value is read
+        single = [len(words) == 1 for words in map(str.split, tokens)]
+        multiword = len(tokens) - sum(single)
+        tokens, fields = list(compress(tokens, single)), list(compress(fields, single))
     if kind.value is None:
-        return tokens, [None] * len(tokens)
+        return tokens, [None] * len(tokens), multiword
     try:
-        values = list(map(kind.value, cells[1::width]))
+        values = list(map(kind.value, fields))
     except ValueError:
         return None
     total = sum(values)  # NaN if a value is, and then min and max cannot be trusted
-    if total != total or min(values) < kind.lo or max(values) > kind.hi:
+    # an infinite bound holds for every value but NaN, so its pass is skipped
+    if values and (total != total or kind.lo > -math.inf and min(values) < kind.lo
+                   or kind.hi < math.inf and max(values) > kind.hi):
         return None
-    return tokens, values
+    return tokens, values, multiword
 
 
 def _second_field_is_number(line: str) -> bool | None:
@@ -218,10 +228,16 @@ class _Table:
     def block(self, lines: list[str], lineno: int) -> None:
         """Add the rows of `lines`, the first of which is line `lineno`. When
         every line has one tab count, the joined block is split once and its
-        columns are checked whole by `_block_rows`; when they are not, or some
-        row breaks a rule, `rows` reads the block a row at a time."""
+        columns are checked whole by `_block_rows`, which drops multiword rows
+        itself; when they are not, or some other row breaks a rule, `rows` reads
+        the block a row at a time."""
         checked = _block_rows(self.kind, lines) if lines else None
-        self.add(*(checked or self.rows(lines, lineno)))
+        if checked is None:
+            self.add(*self.rows(lines, lineno))
+        else:
+            tokens, values, multiword = checked
+            self.drops["multiword_excluded"] += multiword
+            self.add(tokens, values)
 
     def rows(self, lines: list[str], start: int) -> tuple[list[str], list]:
         """The stripped tokens and the values of the rows of `lines`, the first

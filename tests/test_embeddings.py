@@ -212,12 +212,25 @@ def vector_files(draw):
         st.sampled_from(["\n", ""]))
 
 
+# 1 to 3 lines a block reach every rule of the record walk; 4, 7 and 256 put
+# whole files in blocks that numpy parses and `_TextLoad.rows` checks as arrays
+BLOCK_SIZES = [1, 2, 3, 4, 7, 256]
+
+
 class TestBlockParser:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=vector_files(), block_lines=st.sampled_from([1, 2, 3]),
+    @given(text=vector_files(), block_lines=st.sampled_from(BLOCK_SIZES),
            fold_case=st.booleans(), vocab_filter=st.none() | st.sets(st.sampled_from(TOKENS)))
     @example(text="a 0 0\nA 1 0\nA 0 1\n", block_lines=3, fold_case=True, vocab_filter=None)
+    # in one numpy-parsed block: a duplicate of a kept record is dropped, one of
+    # a zero row is kept, and an overflowing row is rescaled beside a NaN row
+    @example(text="a 1 0\nb 0 1\na 2 2\nc 1 1\n", block_lines=4, fold_case=True,
+             vocab_filter=None)
+    @example(text="a 0 0\nb 0 1\na 2 2\nb 1 1\n", block_lines=7, fold_case=True,
+             vocab_filter=None)
+    @example(text="a 1e200 -1e200\nb nan 1\nc 1 2\nd inf 0\n", block_lines=256,
+             fold_case=True, vocab_filter=None)
     @example(text="a 1 0\nb 1_0 2\na x 1\n", block_lines=3, fold_case=True, vocab_filter=None)
     @example(text="a 1 0\nb 1e200 1e200\n", block_lines=2, fold_case=False, vocab_filter={"b"})
     @example(text="\ufeff2 3\na 1 0 0\n", block_lines=3, fold_case=True, vocab_filter=None)
@@ -232,8 +245,48 @@ class TestBlockParser:
         assert _outcome(load_vectors, path, **kwargs) == _outcome(load_vectors_by_line, path,
                                                                   **kwargs)
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=vector_files(), block_lines=st.sampled_from(BLOCK_SIZES),
+           fold_case=st.booleans())
+    @example(text="a 1 0\nb 0 0\nb 3 4\nA 5 5\nc 1e200 1e200\n", block_lines=7,
+             fold_case=True)
+    def test_cache_equals_the_saved_line_loader(self, tmp_path, monkeypatch, text, block_lines,
+                                                fold_case):
+        # `cache_vectors` writes what `save_cache` writes for the oracle's store, or
+        # fails with its message
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
+
+        def written(write):
+            out = tmp_path / "out.cavs"
+            try:
+                write(out)
+            except DataError as exc:
+                return str(exc)
+            return out.read_bytes()
+
+        assert written(lambda out: embeddings.cache_vectors(path, out, fold_case=fold_case)) == \
+            written(lambda out: save_cache(load_vectors_by_line(path, fold_case=fold_case), out))
+
+    @pytest.mark.parametrize("dimension", [1, 3, 300, 301, 1024])
+    def test_batched_row_dots_equal_vec_dot(self, tmp_path, dimension):
+        # `_TextLoad.rows` takes its squared norms from one batched row dot, which
+        # must give each row's ``vec.dot(vec)`` bit for bit at every width and
+        # scale; np.einsum("ij,ij->i") does not at 300 components
+        rng = np.random.default_rng(dimension)
+        scales = 10.0 ** np.linspace(-150, 150, 61)
+        rows = rng.normal(size=(61, dimension)) * scales[:, None]
+        batched = np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+        assert batched.tobytes() == np.array([vec.dot(vec) for vec in rows]).tobytes()
+        path = write_vec_file(tmp_path / "v.txt",
+                              [(f"w{i}", row) for i, row in enumerate(rows)])
+        assert _outcome(load_vectors, path) == _outcome(load_vectors_by_line, path)
+
     def test_wide_rows_equal_the_line_loader(self, tmp_path):
-        # at 300 components numpy's vectorised norms differ from the per-row ones
+        # at 300 components numpy's vectorised norms differ from the per-row ones:
+        # np.einsum's sums are not ``vec.dot(vec)``'s, a batched row dot's are
         rng = np.random.default_rng(9)
         path = write_vec_file(tmp_path / "v.txt",
                               [(f"w{i}", rng.normal(size=300)) for i in range(300)])
@@ -507,6 +560,18 @@ class TestCache:
         assert code == 0
         assert peak < 0.25 * rows.nbytes
         assert np.array_equal(load_cache(cache).matrix, load_vectors(path).matrix)
+
+    def test_cache_command_holds_the_kept_tokens_once(self, tmp_path):
+        # 100,000 one-component records: their token strings and one ordered dict
+        # of them, 10.7 MB traced; a token list beside a token -> row dict and
+        # its ints took 14.3 MB
+        path = tmp_path / "v.vec"
+        path.write_text("".join(f"w{i} {i % 7 + 1}\n" for i in range(100_000)),
+                        encoding="utf-8")
+        (report, _), peak = traced_peak(
+            lambda: embeddings.cache_vectors(path, tmp_path / "v.cavs"))
+        assert report.accepted == 100_000
+        assert peak < 12.5e6
 
     def test_cache_vocab_filter(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,12 @@ class TestLoadRatings:
     def test_constructor_rejects_rating_outside_scale(self, rating):
         with pytest.raises(ValueError, match=rf"rating out of \[1, 5\] for 'dog': {rating}"):
             RatingLexicon({"cat": 3.0, "dog": rating})
+
+    def test_constructor_rejects_nan_rating(self):
+        # NaN lies in no range; the first rating outside [1, 5] is named
+        for entries in ({"cat": 3.0, "dog": math.nan}, {"cat": 3.0, "dog": math.nan, "emu": 9.0}):
+            with pytest.raises(ValueError, match=r"rating out of \[1, 5\] for 'dog': nan"):
+                RatingLexicon(entries)
 
     def test_header_autodetected(self, tmp_path):
         path = tmp_path / "r.tsv"
@@ -100,6 +108,12 @@ class TestLoadFrequencies:
     def test_constructor_rejects_negative_count(self):
         with pytest.raises(ValueError, match="negative count for 'x': -1"):
             FrequencyList({"the": 5, "x": -1})
+
+    def test_constructor_checks_counts_beside_nan(self):
+        # a NaN count is not negative, and does not hide a negative one behind it
+        assert len(FrequencyList({"the": 5, "nan": math.nan})) == 2
+        with pytest.raises(ValueError, match="negative count for 'x': -1"):
+            FrequencyList({"nan": math.nan, "the": 5, "x": -1, "y": -2})
 
     def test_non_integer_rejected(self, tmp_path):
         rows = [("x", "1.5")] + [(f"w{i}", 5) for i in range(20)]

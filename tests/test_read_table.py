@@ -77,13 +77,16 @@ def test_reader_equals_the_per_row_oracle(tmp_path, text, kind, fold_case, vocab
     assert got == expected
 
 
-def _well_formed(kind, n, bad_after=None):
+def _well_formed(kind, n, bad_after=None, multiword_every=None):
     """`n` rows of `kind` that keep its rules, after a header where the kind has
-    one; with `bad_after`, a row with a blank token follows that row."""
+    one; with `bad_after`, a row with a blank token follows that row, and with
+    `multiword_every`, every such row's token is two words."""
     header = ["word\trating\n"] if kind != "words" else []
     row = {"ratings": "W{0}\t{1}.5\n", "counts": "w{0}\t{0}\n",
            "predictions": "w{0}\t0.{0}\t{1}.25\t-\n", "words": "w{0}\n"}[kind]
     rows = [row.format(i, 1 + i % 4) for i in range(n)]
+    if multiword_every:
+        rows[::multiword_every] = ["x " + r for r in rows[::multiword_every]]
     if bad_after is not None:
         rows.insert(bad_after + 1, "\t\n")
     return "".join(header + rows)
@@ -99,6 +102,17 @@ def test_well_formed_table_parses_no_row_alone(tmp_path, kind):
         entries, report = read_table(path, True, KINDS[kind])
     assert per_row.call_count == 0
     assert report.accepted == 100_000
+    oracle_entries, oracle_report = read_table_by_row(path, True, kind)
+    assert list(entries.items()) == list(oracle_entries.items())
+    assert report == oracle_report
+
+    # nor does a row of a table whose every 14th token is two words, 7% of
+    # rows as in real norms: a ratings table drops those rows and keeps the rest
+    path.write_text(_well_formed(kind, 100_000, multiword_every=14), encoding="utf-8")
+    with mock.patch.object(lexicon, "_row_value", wraps=lexicon._row_value) as per_row:
+        entries, report = read_table(path, True, KINDS[kind])
+    assert per_row.call_count == 0
+    assert report.multiword_excluded == (7143 if kind == "ratings" else 0)
     oracle_entries, oracle_report = read_table_by_row(path, True, kind)
     assert list(entries.items()) == list(oracle_entries.items())
     assert report == oracle_report
