@@ -3,9 +3,10 @@
 Ties get fractional (average) ranks and Spearman is computed as Pearson over
 those ranks, the correct general form; the popular 1 - 6*sum(d^2)/... shortcut
 is only valid tie-free and lives in the test suite as an oracle. Every rank
-correlation, here and in the core search, is `rank_correlation`, whose sums
-are exact integers. math.fsum serves only `pearson` over arbitrary values:
-evaluations correlate tens of thousands of values with small variances.
+correlation, here and in the core search's screen, sums its centred ranks
+with `exact_dot`, whose sums are exact integers. math.fsum serves only
+`pearson` over arbitrary values: evaluations correlate tens of thousands of
+values with small variances.
 """
 
 from __future__ import annotations
@@ -77,39 +78,50 @@ def pearson(x, y) -> float:
     return float(np.clip(sxy / math.sqrt(sxx * syy), -1.0, 1.0))
 
 
-def rank_correlation(ranks, gold_ranks):
-    """Pearson correlation of fractional ranks with `gold_ranks`, clamped to
-    [-1, 1]: a float for one rank vector, an array for each row of a 2-d one;
-    NaN where the ranks are constant.
+def centred_ranks(ranks) -> np.ndarray:
+    """2*rank - (n + 1) for each fractional rank, as int64: twice a
+    fractional rank is an exact integer, and the result sums to 0."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    u = np.multiply(ranks, 2, out=np.empty(ranks.shape, np.int64), casting="unsafe")
+    u -= ranks.shape[-1] + 1
+    return u
 
-    Twice a fractional rank is an integer, so the sums run exactly over
-    2*rank - (n+1); r is the ratio of the correctly rounded sums, the same
-    bits as `pearson` on the same ranks, for any n.
+
+def exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` over the last axis of int64 centred ranks (or weights of the
+    same range), summed exactly and rounded once to float64.
+
+    A sum over all n terms is at most (n^3 - n) / 3 and one term at most
+    (n - 1)^2; past about 3M words, blocks short enough to sum in int64
+    without overflow add up as Python ints.
+    """
+    n = b.size
+    int64_max = int(np.iinfo(np.int64).max)
+    if (n ** 3 - n) // 3 <= int64_max:
+        return np.asarray(a @ b, dtype=np.float64)
+    step = int64_max // (n - 1) ** 2
+    total = 0
+    for i in range(0, n, step):
+        total = total + (a[..., i:i + step] @ b[i:i + step]).astype(object)
+    return np.asarray(total, dtype=np.float64)
+
+
+def rank_correlation(ranks, gold_ranks) -> float:
+    """Pearson correlation of the fractional `ranks` with `gold_ranks`,
+    clamped to [-1, 1]; NaN when the ranks are constant.
+
+    The sums run exactly over `centred_ranks`; r is the ratio of the
+    correctly rounded sums, the same bits as `pearson` on the same ranks,
+    for any n.
     """
     ranks = np.asarray(ranks, dtype=np.float64)
     gold = np.asarray(gold_ranks, dtype=np.float64)
-    n = gold.size
-    if gold.ndim != 1 or n < 2 or ranks.shape[-1:] != (n,):
-        raise ValueError("rank_correlation needs 1-d gold ranks (n >= 2) and rows of length n")
-    # one int64 array, filled in place: twice a fractional rank is an exact integer
-    u = np.multiply(ranks, 2, out=np.empty(ranks.shape, np.int64), casting="unsafe")
-    u -= n + 1
-    g = (2 * gold).astype(np.int64) - (n + 1)
-    # a sum over all n terms is at most (n^3 - n) / 3 and one term at most
-    # (n - 1)^2: past about 3M words, blocks short enough to sum in int64
-    # without overflow add up as Python ints
-    int64_max = int(np.iinfo(np.int64).max)
-    step = n if (n ** 3 - n) // 3 <= int64_max else int64_max // (n - 1) ** 2
-    sxx = sxy = syy = 0
-    for i in range(0, n, step):
-        ub, gb = u[..., i:i + step], g[i:i + step]
-        sxx = sxx + np.einsum("...i,...i->...", ub, ub).astype(object)
-        sxy = sxy + (ub @ gb).astype(object)
-        syy += int(gb @ gb)
-    sxx, sxy = np.asarray(sxx, dtype=np.float64), np.asarray(sxy, dtype=np.float64)
+    if gold.ndim != 1 or gold.size < 2 or ranks.shape != gold.shape:
+        raise ValueError("rank_correlation needs two equal-length 1-d rank vectors (n >= 2)")
+    u, g = centred_ranks(ranks), centred_ranks(gold)
     with np.errstate(invalid="ignore"):  # 0 / 0 for constant ranks
-        r = np.clip(sxy / np.sqrt(sxx * float(syy)), -1.0, 1.0)
-    return float(r) if r.ndim == 0 else r
+        r = np.clip(exact_dot(u, g) / np.sqrt(exact_dot(u, u) * exact_dot(g, g)), -1.0, 1.0)
+    return float(r)
 
 
 def spearman(x, y) -> float:

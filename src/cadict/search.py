@@ -8,13 +8,14 @@ core per cell.
 
 Words travel through the search as vector-store rows, resolved once per base
 by `select_base`; tokens come back only to name a flagged or tied-best core.
-A batched screen rates all of a cell's cores with one matrix product, ranks
-them through one flat sort index, and scores them with
-`metrics.rank_correlation`, the one rank correlation (exact int64 sums;
-math.fsum serves only `metrics.pearson`). A flagged core (one whose screened
-ranks could differ from the exact ones) is re-scored through the exact path
-(`raw_ratings`, then the same correlation); any other core has that path's
-ranks already, so every r_s is that path's.
+A batched screen rates all of a cell's cores with one matrix product and
+sorts each core's ratings. An untied core's r is then one exact integer dot
+of the gold ranks, read in that order, with fixed weights; a tied core's goes
+through `metrics.rank_correlation`. Both sum with `metrics.exact_dot` (exact
+int64 sums; math.fsum serves only `metrics.pearson`). A flagged core (one
+whose screened ranks could differ from the exact ones) is re-scored through
+the exact path (`raw_ratings`, then the same correlation); any other core has
+that path's ranks already, so every r_s is that path's.
 
 Reproducibility contract: every cell draws from its own RNG stream keyed by
 (rng_seed, X, Y, Z), and the best-core reduction breaks score ties by the
@@ -154,6 +155,13 @@ class _EvalContext:
         self.store = store
         self.matrix = store.matrix[base.rows]
         self.gold_ranks = metrics.average_ranks(base.ratings)
+        # an untied core's centred ranks, read in its ascending order, are the
+        # weights 2p + 1 - n: its r needs only the gold ones gathered in that order
+        n = len(self.gold_ranks)
+        self.gold = metrics.centred_ranks(self.gold_ranks)
+        self.weights = np.arange(1 - n, n, 2, dtype=np.int64)
+        self.denominator = np.sqrt(metrics.exact_dot(self.weights, self.weights)
+                                   * metrics.exact_dot(self.gold, self.gold))
 
     def evaluate(self, core: SemanticCore) -> float:
         """Spearman of the core's raw ratings against gold; NaN when undefined."""
@@ -166,27 +174,27 @@ def _seed_pairs(y: int, z: int, limit: int,
     """Draw k = min(limit, C(y, z)^2) distinct (abstract, concrete) index pairs
     over pools of size y, uniformly without pair repetition from `rng`.
 
-    Returns two (k, z) integer arrays with sorted rows; row i of each is pair i.
-    A cell whose budget covers every pair draws each pair once. Arrays that
-    cannot be allocated are an InfeasibleError naming k and z.
+    Returns two (k, z) integer arrays with sorted rows, the halves of one
+    (k, 2, z) array; row i of each is pair i. A cell whose budget covers every
+    pair draws each pair once. An array that cannot be allocated is an
+    InfeasibleError naming k and z.
     """
     k = min(limit, comb(y, z) ** 2)
     try:
-        a_idx = np.empty((k, z), dtype=np.int64)
-        c_idx = np.empty((k, z), dtype=np.int64)
+        pairs = np.empty((k, 2, z), dtype=np.int64)
     except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
         msg = f"seed draws too large to allocate: k = {k} pairs of z = {z}"
         raise InfeasibleError(msg) from exc
     seen: set[bytes] = set()
     while len(seen) < k:
-        a = np.sort(rng.choice(y, size=z, replace=False))
-        c = np.sort(rng.choice(y, size=z, replace=False))
-        key = a.tobytes() + c.tobytes()
-        if key in seen:
-            continue
-        a_idx[len(seen)], c_idx[len(seen)] = a, c
-        seen.add(key)
-    return a_idx, c_idx
+        pair = pairs[len(seen)]  # a repeated draw is overwritten by the next
+        pair[0] = rng.choice(y, size=z, replace=False)
+        pair[1] = rng.choice(y, size=z, replace=False)
+        pair.sort(axis=1)
+        key = pair.tobytes()
+        if key not in seen:
+            seen.add(key)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _pair_core(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
@@ -230,7 +238,7 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     whose sorted ratings have two neighbours closer than their bounds allow
     is flagged. Every other core has exactly the exact path's ranks, and so
     exactly its r. Every array of the block's size is a view of `ws`, filled
-    with ``out=``, but the sort order and `metrics.rank_correlation`'s sums.
+    with ``out=``, but the sort order.
     """
     (k, z), y = a_idx.shape, len(pools.abstract)
     n, d = ctx.matrix.shape
@@ -247,9 +255,6 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
         np.matmul(sel, vectors, out=half)
     means /= z
     sims = np.matmul(means, ctx.matrix.T, out=ws.view("sims", (2 * k, n)))
-    num = np.clip(sims[:k], SIMILARITY_FLOOR, 1.0, out=ws.view("num", (k, n)))
-    den = np.clip(sims[k:], SIMILARITY_FLOOR, 1.0, out=ws.view("den", (k, n)))
-    raw = np.divide(num, den, out=ws.view("raw", (k, n)))
 
     # Each path gets a similarity within (d + y + 1) * eps / 2 of its true
     # value (unit rows, d components, means over at most y rows), so the two
@@ -259,28 +264,34 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     # rounding the ratio.
     delta = 4 * (d + y) * np.finfo(np.float64).eps
     live = np.greater(sims, SIMILARITY_FLOOR - delta, out=ws.view("live", (2 * k, n), bool))
-    rel = np.divide(live[:k], num, out=num)  # num and den are spent: they take the bound
+    num, den = np.clip(sims, SIMILARITY_FLOOR, 1.0, out=sims)[:k], sims[k:]
+    raw = np.divide(num, den, out=ws.view("raw", (k, n)))
+    rel = np.divide(live[:k], num, out=num)  # num and den are spent: num takes the bound
     rel += np.divide(live[k:], den, out=den)
     rel *= 2 * delta
     bound = np.multiply(raw, rel, out=rel)
-    # each core's ascending order, as indices into the flattened (k, n) arrays
+
+    # an untied core's r: its centred ranks in ascending order are the weights
     order = np.argsort(raw, axis=1)
+    gold = np.take(ctx.gold, order, out=ws.view("gold", (k, n), np.int64), mode="clip")
+    r = np.clip(metrics.exact_dot(gold, ctx.weights) / ctx.denominator, -1.0, 1.0)
+    # the order as indices into the flattened (k, n) arrays. Each spent buffer
+    # takes the next array: den the sorted ratings and then their sorted
+    # bounds, the gathered gold the gaps, num (the head of sims) the slack
     order += rows * n
-    # sims is spent too: its halves take the sorted ratings and their sorted bounds
-    ordered = np.take(raw, order, out=sims[:k], mode="clip")
-    gaps = np.subtract(ordered[:, 1:], ordered[:, :-1], out=ws.view("gaps", (k, n - 1)))
-    err = np.take(bound, order, out=sims[k:], mode="clip")
-    slack = np.add(err[:, 1:], err[:, :-1], out=ws.view("slack", (k, n - 1)))
+    ordered = np.take(raw, order, out=den, mode="clip")
+    gaps = np.subtract(ordered[:, 1:], ordered[:, :-1],
+                       out=ws.view("gold", (k, n - 1), np.int64).view(np.float64))
+    err = np.take(bound, order, out=den, mode="clip")
+    slack = np.add(err[:, 1:], err[:, :-1], out=ws.view("sims", (k, n - 1)))
     close = np.less_equal(gaps, slack, out=ws.view("close", (k, n - 1), bool))
     close &= np.greater(slack, 0.0, out=live[:k, :n - 1])
     unsure = np.any(close, axis=1)
 
-    ranks = ws.view("ranks", (k, n))
-    np.put(ranks, order, np.arange(1.0, n + 1))  # the n ranks repeat for every row of order
     tied = np.any(np.equal(gaps, 0.0, out=close), axis=1)
     for i in np.flatnonzero(tied & ~unsure):
-        ranks[i] = metrics.average_ranks(raw[i])
-    return metrics.rank_correlation(ranks, ctx.gold_ranks), unsure
+        r[i] = metrics.rank_correlation(metrics.average_ranks(raw[i]), ctx.gold_ranks)
+    return r, unsure
 
 
 def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalContext,

@@ -6,7 +6,9 @@ import pytest
 from cadict.metrics import (
     average_ranks,
     binary_accuracy,
+    centred_ranks,
     evaluate_ratings,
+    exact_dot,
     pearson,
     rank_correlation,
     spearman,
@@ -170,14 +172,12 @@ class TestRankCorrelation:
                 continue
             assert rank_correlation(rx, ry) == pearson(rx, ry)
 
-    def test_rows_equal_one_dimensional_calls(self):
+    def test_constant_ranks_are_nan(self):
         rng = np.random.default_rng(3)
         gold = average_ranks(rng.integers(0, 4, 50))
-        rows = np.array([average_ranks(rng.integers(0, levels, 50)) for levels in (1, 2, 3, 50)])
-        batch = rank_correlation(rows, gold)
-        assert np.isnan(batch[0]) and np.isnan(rank_correlation(rows[0], gold))
-        for row, r in zip(rows[1:], batch[1:]):
-            assert rank_correlation(row, gold) == r
+        assert np.isnan(rank_correlation(average_ranks(np.zeros(50)), gold))
+        with pytest.raises(ValueError, match="equal-length 1-d"):
+            rank_correlation(np.tile(gold, (2, 1)), gold)
 
     def test_exact_past_the_int64_bound(self):
         n = 3_000_000
@@ -194,6 +194,12 @@ class TestRankCorrelation:
         rng = np.random.default_rng(31)
         x, y = average_ranks(rng.integers(0, 1000, n)), average_ranks(rng.normal(size=n))
         assert rank_correlation(x, y) == pearson(x, y)
+        # rows of centred ranks against the weights of an untied order, as the screen sums them
+        rows = centred_ranks(np.stack([x, y]))
+        weights = np.arange(1 - n, n, 2, dtype=np.int64)
+        sums = exact_dot(rows, weights)
+        assert sums[0] == exact_dot(rows[0], weights) and sums[1] == exact_dot(rows[1], weights)
+        assert sums[1] == float(sum(a * b for a, b in zip(rows[1].tolist(), weights.tolist())))
 
 
 class TestScipyOracle:
