@@ -6,7 +6,7 @@ expert-rated words, then extrapolate ratings to any vocabulary through
 cosine-similarity ratios against the core.
 """
 
-from cadict.embeddings import VectorStore, load_vectors, open_store
+from cadict.embeddings import VectorStore, load_cache
 from cadict.errors import CadictError, DataError, InfeasibleError
 from cadict.lexicon import (
     BaseDictionary,
@@ -65,11 +65,10 @@ __all__ = [
     "binary_accuracy",
     "build_dictionary",
     "evaluate_ratings",
+    "load_cache",
     "load_core",
     "load_frequencies",
     "load_ratings",
-    "load_vectors",
-    "open_store",
     "pearson",
     "rate_all",
     "save_core",

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from cadict import __version__
-from cadict.embeddings import LoadReport, cache_vectors, open_store
+from cadict.embeddings import LoadReport, cache_vectors, load_cache
 from cadict.errors import DataError, InfeasibleError, check_regular, write_json
 from cadict.lexicon import PREDICTIONS, WORDS, load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
@@ -154,7 +154,7 @@ def _cmd_search(args) -> int:
     # neither the frequencies nor the store need more than the lexicon's words
     rated = set(ratings.tokens)
     freq = load_frequencies(args.freq, fold_case=args.fold_case, vocab_filter=rated)
-    store = open_store(args.vectors, vocab_filter=rated, fold_case=args.fold_case)
+    store = load_cache(args.vectors, vocab_filter=rated)
     cfg = args.config
     report = search_grid(ratings, freq, store, cfg)
     if not report.cells:
@@ -200,7 +200,7 @@ def _cmd_rate(args) -> int:
         table, words_report = read_table(args.words, args.fold_case, WORDS)
         words = list(table)
         vocab_filter = set(words) | set(core.seed_abstract) | set(core.seed_concrete)
-    store = open_store(args.vectors, vocab_filter=vocab_filter, fold_case=args.fold_case)
+    store = load_cache(args.vectors, vocab_filter=vocab_filter)
     summary = build_dictionary(core, words, store, args.out)
 
     write_json(_sidecar(args.out), _manifest(args, None, {"fold_case": args.fold_case}))
@@ -274,9 +274,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_fold_flag(parser) -> None:
+_CACHE_HELP = "binary cache written by `cadict cache-vectors`"
+_FOLDS_TABLES = ("lowercase the tokens of the tables ({}) at load (default: on); "
+                 "a cache's tokens were folded, or not, by cache-vectors")
+
+
+def _add_fold_flag(parser, text: str = "lowercase all tokens at load (default: on)") -> None:
     parser.add_argument("--fold-case", action=argparse.BooleanOptionalAction, default=True,
-                        help="lowercase all tokens at load (default: on)")
+                        help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[], help="sweep (X, Y, Z) for the best core")
     p.add_argument("--ratings", required=True, help="expert ratings TSV (token TAB rating)")
     p.add_argument("--freq", required=True, help="frequency TSV (token TAB count)")
-    p.add_argument("--vectors", required=True, help="word-vectors text file or binary cache")
+    p.add_argument("--vectors", required=True, help=_CACHE_HELP)
     p.add_argument("--x", dest="x_values", metavar="X", type=_parse_x_values,
                    help="base sizes: start:stop:step, comma list, or one integer "
                         f"(default {','.join(map(str, SearchConfig.x_values))})")
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-core", default="core.json")
     p.add_argument("--out-landscape", default=None,
                    help="optional TSV of (x, y, z, best_r_s) rows")
-    _add_fold_flag(p)
+    _add_fold_flag(p, _FOLDS_TABLES.format("ratings, frequencies"))
     # a SearchConfig refusal is reported as this subcommand's usage error
     p.set_defaults(func=_cmd_search, error=p.error, inputs=("ratings", "freq", "vectors"),
                    outputs=lambda a: [a.out_report, a.out_core,
@@ -315,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="build a rating dictionary with a saved core")
     p.add_argument("--core", required=True, help="core JSON file")
-    p.add_argument("--vectors", required=True)
+    p.add_argument("--vectors", required=True, help=_CACHE_HELP)
     p.add_argument("--words", default=None,
                    help="words to rate: the first column of a TSV, so also one per "
                         "line (default: whole vector store)")
     p.add_argument("--out", default="dictionary.tsv")
-    _add_fold_flag(p)
+    _add_fold_flag(p, _FOLDS_TABLES.format("word list"))
     p.set_defaults(func=_cmd_rate, error=p.error, inputs=("core", "vectors", "words"),
                    outputs=lambda a: [*_with_sidecar(a.out), _skipped(a.out)])
 

@@ -1,9 +1,10 @@
-"""Static word vectors: text-format parsing, unit normalization, a binary cache.
+"""Static word vectors: one text parser, unit normalization, a binary cache.
 
-Vectors are L2-normalized once at load so that every later similarity is a
-plain dot product; the seed search downstream evaluates millions of them.
-A binary cache format is provided because parsing multi-gigabyte text dumps
-dominates start-up time otherwise.
+Vectors are L2-normalized once, when `cache_vectors` parses a text file into
+a binary cache, so that every later similarity is a plain dot product; the
+seed search downstream evaluates millions of them. Every run-time load reads
+that cache through `load_cache`, since parsing a multi-gigabyte text dump
+would otherwise dominate each run's start-up time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from cadict.errors import DataError, check_regular, open_text
+from cadict.errors import DataError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -158,9 +159,8 @@ class _TextLoad:
     """One pass over a word-vectors text file: the tokens kept so far, in order,
     and the drop counts; each block's unit rows are written to `staging`."""
 
-    def __init__(self, path: Path, vocab_filter: set[str] | None, fold_case: bool,
-                 staging: BinaryIO):
-        self.path, self.vocab_filter, self.fold_case = path, vocab_filter, fold_case
+    def __init__(self, path: Path, fold_case: bool, staging: BinaryIO):
+        self.path, self.fold_case = path, fold_case
         self.staging = staging
         # the kept tokens in row order, as an ordered dict's keys: not a set,
         # whose table grows 4x at a time below 50k entries
@@ -188,9 +188,8 @@ class _TextLoad:
                     continue
             token = head[0].lower() if self.fold_case else head[0]
             rest = head[1] if len(head) == 2 else ""
-            wanted = self.vocab_filter is None or token in self.vocab_filter
-            sent = bool(rest) and wanted and token not in self.tokens
-            records.append((lineno, token, rest, wanted, sent))
+            sent = bool(rest) and token not in self.tokens
+            records.append((lineno, token, rest, sent))
             if sent:
                 rests.append(rest)
         try:
@@ -236,15 +235,15 @@ class _TextLoad:
             matrix, norms = matrix[keep], norms[keep]
         self.write(matrix, norms)
 
-    def records(self, records: list[tuple[int, str, str, bool, bool]],
+    def records(self, records: list[tuple[int, str, str, bool]],
                 parsed: Iterator[np.ndarray] | None) -> None:
         """Keep the `records` of one block one at a time, applying each rule once
-        in line order: width, filter, duplicate, components, norm, zero and
+        in line order: width, duplicate, components, norm, zero and
         non-finite drops. A record sent to numpy takes its row from `parsed`;
         without it, or for a record not sent, the rest is split and read by
         `float`. A bad record is a DataError naming its line."""
         vecs, norms = [], []
-        for lineno, token, rest, wanted, sent in records:
+        for lineno, token, rest, sent in records:
             fields = next(parsed) if sent and parsed is not None else rest.split()
             if self.dimension is None:
                 if len(fields) < 1:
@@ -253,8 +252,8 @@ class _TextLoad:
             elif len(fields) != self.dimension:
                 raise DataError(f"{self.path}: line {lineno}: "
                                 f"expected {self.dimension} components, found {len(fields)}")
-            if not wanted or token in self.tokens:
-                self.drops["duplicates_ignored" if wanted else "filtered_out"] += 1
+            if token in self.tokens:
+                self.drops["duplicates_ignored"] += 1
                 continue
             try:
                 vec = np.asarray(fields, dtype=np.float64)
@@ -306,51 +305,6 @@ class _TextLoad:
         return LoadReport(accepted=len(self.tokens), **self.drops)
 
 
-def _unstage(staging: BinaryIO, count: int, dimension: int) -> np.ndarray:
-    """The `count` rows staged in `staging`, read into one matrix last
-    `CHUNK_BYTES` chunk first; the file is cut behind each chunk, so the staged
-    bytes and the matrix never both hold every row."""
-    matrix = np.empty((count, dimension), dtype="<f8")
-    step = max(1, CHUNK_BYTES // (dimension * 8))
-    for start in reversed(range(0, count, step)):
-        staging.seek(start * dimension * 8)
-        staging.readinto(matrix[start:start + step].data)
-        staging.truncate(start * dimension * 8)
-    return matrix
-
-
-def load_vectors(path: str | Path, vocab_filter: set[str] | None = None,
-                 fold_case: bool = True) -> VectorStore:
-    """Parse a word-vectors text file into a VectorStore.
-
-    Format: an optional ``N d`` header (two integers) on the first non-blank
-    line, then one ``token v1 ... vd`` record per line, whitespace separated,
-    UTF-8 with an optional byte-order mark. The dimension is inferred from the
-    first record; any later record with a different component count, or a
-    component that does not parse, is a hard error naming the line. Zero-norm
-    vectors (norm below `MIN_NORM`) and non-finite ones are dropped and
-    counted apart; a finite vector whose norm overflows is kept. On
-    duplicate tokens the first occurrence wins. Tokens are folded to
-    lowercase unless `fold_case` is off; `vocab_filter`, when given, is
-    matched after folding. Records are parsed `BLOCK_LINES` lines at a time
-    by `_TextLoad.block`, whose kept rows are staged in a temporary file in
-    ``TMPDIR`` (about the matrix's bytes) and read back by `_unstage`.
-    """
-    path = Path(path)
-    if fold_case and vocab_filter is not None:
-        vocab_filter = {t.lower() for t in vocab_filter}
-    with tempfile.TemporaryFile() as staging:
-        load = _TextLoad(path, vocab_filter, fold_case, staging)
-        load.parse()
-        matrix = _unstage(staging, len(load.tokens), load.dimension)
-    tokens, report = tuple(load.tokens), load.report()
-    del load  # its tokens' dict goes before the store builds its index
-    try:
-        return VectorStore(tokens, matrix, source_id=str(path), load_report=report)
-    except ValueError as exc:  # a row the store's checks refuse
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def _cache_head(tokens: Collection[str], dimension: int, source_id: str) -> list[bytes]:
     """Everything a cache holds before its rows, in pieces to write in turn: the
     magic, the header and the token list's length, then the token list. The
@@ -382,10 +336,20 @@ def save_cache(store: VectorStore, path: str | Path) -> None:
 
 def cache_vectors(path: str | Path, out: str | Path,
                   fold_case: bool = True) -> tuple[LoadReport, int]:
-    """Parse a word-vectors text file and write its binary cache to `out`: the
-    bytes of ``save_cache(load_vectors(path, fold_case=fold_case), out)``, with
-    the same checks and errors. It returns the load report and the dimension.
+    """Parse a word-vectors text file and write its binary cache to `out`; it
+    returns the load report and the dimension. This is cadict's one text parser.
 
+    Format: an optional ``N d`` header (two integers) on the first non-blank
+    line, then one ``token v1 ... vd`` record per line, whitespace separated,
+    UTF-8 with an optional byte-order mark. The dimension is inferred from the
+    first record; any later record with a different component count, or a
+    component that does not parse, is a hard error naming the line. Zero-norm
+    vectors (norm below `MIN_NORM`) and non-finite ones are dropped and
+    counted apart; a finite vector whose norm overflows is kept. On
+    duplicate tokens the first occurrence wins. Tokens are folded to
+    lowercase unless `fold_case` is off.
+
+    Records are parsed `BLOCK_LINES` lines at a time by `_TextLoad.block`.
     Only the kept tokens and one block of rows are held. Each block's unit rows
     are written to a staging file in `out`'s directory, which takes about the
     matrix's bytes there, and copied after the header and the tokens once the
@@ -393,7 +357,7 @@ def cache_vectors(path: str | Path, out: str | Path,
     path, out = Path(path), Path(out)
     # removed when closed; its prefix names `out` in an error from creating it
     with tempfile.TemporaryFile(dir=out.parent, prefix=f"{out.name}.staging.") as staging:
-        load = _TextLoad(path, None, fold_case, staging)
+        load = _TextLoad(path, fold_case, staging)
         load.parse()
         head = _cache_head(load.tokens, load.dimension, str(path))
         staging.seek(0)
@@ -401,6 +365,18 @@ def cache_vectors(path: str | Path, out: str | Path,
             fh.writelines(head)
             shutil.copyfileobj(staging, fh)
     return load.report(), load.dimension
+
+
+def load_vectors(path: str | Path, fold_case: bool = True) -> VectorStore:
+    """The store that `cache_vectors` caches from a word-vectors text file, with
+    the text's load report: the cache is written to a temporary directory in
+    ``TMPDIR`` (with its staging file, about twice the matrix's bytes) and read
+    back by `load_cache`, so a text store equals its cache by construction."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "store.cavs"
+        report, _ = cache_vectors(path, cache, fold_case=fold_case)
+        store = load_cache(cache)
+    return VectorStore(store.tokens, store.matrix, store.source_id, load_report=report)
 
 
 def _check_left(fh, size: int, path: Path, what: str) -> None:
@@ -432,20 +408,23 @@ def _token_pieces(fh, size: int, path: Path) -> Iterator[list[str]]:
 
 
 def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> VectorStore:
-    """Load a binary cache written by `save_cache`.
+    """Load a binary cache written by `cache_vectors` or `save_cache`.
 
-    A truncated or corrupt file is a DataError naming the file and the part
-    that is unreadable, and so is a header whose version or dtype is not the
-    one `save_cache` writes. With `vocab_filter`, only the kept tokens and rows
-    are held: the token list is split a piece at a time (`_token_pieces`), and
-    each run of consecutive kept rows is read straight into its place.
+    A file that is no cache, such as word-vectors text, is a DataError that
+    names `cadict cache-vectors`. A truncated or corrupt file is a DataError
+    naming the file and the part that is unreadable, and so is a header whose
+    version or dtype is not the one `save_cache` writes. With `vocab_filter`,
+    only the kept tokens and rows are held: the token list is split a piece at
+    a time (`_token_pieces`), and each run of consecutive kept rows is read
+    straight into its place.
     """
     path = Path(path)
     # unbuffered, so that each run of kept rows costs one read of just its bytes
     with open(path, "rb", buffering=0) as fh:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
-            raise DataError(f"{path}: not a cadict vector cache (bad magic)")
+            raise DataError(f"{path}: not a cadict vector cache (bad magic); "
+                            "convert word-vectors text with `cadict cache-vectors` first")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
         try:
             header = json.loads(_read_exact(fh, header_len, path, "header").decode("utf-8"))
@@ -510,14 +489,6 @@ def _read_rows(fh, matrix: np.ndarray, rows: array | None, path: Path) -> None:
                 raise DataError(f"{path}: cache truncated in the vector data")
 
 
-def open_store(path: str | Path, vocab_filter: set[str] | None = None,
-               fold_case: bool = True) -> VectorStore:
-    """Open either a word-vectors text file or a binary cache, by sniffing magic
-    bytes. The path must name a regular file, since the loader opens it again."""
-    path = Path(path)
-    check_regular(path, "to sniff its format and to load it")
-    with open(path, "rb") as fh:
-        head = fh.read(len(CACHE_MAGIC))
-    if head == CACHE_MAGIC:
-        return load_cache(path, vocab_filter=vocab_filter)
-    return load_vectors(path, vocab_filter=vocab_filter, fold_case=fold_case)
+def open_store(path: str | Path, vocab_filter: set[str] | None = None) -> VectorStore:
+    """`load_cache`, under the name that `perfbench/work.py` calls."""
+    return load_cache(path, vocab_filter=vocab_filter)

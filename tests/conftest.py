@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cadict.embeddings import VectorStore, load_vectors
+from cadict.embeddings import VectorStore, cache_vectors, load_vectors
 from cadict.lexicon import FrequencyList, RatingLexicon
 
 
@@ -16,9 +16,17 @@ def write_vec_file(path, records, header=False):
     return path
 
 
-def store_from_records(tmp_path, records, name="vectors.txt", **kwargs):
+def cache_from_records(path, records):
+    """Write (token, vector) records as word-vectors text at `path`, then their
+    cache beside it through `cache_vectors`; return the cache's path."""
+    cache = path.with_suffix(".cavs")
+    cache_vectors(write_vec_file(path, records), cache)
+    return cache
+
+
+def store_from_records(tmp_path, records, name="vectors.txt"):
     """Round a synthetic store through the real text-load path."""
-    return load_vectors(write_vec_file(tmp_path / name, records), **kwargs)
+    return load_vectors(write_vec_file(tmp_path / name, records))
 
 
 def store_from_raw(tokens, matrix):

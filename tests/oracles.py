@@ -122,15 +122,13 @@ def pools_by_rule(base, y, counts):
     return tuple(abstract), tuple(concrete)
 
 
-def load_vectors_by_line(path, vocab_filter=None, fold_case=True):
+def load_vectors_by_line(path, fold_case=True):
     """`embeddings.load_vectors` one line at a time, with its rules written out
-    in order: width, filter, duplicate, rescale, zero norm, non-finite."""
+    in order: width, duplicate, rescale, zero norm, non-finite."""
     path = Path(path)
-    if fold_case and vocab_filter is not None:
-        vocab_filter = {t.lower() for t in vocab_filter}
     tokens, rows, index = [], [], {}
     dimension = None
-    zero_norm = non_finite = duplicates = filtered = 0
+    zero_norm = non_finite = duplicates = 0
     first_line = True
     with open_text(path) as fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
@@ -150,9 +148,6 @@ def load_vectors_by_line(path, vocab_filter=None, fold_case=True):
                 raise DataError(
                     f"{path}: line {lineno}: expected {dimension} components, found {width}")
             token = parts[0].lower() if fold_case else parts[0]
-            if vocab_filter is not None and token not in vocab_filter:
-                filtered += 1
-                continue
             if token in index:
                 duplicates += 1
                 continue
@@ -176,8 +171,7 @@ def load_vectors_by_line(path, vocab_filter=None, fold_case=True):
     if not tokens:
         raise DataError(f"{path}: no usable vector records")
     report = LoadReport(accepted=len(tokens), zero_norm_skipped=zero_norm,
-                        non_finite_skipped=non_finite, duplicates_ignored=duplicates,
-                        filtered_out=filtered)
+                        non_finite_skipped=non_finite, duplicates_ignored=duplicates)
     try:
         return VectorStore(tokens, np.vstack(rows), source_id=str(path), load_report=report)
     except ValueError as exc:

@@ -26,7 +26,7 @@ from cadict.lexicon import load_frequencies, load_ratings
 from cadict.rater import SemanticCore, load_core
 from cadict.search import SearchConfig
 
-from conftest import write_vec_file
+from conftest import cache_from_records
 
 
 def run(argv):
@@ -49,7 +49,7 @@ def corpus(tmp_path_factory):
     vectors += rng.normal(0.0, 0.05, size=(n, d))
     tokens = [f"w{i:03d}" for i in range(n)]
 
-    vec_path = write_vec_file(root / "vectors.txt", list(zip(tokens, vectors)))
+    cache = cache_from_records(root / "vectors.txt", list(zip(tokens, vectors)))
     ratings_path = root / "ratings.tsv"
     ratings_path.write_text(
         "".join(f"{t}\t{3.0 + 2.0 * c}\n" for t, c in zip(tokens, latent)),
@@ -57,8 +57,8 @@ def corpus(tmp_path_factory):
     freq_path = root / "freq.tsv"
     freq_path.write_text(
         "".join(f"{t}\t{n - i}\n" for i, t in enumerate(tokens)), encoding="utf-8")
-    return {"root": root, "vectors": vec_path, "ratings": ratings_path,
-            "freq": freq_path, "tokens": tokens}
+    return {"root": root, "vectors": cache, "text": root / "vectors.txt",
+            "ratings": ratings_path, "freq": freq_path, "tokens": tokens}
 
 
 def search_args(corpus, outdir, **extra):
@@ -83,6 +83,22 @@ def search_args(corpus, outdir, **extra):
 def test_every_public_name_resolves():
     # a stale __all__ entry breaks `from cadict import *`
     assert [name for name in cadict.__all__ if not hasattr(cadict, name)] == []
+
+
+def test_the_public_store_reader_reads_a_cache():
+    # text is parsed by `cadict cache-vectors` alone; a caller loads its cache
+    assert "load_cache" in cadict.__all__
+    assert not {"load_vectors", "open_store"} & set(cadict.__all__)
+
+
+@pytest.mark.parametrize("command, tables", [("search", "ratings, frequencies"),
+                                             ("rate", "word list")])
+def test_vectors_help_names_the_cache(capsys, command, tables):
+    assert run([command, "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--vectors VECTORS binary cache written by `cadict cache-vectors`" in text
+    assert (f"lowercase the tokens of the tables ({tables}) at load (default: on); "
+            "a cache's tokens were folded, or not, by cache-vectors") in text
 
 
 class TestParseXValues:
@@ -191,7 +207,7 @@ class TestSearchCommand:
         # the seed arrays before touching memory, and the one cell is skipped
         tokens = [f"w{i:03d}" for i in range(120)]
         latent = np.linspace(-1.0, 1.0, len(tokens))
-        wide = {"vectors": write_vec_file(tmp_path / "vectors.txt", [
+        wide = {"vectors": cache_from_records(tmp_path / "vectors.txt", [
                     (t, [c, 0.1 * (i % 7) + 0.5]) for i, (t, c) in enumerate(zip(tokens, latent))]),
                 "ratings": tmp_path / "ratings.tsv", "freq": tmp_path / "freq.tsv"}
         wide["ratings"].write_text("".join(f"{t}\t{3.0 + 2.0 * c}\n"
@@ -297,18 +313,27 @@ class TestRateCommand:
         assert (tmp_path / "dict.tsv.skipped.txt").read_text() == "unseen\n"
 
     def test_drops_are_reported(self, corpus, core_file, tmp_path, capsys, caplog):
-        vectors = tmp_path / "vectors.txt"
-        vectors.write_text(corpus["vectors"].read_text(encoding="utf-8")
-                           + "zero " + " ".join(["0"] * 8) + "\n", encoding="utf-8")
+        text, vectors = tmp_path / "vectors.txt", tmp_path / "vectors.cavs"
+        text.write_text(corpus["text"].read_text(encoding="utf-8")
+                        + "zero " + " ".join(["0"] * 8) + "\n"
+                        + "unrated " + " ".join(["1"] * 8) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level("DEBUG"):
+            assert run(["cache-vectors", "--vectors", str(text),
+                        "--out", str(vectors)]) == EXIT_OK
+        assert f"dropped from {text}: zero_norm_skipped=1" in \
+            capsys.readouterr().out.splitlines()
+        # reported once, on stdout: the library logs no drop counts of its own
+        assert not [r for r in caplog.records if "zero_norm_skipped" in r.getMessage()]
+
         words = tmp_path / "words.txt"
         words.write_text("w005\nw010\nzero\nw005\n", encoding="utf-8")
         out = tmp_path / "dict.tsv"
-        capsys.readouterr()
         assert run(["rate", "--core", str(core_file), "--vectors", str(vectors),
                     "--words", str(words), "--out", str(out)]) == EXIT_OK
         printed = capsys.readouterr().out.splitlines()
-        assert any(line.startswith(f"dropped from {vectors}: ") and "zero_norm_skipped=1" in line
-                   for line in printed)
+        # the words and the core's seeds load; the cache's other words are filtered out
+        assert any(line.startswith(f"dropped from {vectors}: filtered_out=") for line in printed)
         assert f"dropped from {words}: duplicates_ignored=1" in printed
         assert [line.split("\t")[0] for line in out.read_text().splitlines()] == \
             ["w005", "w010"]
@@ -334,14 +359,6 @@ class TestRateCommand:
         printed = capsys.readouterr().out.splitlines()
         assert f"dropped from {freq}: duplicates_ignored=1" in printed
         assert f"dropped from {ratings}: multiword_excluded=1, duplicates_ignored=1" in printed
-
-        with caplog.at_level("DEBUG"):
-            assert run(["cache-vectors", "--vectors", str(vectors),
-                        "--out", str(tmp_path / "vectors.cavs")]) == EXIT_OK
-        assert f"dropped from {vectors}: zero_norm_skipped=1" in \
-            capsys.readouterr().out.splitlines()
-        # reported once, on stdout: the library logs no drop counts of its own
-        assert not [r for r in caplog.records if "zero_norm_skipped" in r.getMessage()]
 
     def test_ratings_tsv_as_words_rates_first_column(self, corpus, core_file, tmp_path):
         out = tmp_path / "dict.tsv"
@@ -378,6 +395,24 @@ class TestRateCommand:
                         "--vectors", str(corpus["vectors"]),
                         "--out", str(out)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_fold_case_folds_the_word_list_not_the_cache(self, tmp_path):
+        text, cache = tmp_path / "v.vec", tmp_path / "v.cavs"
+        text.write_text("Dog 1 0\ncat 0 1\nsun 1 1\n", encoding="utf-8")
+        assert run(["cache-vectors", "--vectors", str(text), "--out", str(cache),
+                    "--no-fold-case"]) == EXIT_OK
+        core = tmp_path / "core.json"
+        core.write_text(json.dumps({"seed_abstract": ["cat"], "seed_concrete": ["sun"]}))
+        words = tmp_path / "words.txt"
+        words.write_text("Dog\ncat\n", encoding="utf-8")
+        rated = {}
+        for flag in ("--fold-case", "--no-fold-case"):
+            out = tmp_path / f"{flag}.tsv"
+            assert run(["rate", "--core", str(core), "--vectors", str(cache),
+                        "--words", str(words), "--out", str(out), flag]) == EXIT_OK
+            rated[flag] = [line.split("\t")[0] for line in out.read_text().splitlines()]
+        # folded, the word is "dog", which the unfolded cache does not hold
+        assert rated == {"--fold-case": ["cat"], "--no-fold-case": ["Dog", "cat"]}
 
 
 class TestEvaluateCommand:
@@ -511,9 +546,9 @@ class TestEvaluateCommand:
 class TestCacheCommand:
     def test_cache_then_search_from_cache(self, corpus, tmp_path):
         cache = tmp_path / "vectors.cavs"
-        assert run(["cache-vectors", "--vectors", str(corpus["vectors"]),
+        assert run(["cache-vectors", "--vectors", str(corpus["text"]),
                     "--out", str(cache)]) == EXIT_OK
-        assert cache.exists()
+        assert cache.read_bytes() == corpus["vectors"].read_bytes()
         d1, d2 = tmp_path / "a", tmp_path / "b"
         d1.mkdir(), d2.mkdir()
         assert run(search_args(corpus, d1)) == EXIT_OK
@@ -528,8 +563,8 @@ class TestCacheCommand:
     def test_default_cache_dir_env(self, corpus, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cachedir"
         monkeypatch.setenv("CADICT_CACHE_DIR", str(cache_dir))
-        assert run(["cache-vectors", "--vectors", str(corpus["vectors"])]) == EXIT_OK
-        assert (cache_dir / "vectors.cavs").exists()
+        assert run(["cache-vectors", "--vectors", str(corpus["text"])]) == EXIT_OK
+        assert (cache_dir / "vectors.cavs").read_bytes() == corpus["vectors"].read_bytes()
 
     # a header, a case-fold collision, an exact duplicate, a zero row, a
     # non-finite row and a row whose squares overflow, over several blocks
@@ -616,6 +651,11 @@ BAD_INPUTS = {
                                "--out", "{out}"]),
     "vectors text not utf-8": ("v.txt", b"a 1 0\n\xff 0 1\n",
                                ["cache-vectors", "--vectors", "{bad}", "--out", "{out}"]),
+    "vectors text to search": ("v.txt", b"w000 1 0\nw059 0 1\n",
+                               ["search", "--ratings", "{ratings}", "--freq", "{freq}",
+                                "--vectors", "{bad}", "--out-report", "{out}"]),
+    "vectors text to rate": ("v.txt", b"w000 1 0\nw059 0 1\n",
+                             ["rate", "--core", "{core}", "--vectors", "{bad}", "--out", "{out}"]),
     "word list not utf-8": ("words.txt", b"w001\n\xff\n",
                             ["rate", "--core", "{core}", "--vectors", "{vectors}",
                              "--words", "{bad}", "--out", "{out}"]),
@@ -657,6 +697,8 @@ class TestInputErrors:
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}")
+        if case.startswith("vectors text to "):  # search and rate read a cache only
+            assert "cadict cache-vectors" in err[0]
 
     @staticmethod
     def _argv(corpus, tmp_path, command):
@@ -671,7 +713,7 @@ class TestInputErrors:
                      "--words", str(corpus["ratings"]), "--out", str(out / "dict.tsv")],
             "evaluate": ["evaluate", "--pred", str(corpus["ratings"]),
                          "--gold", str(corpus["ratings"]), "--out", str(out / "eval.json")],
-            "cache-vectors": ["cache-vectors", "--vectors", str(corpus["vectors"]),
+            "cache-vectors": ["cache-vectors", "--vectors", str(corpus["text"]),
                               "--out", str(out / "v.cavs")],
         }[command]
 

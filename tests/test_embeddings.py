@@ -4,10 +4,10 @@ import json
 import math
 import os
 import struct
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from cadict.rater import (
     raw_ratings,
 )
 
-from conftest import store_from_raw, store_from_records, write_vec_file
+from conftest import cache_from_records, store_from_raw, store_from_records, write_vec_file
 from oracles import load_vectors_by_line
 
 
@@ -43,13 +43,6 @@ class TestLoadVectors:
         assert store.dimension == 2
         assert list(store.matrix[store.row_index("b")]) == [0.0, 1.0]
         assert store.load_report.accepted == 2
-
-    def test_vocab_filter(self, tmp_path):
-        store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2])],
-                                   vocab_filter={"a"})
-        assert len(store) == 1
-        assert "a" in store and "b" not in store
-        assert store.load_report.filtered_out == 1
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -221,29 +214,25 @@ class TestBlockParser:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=vector_files(), block_lines=st.sampled_from(BLOCK_SIZES),
-           fold_case=st.booleans(), vocab_filter=st.none() | st.sets(st.sampled_from(TOKENS)))
-    @example(text="a 0 0\nA 1 0\nA 0 1\n", block_lines=3, fold_case=True, vocab_filter=None)
+           fold_case=st.booleans())
+    @example(text="a 0 0\nA 1 0\nA 0 1\n", block_lines=3, fold_case=True)
     # in one numpy-parsed block: a duplicate of a kept record is dropped, one of
     # a zero row is kept, and an overflowing row is rescaled beside a NaN row
-    @example(text="a 1 0\nb 0 1\na 2 2\nc 1 1\n", block_lines=4, fold_case=True,
-             vocab_filter=None)
-    @example(text="a 0 0\nb 0 1\na 2 2\nb 1 1\n", block_lines=7, fold_case=True,
-             vocab_filter=None)
+    @example(text="a 1 0\nb 0 1\na 2 2\nc 1 1\n", block_lines=4, fold_case=True)
+    @example(text="a 0 0\nb 0 1\na 2 2\nb 1 1\n", block_lines=7, fold_case=True)
     @example(text="a 1e200 -1e200\nb nan 1\nc 1 2\nd inf 0\n", block_lines=256,
-             fold_case=True, vocab_filter=None)
-    @example(text="a 1 0\nb 1_0 2\na x 1\n", block_lines=3, fold_case=True, vocab_filter=None)
-    @example(text="a 1 0\nb 1e200 1e200\n", block_lines=2, fold_case=False, vocab_filter={"b"})
-    @example(text="\ufeff2 3\na 1 0 0\n", block_lines=3, fold_case=True, vocab_filter=None)
-    @example(text="\n \n2 3\na 1 0 0\n", block_lines=1, fold_case=True, vocab_filter=None)
-    @example(text="2 1\n5 7\n", block_lines=1, fold_case=True, vocab_filter=None)
-    def test_equals_the_line_loader(self, tmp_path, monkeypatch, text, block_lines, fold_case,
-                                    vocab_filter):
+             fold_case=True)
+    @example(text="a 1 0\nb 1_0 2\na x 1\n", block_lines=3, fold_case=True)
+    @example(text="a 1 0\nb 1e200 1e200\n", block_lines=2, fold_case=False)
+    @example(text="\ufeff2 3\na 1 0 0\n", block_lines=3, fold_case=True)
+    @example(text="\n \n2 3\na 1 0 0\n", block_lines=1, fold_case=True)
+    @example(text="2 1\n5 7\n", block_lines=1, fold_case=True)
+    def test_equals_the_line_loader(self, tmp_path, monkeypatch, text, block_lines, fold_case):
         path = tmp_path / "vectors.txt"
         path.write_text(text, encoding="utf-8")
         monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
-        kwargs = {"vocab_filter": vocab_filter, "fold_case": fold_case}
-        assert _outcome(load_vectors, path, **kwargs) == _outcome(load_vectors_by_line, path,
-                                                                  **kwargs)
+        assert _outcome(load_vectors, path, fold_case=fold_case) == \
+            _outcome(load_vectors_by_line, path, fold_case=fold_case)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -299,22 +288,17 @@ class TestBlockParser:
               "big 1e200 -1e200 1e200\nnan nan 1 0\nc -2.5 0.5 3e-1\nD 2 7 -0.5\n")
 
     @pytest.mark.parametrize("block_lines", [1, 3, 1024])
-    @pytest.mark.parametrize("vocab_filter, digest", [
-        (None, "9e9de576439329bb9c735ddede51c6f038c8678196e6df46af05d92fc4ce4b3a"),
-        ({"the", "B", "big", "d", "zero"},
-         "995caa51a7bb96b1f29406b5fdf33aa3dddc9b24b899c72b629ebd7f12ad4e9f"),
-    ])
-    def test_load_pinned_across_versions(self, tmp_path, monkeypatch, block_lines,
-                                         vocab_filter, digest):
+    def test_load_pinned_across_versions(self, tmp_path, monkeypatch, block_lines):
         # the digest of the tokens, the matrix bytes and the report: any version
         # of the loader must give these, bit for bit, at every block size
         path = tmp_path / "pinned.vec"
         path.write_text(self.PINNED, encoding="utf-8")
         monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
-        store = load_vectors(path, vocab_filter=vocab_filter)
+        store = load_vectors(path)
         blob = ("\n".join(store.tokens).encode() + store.matrix.tobytes()
                 + repr(store.load_report).encode())
-        assert hashlib.sha256(blob).hexdigest() == digest
+        assert hashlib.sha256(blob).hexdigest() == \
+            "9e9de576439329bb9c735ddede51c6f038c8678196e6df46af05d92fc4ce4b3a"
 
     @pytest.mark.parametrize("block_lines", [1, 3, 1024])
     @pytest.mark.parametrize("fold_case, digest", [
@@ -356,35 +340,6 @@ class TestBlockParser:
         assert len(store) == 12
         assert store.matrix[5].tolist() == (np.array([10.0, 1.0]) / math.sqrt(101)).tolist()
 
-    @pytest.mark.parametrize("vocab_filter", [None, {f"W{i}" for i in range(0, 50, 7)}])
-    def test_staged_rows_are_read_back_last_chunk_first(self, tmp_path, monkeypatch,
-                                                        vocab_filter):
-        # 3-line blocks are staged; chunks of 3 rows and 5 bytes are read back from
-        # the end, and the staging file is cut behind each, so it ends empty
-        rng = np.random.default_rng(11)
-        path = write_vec_file(tmp_path / "v.txt",
-                              [(f"w{i}", rng.normal(size=4)) for i in range(50)])
-        monkeypatch.setattr(embeddings, "BLOCK_LINES", 3)
-        monkeypatch.setattr(embeddings, "CHUNK_BYTES", 3 * 4 * 8 + 5)
-        sizes = []
-
-        class Staging(io.BufferedRandom):
-            def readinto(self, buffer):
-                sizes.append(os.fstat(self.fileno()).st_size)
-                return super().readinto(buffer)
-
-            def close(self):
-                sizes.append(os.fstat(self.fileno()).st_size)
-                super().close()
-
-        monkeypatch.setattr(embeddings, "tempfile", SimpleNamespace(
-            TemporaryFile=lambda: Staging(open(tmp_path / "staging", "w+b", buffering=0))))
-        outcome = _outcome(load_vectors, path, vocab_filter=vocab_filter)
-        assert outcome == _outcome(load_vectors_by_line, path, vocab_filter=vocab_filter)
-        kept = len(outcome[0])
-        assert sizes == [min(kept, start + 3) * 4 * 8
-                         for start in reversed(range(0, kept, 3))] + [0]
-
     def test_unfiltered_load_reads_a_pipe_once(self, tmp_path):
         rng = np.random.default_rng(12)
         path = write_vec_file(tmp_path / "v.txt",
@@ -413,9 +368,7 @@ class TestBlockParser:
         ((tokens, _, report),) = outcomes
         assert tokens == ("a", "b", "c") and report.duplicates_ignored == 1
 
-    @pytest.mark.parametrize("vocab_filter", [None, {"a", "b"}])
-    def test_bad_record_before_an_undecodable_byte_is_reported_first(self, tmp_path,
-                                                                   vocab_filter):
+    def test_bad_record_before_an_undecodable_byte_is_reported_first(self, tmp_path):
         # the file is read once, and the parse meets its undecodable bytes in
         # line order, after the bad record on line 2
         text = b"a 1 0\nb 1 2 3\n" + b"".join(b"w%d 1 0\n" % i for i in range(2000))
@@ -423,7 +376,7 @@ class TestBlockParser:
         path.write_bytes(text + b"\xff 1 0\n")
         assert len(text) > 18 * 1024
         with pytest.raises(DataError) as exc:
-            load_vectors(path, vocab_filter=vocab_filter)
+            load_vectors(path)
         assert str(exc.value) == f"{path}: line 2: expected 2 components, found 3"
 
 
@@ -583,8 +536,10 @@ class TestCache:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "not_a_cache.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(DataError, match="magic"):
+        with pytest.raises(DataError) as exc:
             load_cache(path)
+        assert str(exc.value) == (f"{path}: not a cadict vector cache (bad magic); convert "
+                                  "word-vectors text with `cadict cache-vectors` first")
 
     def test_truncated_cache_rejected(self, tmp_path):
         store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2])])
@@ -702,9 +657,9 @@ class TestCache:
         with pytest.raises(DataError, match=str(cache)):
             load_cache(cache)
 
-    def test_open_store_refuses_a_pipe(self):
-        # the sniff would take the pipe's first buffered read, and the loader
-        # would then load the records after it and report no error
+    def test_load_cache_refuses_a_pipe(self):
+        # word-vectors text is no cache, and its first bytes say so: the pipe is
+        # refused without being read to its end
         lines = [f"w{i:03d} {i + 1} 1 0 0\n" for i in range(3000)]
         read_fd, write_fd = os.pipe()
         os.write(write_fd, "".join(lines).encode())  # 48 KB: less than a pipe holds
@@ -714,8 +669,8 @@ class TestCache:
         closer = threading.Timer(5.0, lambda: closed.append(os.close(write_fd)))
         closer.start()
         try:
-            with pytest.raises(DataError, match=f"/dev/fd/{read_fd}: not a regular file"):
-                open_store(f"/dev/fd/{read_fd}", vocab_filter={line.split()[0] for line in lines})
+            with pytest.raises(DataError, match=f"/dev/fd/{read_fd}: not a cadict vector cache"):
+                load_cache(f"/dev/fd/{read_fd}", vocab_filter={line.split()[0] for line in lines})
         finally:
             closer.cancel()
             closer.join()
@@ -723,19 +678,30 @@ class TestCache:
             if not closed:
                 os.close(write_fd)
 
-    def test_open_store_refuses_a_device(self):
-        with pytest.raises(DataError, match="not a regular file; it is read twice"):
-            open_store(os.devnull, vocab_filter={"a"})
+    def test_load_cache_refuses_a_device(self):
+        with pytest.raises(DataError, match="not a cadict vector cache"):
+            load_cache(os.devnull, vocab_filter={"a"})
 
-    def test_open_store_sniffs_format(self, tmp_path):
-        records = [("a", [1, 0]), ("b", [0, 2])]
-        text_path = write_vec_file(tmp_path / "v.txt", records)
-        store = open_store(text_path)
-        cache = tmp_path / "v.cavs"
-        save_cache(store, cache)
-        via_cache = open_store(cache)
-        assert via_cache.tokens == store.tokens
-        assert np.array_equal(via_cache.matrix, store.matrix)
+    def test_open_store_reads_a_cache(self, tmp_path):
+        # the name under which perfbench/work.py loads its store
+        cache = cache_from_records(tmp_path / "v.vec", [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])
+        for kept in (None, {"a", "c"}):
+            assert _outcome(open_store, cache, vocab_filter=kept) == \
+                _outcome(load_cache, cache, vocab_filter=kept)
+        assert "magic" in _outcome(open_store, tmp_path / "v.vec")
+
+    def test_text_load_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        # `load_vectors` caches the text in a temporary directory, removed when
+        # the load ends, also when the parse fails
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        good = write_vec_file(tmp_path / "v.vec", [("a", [1, 0]), ("b", [0, 2])])
+        bad = tmp_path / "bad.vec"
+        bad.write_text("a 1 0\nb 1 2 3\n", encoding="utf-8")
+        assert load_vectors(good).source_id == str(good)
+        with pytest.raises(DataError, match="line 2"):
+            load_vectors(bad)
+        assert list((tmp_path / "tmp").iterdir()) == []
 
 
 class TestStoreConstruction:

@@ -5,7 +5,8 @@ Point these environment variables at local files to enable it:
   CADICT_RATINGS_TSV   expert ratings as `token TAB rating` (the 40k English
                        concreteness norms, unigram rows are used)
   CADICT_FREQ_TSV      the 1/3-million-word frequency list (`token TAB count`)
-  CADICT_VECTORS       fastText English crawl vectors (.vec text or .cavs cache)
+  CADICT_VECTORS       fastText English crawl vectors, as the .cavs cache that
+                       `cadict cache-vectors` writes (as are CADICT_VECTORS_ELMO/_BERT)
 
 The known-good-core replay runs in minutes. The full grid sweeps additionally
 require CADICT_RUN_GRID=1 and take up to a few hours on a desktop. Static
