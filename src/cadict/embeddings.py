@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import shutil
+import stat
 import struct
 import tempfile
 from array import array
@@ -421,6 +422,8 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
     path = Path(path)
     # unbuffered, so that each run of kept rows costs one read of just its bytes
     with open(path, "rb", buffering=0) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise DataError(f"{path}: not a cadict vector cache: not a regular file")
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
             raise DataError(f"{path}: not a cadict vector cache (bad magic); "

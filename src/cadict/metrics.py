@@ -1,18 +1,18 @@
 """Evaluation metrics: Spearman (rank-Pearson with average ranks), Pearson, accuracy.
 
 Ties get fractional (average) ranks and Spearman is computed as Pearson over
-those ranks, the correct general form; the popular 1 - 6*sum(d^2)/... shortcut
-is only valid tie-free and lives in the test suite as an oracle. Every rank
-correlation, here and in the core search's screen, sums its centred ranks
-with `exact_dot`, whose sums are exact integers. math.fsum serves only
-`pearson` over arbitrary values: evaluations correlate tens of thousands of
-values with small variances.
+those ranks, the correct general form; the 1 - 6*sum(d^2)/... shortcut is only
+valid tie-free and lives in the test suite as an oracle. Every rank, here and
+in the core search's screen, comes from the tie runs of `tie_ranks` as an
+exact centred integer, and every rank correlation sums those with `exact_dot`.
+math.fsum serves only `pearson`, over arbitrary values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,27 +32,6 @@ class EvaluationReport:
         return asdict(self)
 
 
-def average_ranks(values) -> np.ndarray:
-    """Fractional ranks (1-based); tied values share the mean of their positions.
-
-    Ranks always sum to n(n+1)/2.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("average_ranks needs a non-empty 1-d sequence")
-    n = arr.size
-    order = np.argsort(arr, kind="stable")
-    sorted_vals = arr[order]
-    boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    # positions start+1 .. end share rank (start + end + 1) / 2
-    tied_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(tied_rank, ends - starts)
-    return ranks
-
-
 def pearson(x, y) -> float:
     """Product-moment correlation, clamped to [-1, 1]; fsum-compensated sums."""
     xa = np.asarray(x, dtype=np.float64)
@@ -66,67 +45,83 @@ def pearson(x, y) -> float:
     # is ~2^1000 below the largest), and squares of |values| < 1 cannot overflow
     xa = np.ldexp(xa, -np.frexp(np.max(np.abs(xa)))[1])
     ya = np.ldexp(ya, -np.frexp(np.max(np.abs(ya)))[1])
-    mx = math.fsum(xa) / n
-    my = math.fsum(ya) / n
-    dx = xa - mx
-    dy = ya - my
-    sxx = math.fsum(dx * dx)
-    syy = math.fsum(dy * dy)
+    dx, dy = xa - math.fsum(xa) / n, ya - math.fsum(ya) / n
+    sxx, syy = math.fsum(dx * dx), math.fsum(dy * dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("pearson undefined: zero variance input")
     sxy = math.fsum(dx * dy)
     return float(np.clip(sxy / math.sqrt(sxx * syy), -1.0, 1.0))
 
 
-def centred_ranks(ranks) -> np.ndarray:
-    """2*rank - (n + 1) for each fractional rank, as int64: twice a
-    fractional rank is an exact integer, and the result sums to 0."""
-    ranks = np.asarray(ranks, dtype=np.float64)
-    u = np.multiply(ranks, 2, out=np.empty(ranks.shape, np.int64), casting="unsafe")
-    u -= ranks.shape[-1] + 1
+def tie_ranks(equal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Centred int64 ranks of a sorted sequence's positions, or of each row's,
+    from its equal neighbours ``equal[..., p] = sorted[p + 1] == sorted[p]``:
+    p in the tie run [s, e) gets s + e - n, twice its average 1-based rank less
+    n + 1, so an untied p gets 2p + 1 - n. The run starts (a running maximum)
+    and ends (a reversed running minimum) are held in `out`, an int64 array of
+    shape (2, ..., n); the ranks are left in ``out[0]``."""
+    n = equal.shape[-1] + 1
+    start, end = np.empty((2, *equal.shape[:-1], n), np.int64) if out is None else out
+    start[...] = np.arange(n)
+    np.copyto(start[..., 1:], 0, where=equal)  # p starts no run if it equals p - 1
+    np.maximum.accumulate(start, axis=-1, out=start)
+    end[...] = np.arange(1, n + 1)
+    np.copyto(end[..., :-1], n, where=equal)  # nor ends one there
+    np.minimum.accumulate(end[..., ::-1], axis=-1, out=end[..., ::-1])
+    start += end
+    start -= n
+    return start
+
+
+def centred_ranks(values) -> np.ndarray:
+    """The `tie_ranks` of a non-empty 1-d sequence, in its own order."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("ranks need a non-empty 1-d sequence")
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    u = np.empty(arr.size, dtype=np.int64)
+    u[order] = tie_ranks(ordered[1:] == ordered[:-1])
     return u
 
 
-def exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`a @ b` over the last axis of int64 centred ranks (or weights of the
-    same range), summed exactly and rounded once to float64.
+def average_ranks(values) -> np.ndarray:
+    """Fractional ranks (1-based); tied values share the mean of their positions."""
+    u = centred_ranks(values)
+    return (u + (u.size + 1)) / 2.0
 
-    A sum over all n terms is at most (n^3 - n) / 3 and one term at most
-    (n - 1)^2; past about 3M words, blocks short enough to sum in int64
-    without overflow add up as Python ints.
-    """
-    n = b.size
+
+def exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a` dotted with `b` (one vector, or one row per row of `a`) over the last
+    axis, for int64 centred ranks or weights of their range, summed exactly and
+    rounded once to float64. A sum over all n terms is at most (n^3 - n) / 3
+    and one term at most (n - 1)^2; past about 3M words, blocks short enough to
+    sum in int64 without overflow add up as Python ints."""
+    dot = np.matmul if b.ndim == 1 else partial(np.einsum, "...i,...i->...")
+    n = b.shape[-1]
     int64_max = int(np.iinfo(np.int64).max)
     if (n ** 3 - n) // 3 <= int64_max:
-        return np.asarray(a @ b, dtype=np.float64)
+        return np.asarray(dot(a, b), dtype=np.float64)
     step = int64_max // (n - 1) ** 2
-    total = 0
-    for i in range(0, n, step):
-        total = total + (a[..., i:i + step] @ b[i:i + step]).astype(object)
-    return np.asarray(total, dtype=np.float64)
+    return np.asarray(sum(dot(a[..., i:i + step], b[..., i:i + step]).astype(object)
+                          for i in range(0, n, step)), dtype=np.float64)
 
 
-def rank_correlation(ranks, gold_ranks) -> float:
-    """Pearson correlation of the fractional `ranks` with `gold_ranks`,
-    clamped to [-1, 1]; NaN when the ranks are constant.
-
-    The sums run exactly over `centred_ranks`; r is the ratio of the
-    correctly rounded sums, the same bits as `pearson` on the same ranks,
-    for any n.
-    """
-    ranks = np.asarray(ranks, dtype=np.float64)
-    gold = np.asarray(gold_ranks, dtype=np.float64)
-    if gold.ndim != 1 or gold.size < 2 or ranks.shape != gold.shape:
-        raise ValueError("rank_correlation needs two equal-length 1-d rank vectors (n >= 2)")
-    u, g = centred_ranks(ranks), centred_ranks(gold)
+def rank_correlation(u, g) -> np.ndarray:
+    """Pearson correlation of int64 centred ranks `u` and `g` over the last
+    axis (one r per row of 2-d arrays), clamped to [-1, 1]; NaN for constant
+    ranks. Its exact sums, rounded once, give the bits of `pearson` on the
+    same ranks, for any n."""
+    u, g = np.asarray(u), np.asarray(g)
+    if u.shape != g.shape or u.ndim == 0 or u.shape[-1] < 2 or not u.dtype == g.dtype == np.int64:
+        raise ValueError("rank_correlation needs int64 centred ranks of one shape, n >= 2")
     with np.errstate(invalid="ignore"):  # 0 / 0 for constant ranks
-        r = np.clip(exact_dot(u, g) / np.sqrt(exact_dot(u, u) * exact_dot(g, g)), -1.0, 1.0)
-    return float(r)
+        return np.clip(exact_dot(u, g) / np.sqrt(exact_dot(u, u) * exact_dot(g, g)), -1.0, 1.0)
 
 
 def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson over fractional ranks."""
-    r = rank_correlation(average_ranks(x), average_ranks(y))
+    r = float(rank_correlation(centred_ranks(x), centred_ranks(y)))
     if math.isnan(r):
         raise ValueError("spearman undefined: constant input list")
     return r

@@ -9,13 +9,13 @@ core per cell.
 Words travel through the search as vector-store rows, resolved once per base
 by `select_base`; tokens come back only to name a flagged or tied-best core.
 A batched screen rates all of a cell's cores with one matrix product and
-sorts each core's ratings. An untied core's r is then one exact integer dot
-of the gold ranks, read in that order, with fixed weights; a tied core's goes
-through `metrics.rank_correlation`. Both sum with `metrics.exact_dot` (exact
-int64 sums; math.fsum serves only `metrics.pearson`). A flagged core (one
-whose screened ranks could differ from the exact ones) is re-scored through
-the exact path (`raw_ratings`, then the same correlation); any other core has
-that path's ranks already, so every r_s is that path's.
+sorts each core's ratings. In that order an untied core's ranks are fixed
+weights, so its r is one exact integer dot of the gold ranks read in that
+order; the cores that tie take theirs from their tie runs (`metrics.tie_ranks`)
+and `metrics.rank_correlation`, all at once. A flagged core (one whose
+screened ranks could differ from the exact ones) is re-scored through the
+exact path (`raw_ratings`, then the same ranks and correlation); any other
+core has that path's ranks already, so every r_s is that path's.
 
 Reproducibility contract: every cell draws from its own RNG stream keyed by
 (rng_seed, X, Y, Z), and the best-core reduction breaks score ties by the
@@ -145,7 +145,7 @@ class SearchReport:
 
 
 class _EvalContext:
-    """One X's base dictionary as the search scores it: its vectors and gold ranks."""
+    """One X's base dictionary as the search scores it: its vectors and centred gold ranks."""
 
     def __init__(self, base: BaseDictionary, store: VectorStore):
         if len(base.rows) < 2:
@@ -154,19 +154,17 @@ class _EvalContext:
             raise DataError("evaluation undefined: constant gold ratings")
         self.store = store
         self.matrix = store.matrix[base.rows]
-        self.gold_ranks = metrics.average_ranks(base.ratings)
+        self.gold = metrics.centred_ranks(base.ratings)
         # an untied core's centred ranks, read in its ascending order, are the
         # weights 2p + 1 - n: its r needs only the gold ones gathered in that order
-        n = len(self.gold_ranks)
-        self.gold = metrics.centred_ranks(self.gold_ranks)
-        self.weights = np.arange(1 - n, n, 2, dtype=np.int64)
+        self.weights = metrics.tie_ranks(np.zeros(len(self.gold) - 1, dtype=bool))
         self.denominator = np.sqrt(metrics.exact_dot(self.weights, self.weights)
                                    * metrics.exact_dot(self.gold, self.gold))
 
     def evaluate(self, core: SemanticCore) -> float:
         """Spearman of the core's raw ratings against gold; NaN when undefined."""
         raw, _ = raw_ratings(self.matrix, core, self.store)
-        return metrics.rank_correlation(metrics.average_ranks(raw), self.gold_ranks)
+        return float(metrics.rank_correlation(metrics.centred_ranks(raw), self.gold))
 
 
 def _seed_pairs(y: int, z: int, limit: int,
@@ -191,9 +189,7 @@ def _seed_pairs(y: int, z: int, limit: int,
         pair[0] = rng.choice(y, size=z, replace=False)
         pair[1] = rng.choice(y, size=z, replace=False)
         pair.sort(axis=1)
-        key = pair.tobytes()
-        if key not in seen:
-            seen.add(key)
+        seen.add(pair.tobytes())
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -277,20 +273,25 @@ def _screen_cell(a_idx: np.ndarray, c_idx: np.ndarray, pools: CandidatePools,
     r = np.clip(metrics.exact_dot(gold, ctx.weights) / ctx.denominator, -1.0, 1.0)
     # the order as indices into the flattened (k, n) arrays. Each spent buffer
     # takes the next array: den the sorted ratings and then their sorted
-    # bounds, the gathered gold the gaps, num (the head of sims) the slack
+    # bounds, raw the gaps, num (the head of sims) the slack
     order += rows * n
     ordered = np.take(raw, order, out=den, mode="clip")
-    gaps = np.subtract(ordered[:, 1:], ordered[:, :-1],
-                       out=ws.view("gold", (k, n - 1), np.int64).view(np.float64))
+    gaps = np.subtract(ordered[:, 1:], ordered[:, :-1], out=ws.view("raw", (k, n - 1)))
     err = np.take(bound, order, out=den, mode="clip")
     slack = np.add(err[:, 1:], err[:, :-1], out=ws.view("sims", (k, n - 1)))
     close = np.less_equal(gaps, slack, out=ws.view("close", (k, n - 1), bool))
     close &= np.greater(slack, 0.0, out=live[:k, :n - 1])
     unsure = np.any(close, axis=1)
 
-    tied = np.any(np.equal(gaps, 0.0, out=close), axis=1)
-    for i in np.flatnonzero(tied & ~unsure):
-        r[i] = metrics.rank_correlation(metrics.average_ranks(raw[i]), ctx.gold_ranks)
+    # the tied, unflagged cores' ranks come from their tie runs; their rows of
+    # the mask, the ranks and their gathered gold take live, sims and raw
+    tied = np.flatnonzero(np.any(np.equal(gaps, 0.0, out=close), axis=1) & ~unsure)
+    if tied.size:
+        m = len(tied)
+        equal = np.take(close, tied, axis=0, out=ws.view("live", (m, n - 1), bool), mode="clip")
+        ranks = metrics.tie_ranks(equal, out=ws.view("sims", (2, m, n)).view(np.int64))
+        gold = np.take(gold, tied, axis=0, out=ws.view("raw", (m, n)).view(np.int64), mode="clip")
+        r[tied] = metrics.rank_correlation(ranks, gold)
     return r, unsure
 
 
@@ -301,7 +302,7 @@ def _evaluate_cell(x: int, y: int, z: int, pools: CandidatePools, ctx: _EvalCont
         a_idx, c_idx = _seed_pairs(y, z, cfg.samples_per_cell, rng)
     except InfeasibleError as exc:  # a --samples budget too large to hold
         return SkippedCell(x=x, y=y, z=z, reason=str(exc))
-    step = max(1, SCREEN_BLOCK // len(ctx.gold_ranks))
+    step = max(1, SCREEN_BLOCK // len(ctx.gold))
     blocks = [_screen_cell(a_idx[i:i + step], c_idx[i:i + step], pools, ctx, ws)
               for i in range(0, len(a_idx), step)]
     r = np.concatenate([screened for screened, _ in blocks])

@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute force. The metric references share no
 code with the package: counting-based fractional ranks, textbook Pearson sums,
-and the tie-free Spearman d^2 shortcut. The cell references are the per-core
-search loop, which reuses the package's seed draws and exact core score and so
-checks exactly the batched screen that replaced it, and a best over every seed
-pair enumerated with itertools; `evaluate_core` is that exact score over a
+the tie-free Spearman d^2 shortcut, and `spearman_exact`, which sums those
+ranks as Python ints. The cell references are the per-core search loop, which
+reuses the package's seed draws and exact core score and so checks exactly the
+batched screen that replaced it, and a best over every seed pair enumerated
+with itertools; `evaluate_core` is that exact score over a
 base dictionary. `tokens_of` names the store rows that a pool holds.
 `pools_by_rule` picks candidate pools by sorting on the frequency counts
 themselves, which `select_pools` leaves to the base order.
@@ -59,6 +60,21 @@ def spearman_d2(x, y):
     n = len(x)
     d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
     return 1 - 6 * d2 / (n * (n * n - 1))
+
+
+def spearman_exact(x, y):
+    """Spearman of two sequences from counting-based ranks, centred as Python
+    ints (2 * rank - (n + 1)) and summed exactly; each sum is rounded once and
+    r is their ratio, clamped to [-1, 1], as `metrics.rank_correlation`
+    rounds it. NaN when either sequence is constant."""
+    n = len(x)
+    u = [int(2 * r) - (n + 1) for r in brute_ranks(x)]
+    v = [int(2 * r) - (n + 1) for r in brute_ranks(y)]
+    suu, svv = sum(a * a for a in u), sum(b * b for b in v)
+    if suu == 0 or svv == 0:
+        return math.nan
+    r = float(sum(a * b for a, b in zip(u, v))) / math.sqrt(float(suu) * float(svv))
+    return min(1.0, max(-1.0, r))
 
 
 def evaluate_core(core, base, store):

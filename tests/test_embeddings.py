@@ -658,8 +658,7 @@ class TestCache:
             load_cache(cache)
 
     def test_load_cache_refuses_a_pipe(self):
-        # word-vectors text is no cache, and its first bytes say so: the pipe is
-        # refused without being read to its end
+        # a pipe is no cache file: it is refused before it is read
         lines = [f"w{i:03d} {i + 1} 1 0 0\n" for i in range(3000)]
         read_fd, write_fd = os.pipe()
         os.write(write_fd, "".join(lines).encode())  # 48 KB: less than a pipe holds
@@ -677,6 +676,17 @@ class TestCache:
             os.close(read_fd)
             if not closed:
                 os.close(write_fd)
+
+    def test_load_cache_refuses_a_pipe_that_holds_a_cache(self, tmp_path):
+        cache = cache_from_records(tmp_path / "v.vec", [("a", [1, 0]), ("b", [0, 2])])
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, cache.read_bytes())  # less than a pipe holds
+        os.close(write_fd)
+        try:
+            with pytest.raises(DataError, match=f"^/dev/fd/{read_fd}: .*not a regular file"):
+                load_cache(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
 
     def test_load_cache_refuses_a_device(self):
         with pytest.raises(DataError, match="not a cadict vector cache"):

@@ -12,6 +12,7 @@ from cadict.metrics import (
     pearson,
     rank_correlation,
     spearman,
+    tie_ranks,
 )
 
 from oracles import brute_ranks, pearson_direct, spearman_bruteforce, spearman_d2
@@ -26,6 +27,10 @@ class TestAverageRanks:
 
     def test_all_tied(self):
         assert list(average_ranks([5, 5, 5])) == [2, 2, 2]
+
+    def test_equal_infinities_tie(self):
+        # their difference is NaN, but they compare equal
+        assert list(average_ranks([np.inf, 1.0, np.inf, -np.inf])) == [3.5, 2, 3.5, 1]
 
     def test_ranks_sum(self):
         rng = np.random.default_rng(7)
@@ -158,6 +163,38 @@ class TestPearson:
             assert -1.0 <= pearson(x, y) <= 1.0
 
 
+class TestTieRanks:
+    def test_untied_positions_get_the_fixed_weights(self):
+        for n in (1, 2, 7):
+            assert list(tie_ranks(np.zeros(n - 1, dtype=bool))) == list(range(1 - n, n, 2))
+
+    def test_a_run_shares_its_centred_average_rank(self):
+        # sorted [1, 1, 2, 3, 3, 3]: runs [0, 2), [2, 3), [3, 6)
+        assert list(tie_ranks(np.array([True, False, False, True, True]))) == \
+            [-4, -4, -1, 3, 3, 3]
+
+    def test_matches_bruteforce(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n = int(rng.integers(1, 15))
+            x = np.sort(rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float))
+            expected = [int(2 * r) - (n + 1) for r in brute_ranks(list(x))]
+            assert list(tie_ranks(x[1:] == x[:-1])) == expected
+            shuffled = rng.permutation(x)
+            assert list(centred_ranks(shuffled)) == \
+                [int(2 * r) - (n + 1) for r in brute_ranks(list(shuffled))]
+
+    def test_rows_rank_as_each_row_alone(self):
+        rng = np.random.default_rng(11)
+        x = np.sort(rng.integers(0, 4, size=(6, 9)), axis=1)
+        equal = x[:, 1:] == x[:, :-1]
+        out = np.full((2, 6, 9), -99, dtype=np.int64)
+        ranks = tie_ranks(equal, out=out)
+        assert np.shares_memory(ranks, out[0])
+        for row, mask in zip(ranks, equal):
+            assert list(row) == list(tie_ranks(mask))
+
+
 class TestRankCorrelation:
     @pytest.mark.parametrize("n", [2, 7, 300, 5000, 400_000])
     def test_equals_pearson_on_the_same_ranks(self, n):
@@ -170,36 +207,52 @@ class TestRankCorrelation:
             rx, ry = average_ranks(x), average_ranks(y)
             if np.all(rx == rx[0]) or np.all(ry == ry[0]):
                 continue
-            assert rank_correlation(rx, ry) == pearson(rx, ry)
+            assert rank_correlation(centred_ranks(x), centred_ranks(y)) == pearson(rx, ry)
+
+    def test_rows_correlate_as_each_row_alone(self):
+        rng = np.random.default_rng(4)
+        u = np.stack([centred_ranks(rng.integers(0, 5, 40)) for _ in range(5)])
+        g = np.stack([centred_ranks(rng.normal(size=40)) for _ in range(5)])
+        rows = rank_correlation(u, g)
+        assert rows.shape == (5,)
+        assert [float(r) for r in rows] == [float(rank_correlation(a, b)) for a, b in zip(u, g)]
 
     def test_constant_ranks_are_nan(self):
         rng = np.random.default_rng(3)
-        gold = average_ranks(rng.integers(0, 4, 50))
-        assert np.isnan(rank_correlation(average_ranks(np.zeros(50)), gold))
-        with pytest.raises(ValueError, match="equal-length 1-d"):
+        gold = centred_ranks(rng.integers(0, 4, 50))
+        assert np.isnan(rank_correlation(centred_ranks(np.zeros(50)), gold))
+        with pytest.raises(ValueError, match="of one shape"):
             rank_correlation(np.tile(gold, (2, 1)), gold)
+        with pytest.raises(ValueError, match="int64 centred ranks"):  # fractional ranks
+            rank_correlation(average_ranks(gold), average_ranks(gold))
 
     def test_exact_past_the_int64_bound(self):
         n = 3_000_000
         while (n ** 3 - n) // 3 <= 2 ** 63 - 1:
             n += 1
-        widest = np.arange(1.0, n)  # the largest n summed in one int64 block
+        widest = tie_ranks(np.zeros(n - 2, dtype=bool))  # the largest n summed in one int64 block
         assert rank_correlation(widest, widest) == 1.0
         assert rank_correlation(widest[::-1], widest) == -1.0
         # past it the int64 blocks add up as Python ints, still exact
         n = 3_100_000
-        ranks = np.arange(1.0, n + 1)
-        assert rank_correlation(ranks, ranks) == 1.0
-        assert rank_correlation(ranks[::-1], ranks) == -1.0
+        weights = tie_ranks(np.zeros(n - 1, dtype=bool))
+        assert rank_correlation(weights, weights) == 1.0
+        assert rank_correlation(weights[::-1], weights) == -1.0
         rng = np.random.default_rng(31)
-        x, y = average_ranks(rng.integers(0, 1000, n)), average_ranks(rng.normal(size=n))
-        assert rank_correlation(x, y) == pearson(x, y)
-        # rows of centred ranks against the weights of an untied order, as the screen sums them
-        rows = centred_ranks(np.stack([x, y]))
-        weights = np.arange(1 - n, n, 2, dtype=np.int64)
+        x, y = rng.integers(0, 1000, n), rng.normal(size=n)
+        u, v = centred_ranks(x), centred_ranks(y)
+        assert rank_correlation(u, v) == pearson(average_ranks(x), average_ranks(y))
+        # rows of centred ranks against the weights of an untied order, as the
+        # screen sums untied cores, and against weights per row, as it sums tied ones
+        rows = np.stack([u, v])
         sums = exact_dot(rows, weights)
-        assert sums[0] == exact_dot(rows[0], weights) and sums[1] == exact_dot(rows[1], weights)
-        assert sums[1] == float(sum(a * b for a, b in zip(rows[1].tolist(), weights.tolist())))
+        assert sums[0] == exact_dot(u, weights) and sums[1] == exact_dot(v, weights)
+        assert sums[1] == float(sum(a * b for a, b in zip(v.tolist(), weights.tolist())))
+        per_row = exact_dot(rows, np.stack([weights, u]))
+        assert per_row[0] == sums[0] and per_row[1] == exact_dot(v, u)
+        # an untied row's sum of squares is (n^3 - n) / 3, past the int64 bound
+        assert exact_dot(rows, rows)[1] == float((n ** 3 - n) // 3)
+        assert list(rank_correlation(rows, rows[::-1])) == [rank_correlation(u, v)] * 2
 
 
 class TestScipyOracle:

@@ -30,7 +30,7 @@ from cadict.search import (
 )
 
 from conftest import clustered_dataset, store_from_raw, store_from_records
-from oracles import evaluate_cell_loop, evaluate_core, every_pair_cell, tokens_of
+from oracles import evaluate_cell_loop, evaluate_core, every_pair_cell, spearman_exact, tokens_of
 
 
 def report_fingerprint(report):
@@ -340,15 +340,21 @@ class TestTieBreak:
         assert z1.best_core.seed_concrete == ("cb",)
 
 
-def _assert_unflagged_screen_exact(a_pairs, c_pairs, pools, ctx):
+def _assert_unflagged_screen_exact(a_pairs, c_pairs, pools, base, store):
+    """Every unflagged core screens to the exact path's r, and to the r of
+    counting-based ranks summed as Python ints (`oracles.spearman_exact`)."""
+    ctx = _EvalContext(base, store)
     screened, unsure = _screen_cell(a_pairs, c_pairs, pools, ctx, _Workspace())
     for a_idx, c_idx, r, flagged in zip(a_pairs, c_pairs, screened, unsure):
         if flagged:
             continue
-        core = SemanticCore(tokens_of(ctx.store.tokens, pools.abstract[a_idx]),
-                            tokens_of(ctx.store.tokens, pools.concrete[c_idx]))
+        core = SemanticCore(tokens_of(store.tokens, pools.abstract[a_idx]),
+                            tokens_of(store.tokens, pools.concrete[c_idx]))
         exact = ctx.evaluate(core)
         assert (np.isnan(exact) and np.isnan(r)) or exact == r
+        raw, _ = search.raw_ratings(ctx.matrix, core, store)
+        oracle = spearman_exact(raw.tolist(), base.ratings.tolist())
+        assert (np.isnan(oracle) and np.isnan(r)) or oracle == r
 
 
 class TestBatchedKernelOracle:
@@ -371,10 +377,10 @@ class TestBatchedKernelOracle:
                 continue
             base = select_base(RatingLexicon(dict(zip(tokens, ratings))),
                                FrequencyList({t: 1 for t in tokens}), store, n)
-            ctx = _EvalContext(base, store)
             y = int(rng.integers(1, n // 3 + 1))
             z = int(rng.integers(1, y + 1))
-            _assert_unflagged_screen_exact(*_seed_pairs(y, z, 10, rng), select_pools(base, y), ctx)
+            _assert_unflagged_screen_exact(*_seed_pairs(y, z, 10, rng), select_pools(base, y),
+                                           base, store)
 
     def test_unflagged_tied_cores_score_with_average_ranks(self):
         # the pools lie near +e1 (abstract) and +e2 (concrete), six base words
@@ -398,7 +404,7 @@ class TestBatchedKernelOracle:
                                 tokens_of(tokens, pools.concrete[c_idx]))
             raw, _ = search.raw_ratings(ctx.matrix, core, store)
             assert np.count_nonzero(raw == 1.0) == 6
-        _assert_unflagged_screen_exact(*pairs, pools, ctx)
+        _assert_unflagged_screen_exact(*pairs, pools, base, store)
 
     def test_tie_free_cell_needs_no_exact_re_score(self, tmp_path):
         # no core is flagged on a tie-free store, so the screen alone decides
@@ -485,6 +491,9 @@ class TestWorkspace:
         # here holds (100 cores x 600 words) arrays of 480 kB, 118 pages each:
         # reused workspace views fault once per search, and only the sort order
         # is still mapped anew on every cell (a rank array as well made 290).
+        # Every core of this store ties (words whose two similarities are both
+        # floored rate exactly 1), so every cell also forms its tie runs' ranks,
+        # and those arrays must be workspace views too.
         code = """if True:
             import resource
             import numpy as np

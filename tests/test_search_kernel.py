@@ -14,7 +14,6 @@ from cadict import search  # noqa: E402
 from cadict.lexicon import FrequencyList, RatingLexicon, select_base, select_pools  # noqa: E402
 from cadict.search import (  # noqa: E402
     SearchConfig,
-    _EvalContext,
     _seed_pairs,
     search_grid,
 )
@@ -55,6 +54,31 @@ def search_problems(draw):
     return store, lex, freq, cfg
 
 
+@st.composite
+def floored_problems(draw):
+    """Y abstract words near +e1 (the lowest rated) and Y concrete words near
+    +e2 (the highest rated), each with a drawn third component, and the other
+    words near -e1 - e2. A core floors both similarities of such a word, which
+    then rates exactly 1 with a zero error bound, or not, by the signs of its
+    seed means' third components: one block mixes cores that tie without a
+    flag with cores that do not tie. Returns the base, its store, y and a z."""
+    y = draw(st.integers(1, 5))
+    third = st.floats(-3.0, 3.0)
+    vectors = ([[1.0, 0.1 * i, draw(third)] for i in range(y)]  # no two pool words alike
+               + [[0.1 * i, 1.0, draw(third)] for i in range(y)])
+    others = draw(st.integers(max(2, y), 10))
+    vectors += [[-draw(st.floats(0.05, 0.5)), -draw(st.floats(0.05, 0.5)), draw(third)]
+                for _ in range(others)]
+    ratings = ([1.0 + 0.1 * i for i in range(y)] + [5.0 - 0.1 * i for i in range(y)]
+               + draw(st.lists(st.sampled_from([2.0, 2.5, 3.0, 3.5, 4.0]),
+                               min_size=others, max_size=others)))
+    tokens = [f"w{i:02d}" for i in range(len(vectors))]
+    store = store_from_raw(tokens, vectors)
+    base = select_base(RatingLexicon(dict(zip(tokens, ratings))),
+                       FrequencyList({t: 1 for t in tokens}), store, len(tokens))
+    return base, store, y, draw(st.integers(1, y))
+
+
 class TestBatchedKernelProperties:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -78,9 +102,15 @@ class TestBatchedKernelProperties:
         assume(len({lex.rating(t) for t in lex.tokens}) > 1)
         x = len(store)
         base = select_base(lex, freq, store, x)
-        ctx = _EvalContext(base, store)
         y = rnd.randint(1, x // 3)
         z = rnd.randint(1, y)
         pools = select_pools(base, y)
         pairs = _seed_pairs(y, z, samples, np.random.default_rng(rnd.randint(0, 9)))
-        _assert_unflagged_screen_exact(*pairs, pools, ctx)
+        _assert_unflagged_screen_exact(*pairs, pools, base, store)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(floored_problems(), st.integers(1, 40), st.integers(0, 9))
+    def test_unflagged_screen_scores_are_exact_with_floored_words(self, problem, samples, seed):
+        base, store, y, z = problem
+        pairs = _seed_pairs(y, z, samples, np.random.default_rng(seed))
+        _assert_unflagged_screen_exact(*pairs, select_pools(base, y), base, store)
