@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from cadict import __version__
-from cadict.embeddings import LoadReport, cache_vectors, load_cache
+from cadict.embeddings import MIN_RANGE_BYTES, LoadReport, cache_vectors, load_cache
 from cadict.errors import DataError, InfeasibleError, check_regular, write_json
 from cadict.lexicon import PREDICTIONS, WORDS, load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
@@ -128,6 +128,20 @@ def _parse_x_values(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad x specification {text!r}: {exc}") from exc
+
+
+def _processes(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1 process, got {text!r}")
+    return value
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _finite_float(text: str) -> float:
@@ -259,7 +273,8 @@ def _cmd_cache_vectors(args) -> int:
     out = _cache_out(args)
     if not args.out:
         out.parent.mkdir(parents=True, exist_ok=True)
-    report, dimension = cache_vectors(args.vectors, out, fold_case=args.fold_case)
+    report, dimension = cache_vectors(args.vectors, out, fold_case=args.fold_case,
+                                      processes=args.processes)
     write_json(_sidecar(out), _manifest(args, None, {"fold_case": args.fold_case}))
     print(f"cached {report.accepted} vector(s) of dimension {dimension} -> {out}")
     _print_drops(args.vectors, report)
@@ -345,6 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True, help="word-vectors text file")
     p.add_argument("--out", default=None,
                    help=f"cache path (default: ${CACHE_DIR_ENV} or ./<stem>.cavs)")
+    p.add_argument("--processes", type=_processes, default=_usable_cpus(),
+                   help="processes that parse byte ranges of a text of at least "
+                        f"{2 * MIN_RANGE_BYTES >> 20} MiB at once: this one and child "
+                        "processes (default: the %(default)s CPUs it may run on)")
     _add_fold_flag(p)
     p.set_defaults(func=_cmd_cache_vectors, error=p.error, inputs=("vectors",),
                    outputs=lambda a: _with_sidecar(_cache_out(a)))

@@ -27,14 +27,21 @@ class InfeasibleError(CadictError):
 
 
 @contextmanager
+def decoding(path: str | Path) -> Iterator[None]:
+    """Bytes of `path` that do not decode while the block reads it become a
+    DataError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextmanager
 def open_text(path: str | Path) -> Iterator[IO[str]]:
     """Open an input file as UTF-8 text, dropping a leading byte-order mark; bytes
     that do not decode while it is read become a DataError naming the file."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with decoding(path), open(path, encoding="utf-8-sig") as fh:
+        yield fh
 
 
 def check_regular(path: str | Path, reads: str) -> None:

@@ -1,6 +1,12 @@
+import contextlib
+import io
+import json
+import subprocess
+
 import numpy as np
 import pytest
 
+from cadict import embeddings
 from cadict.embeddings import VectorStore, cache_vectors, load_vectors
 from cadict.lexicon import FrequencyList, RatingLexicon
 
@@ -67,3 +73,31 @@ def tiny_store(tmp_path):
         ("south", [0.0, -2.0]),
     ]
     return store_from_records(tmp_path, records)
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """`cache_vectors` cuts any file of two bytes or more into ranges, and its
+    children run their body, `_range_child`, in this process as they start. The
+    list it returns gets each child's ``(start, stop)`` byte range."""
+    started = []
+
+    class Child:
+        def __init__(self, argv, **kwargs):
+            args = json.loads(argv[-1])
+            started.append((args[1], args[2]))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                embeddings._range_child(argv[-1])
+            self.stdout, self.returncode = out.getvalue().encode(), None
+
+        def communicate(self):
+            self.returncode = 0
+            return self.stdout, b""
+
+        def kill(self):
+            pass
+
+    monkeypatch.setattr(subprocess, "Popen", Child)
+    monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 1)
+    return started

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -796,6 +797,140 @@ class TestInputErrors:
         monkeypatch.setattr(cli, "evaluate_ratings", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["evaluate", "--pred", str(corpus["ratings"]), "--gold", str(corpus["ratings"])])
+
+
+def _cache_run(tmp_path, path, processes, capsys):
+    """`cadict cache-vectors` of `path` with `--processes`: its exit code, its
+    standard error, the cache and its manifest's bytes, and the other files of
+    `tmp_path` (staging and token files would be among them)."""
+    out = tmp_path / "out" / "v.cavs"
+    out.parent.mkdir(exist_ok=True)
+    code = run(["cache-vectors", "--vectors", str(path), "--out", str(out),
+                "--processes", str(processes)])
+    written = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+    for name in list(written):
+        out.parent.joinpath(name).unlink()
+    others = sorted(p.name for p in tmp_path.iterdir() if p != out.parent)
+    return code, capsys.readouterr().err, written, others
+
+
+class TestCacheProcesses:
+    """`cache-vectors --processes`: children parse byte ranges of a large text;
+    they run in this process here (the `children` fixture) but in a few tests."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_fewer_than_one_process_is_usage_error(self, corpus, tmp_path, capsys, value):
+        out = tmp_path / "v.cavs"
+        assert run(["cache-vectors", "--vectors", str(corpus["text"]), "--out", str(out),
+                    "--processes", value]) == EXIT_USAGE
+        assert "--processes" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="at least 1"):
+            embeddings.cache_vectors(corpus["text"], out, processes=0)
+
+    def test_default_is_the_usable_cpus(self):
+        args = cli.build_parser().parse_args(["cache-vectors", "--vectors", "v.vec"])
+        assert args.processes == len(os.sched_getaffinity(0))
+
+    def test_a_small_file_starts_no_child(self, corpus, tmp_path, monkeypatch):
+        # a million processes are asked for; a file under two MIN_RANGE_BYTES is
+        # one range, parsed in this process
+        started = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: started.append(args))
+        cache = tmp_path / "v.cavs"
+        assert run(["cache-vectors", "--vectors", str(corpus["text"]), "--out", str(cache),
+                    "--processes", "1000000"]) == EXIT_OK
+        assert started == []
+        assert cache.read_bytes() == corpus["vectors"].read_bytes()
+
+    def test_no_more_children_than_ranges(self, tmp_path, monkeypatch, children, capsys):
+        # 18 bytes make 3 ranges of 6, and the first is 6 bytes longer than the others
+        monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 6)
+        path = tmp_path / "v.vec"
+        path.write_text("a 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+        many = _cache_run(tmp_path, path, 1000000, capsys)
+        assert children == [(12, 18)]
+        assert many == _cache_run(tmp_path, path, 1, capsys)
+        assert many[0] == EXIT_OK
+
+    # each `cache-vectors` case of BAD_INPUTS, and bad records and bytes in later ranges
+    BAD_TEXTS = {
+        **{case: blob for case, (_, blob, argv) in BAD_INPUTS.items()
+           if argv[0] == "cache-vectors"},
+        "bad record in range 2": b"a 1 0\nb 0 1\nc 1 1\nd 1 1 1\ne 1 0\nf 0 1\n",
+        "unparseable record in range 3": b"a 1 0\nb 0 1\nc 1 1\nd 1 1\ne 1 0\nf x 1\n",
+        "undecodable in range 3": b"a 1 0\nb 0 1\nc 1 1\nd 1 1\ne 1 0\n\xff 0 1\n",
+        "no usable record": b"a 0 0\nb 0 0\nc nan 1\nd 0 0\ne 0 0\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_TEXTS))
+    def test_bad_input_gives_one_error_at_every_process_count(self, tmp_path, children,
+                                                             capsys, case):
+        path = tmp_path / "v.vec"
+        path.write_bytes(self.BAD_TEXTS[case])
+        one = _cache_run(tmp_path, path, 1, capsys)
+        code, err, written, others = one
+        assert code == EXIT_DATA and written == {} and others == ["v.vec"]
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+        for processes in (2, 3):
+            assert _cache_run(tmp_path, path, processes, capsys) == one
+        assert len(children) == (2 if "utf-8" in case else 3)  # 1 child, then 2 (or 1)
+
+    @pytest.mark.parametrize("code, stderr, how", [
+        (1, b"Traceback (most recent call last):\n  ...\nMemoryError\n",
+         "exited with code 1: MemoryError"),
+        (-9, b"", "was killed by signal 9"),
+    ])
+    def test_a_child_that_fails_is_one_line_error(self, tmp_path, monkeypatch, children,
+                                                  capsys, code, stderr, how):
+        # the first child fails; the second, still running, is killed, and the
+        # files of both are removed
+        killed = []
+
+        class Failed:
+            def __init__(self, argv, **kwargs):
+                self.returncode = None
+
+            def communicate(self):
+                self.returncode = code if not killed else -9
+                return b"", stderr
+
+            def kill(self):
+                killed.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Failed)
+        path = tmp_path / "v.vec"
+        path.write_text("a 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+        assert _cache_run(tmp_path, path, 3, capsys) == (
+            EXIT_DATA, f"error: {path}: the process parsing bytes 6-12 {how}\n", {}, ["v.vec"])
+        assert len(killed) == 1
+
+    def test_real_children_write_the_bytes_of_one_process(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # children import the package afresh: BLOCK_LINES reaches them as an argument
+        path = tmp_path / "v.vec"
+        path.write_text(TestCacheCommand.VECTORS.replace("\nb 1 1 1\n", "\nb 1 x 1\n"),
+                        encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
+        one = _cache_run(tmp_path, path, 1, capsys)
+        assert one[0] == EXIT_OK
+        monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 40)
+        assert _cache_run(tmp_path, path, 3, capsys) == one
+        # a bad record in the third range, named by its line in the whole file
+        path.write_text(TestCacheCommand.VECTORS + "e 1 2\n", encoding="utf-8")
+        assert _cache_run(tmp_path, path, 3, capsys) == (
+            EXIT_DATA, f"error: {path}: line 12: expected 3 components, found 2\n", {},
+            ["v.vec"])
+
+    def test_a_killed_child_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(embeddings, "_CHILD",
+                            "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
+        monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 1)
+        path = tmp_path / "v.vec"
+        path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        assert _cache_run(tmp_path, path, 2, capsys) == (
+            EXIT_DATA, f"error: {path}: the process parsing bytes 6-12 was killed by signal 9\n",
+            {}, ["v.vec"])
 
 
 @pytest.mark.parametrize("reader", ["ratings", "freq", "pred", "words", "vectors", "core"])

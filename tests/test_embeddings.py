@@ -380,6 +380,190 @@ class TestBlockParser:
         assert str(exc.value) == f"{path}: line 2: expected 2 components, found 3"
 
 
+def _cached(path, **kwargs):
+    """What `cache_vectors` shows its caller: the cache bytes, report and
+    dimension, or the error's message."""
+    out = Path(f"{path}.cavs")
+    try:
+        report, dimension = embeddings.cache_vectors(path, out, **kwargs)
+    except DataError as exc:
+        return str(exc)
+    return out.read_bytes(), report, dimension
+
+
+def _cut_at(monkeypatch, path, cuts):
+    """Make `cache_vectors` cut `path` at `cuts` (offsets inside it) for any
+    process count above 1."""
+    size = path.stat().st_size
+    _, dimension = embeddings._split(path, 1 << 20)  # with MIN_RANGE_BYTES lowered
+    assert dimension is not None
+    monkeypatch.setattr(embeddings, "_split",
+                        lambda path, processes: ([0, *cuts, size], dimension)
+                        if processes > 1 else ([0, None], None))
+
+
+def _line_ends(blob: bytes, after: int) -> list[int]:
+    """The offsets just after each ``\\n`` of `blob` from `after` on, but its end."""
+    return [i + 1 for i, byte in enumerate(blob) if byte == 10 and after < i + 1 < len(blob)]
+
+
+class TestByteRanges:
+    """`cache_vectors` with processes: each byte range parsed on its own, as a
+    child process parses it (here in this process: the `children` fixture), and
+    the ranges merged in order, must give the cache, report and error of one pass."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=vector_files(), block_lines=st.sampled_from([1, 3, 1024]),
+           processes=st.sampled_from([2, 3, 5]), min_range=st.sampled_from([1, 4, 16]),
+           fold_case=st.booleans())
+    def test_ranges_equal_one_pass(self, tmp_path, monkeypatch, children, text, block_lines,
+                                   processes, min_range, fold_case):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
+        one = _cached(path, fold_case=fold_case)
+        monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", min_range)
+        assert _cached(path, fold_case=fold_case, processes=processes) == one
+
+    # a header, blank lines, a case-fold collision, and duplicates of kept,
+    # zero-norm, non-finite and unparseable records, near and far
+    EDGES = ["", "3 3", "", "a 1 0 0", "b 0 0 0", "C 0 1 0", "", "d nan 1 0", "A 0 0 0",
+             "B 0 0 1", "c 1 1 1", "D 2 0 0", "a x 1 1", "e 1 2 3", "", "b 3 x 1",
+             "e 0 0 0", "f 1e200 1e200 1", "E nan 0 0", "g 0 0 0", "h inf 0 0", "g 1 0 1"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    def test_every_cut_equals_one_pass(self, tmp_path, monkeypatch, children, newline, bom):
+        path = tmp_path / "v.txt"
+        blob = (bom + newline.join(self.EDGES) + newline).encode()
+        path.write_bytes(blob)
+        one = _cached(path)
+        assert one[1] == LoadReport(accepted=7, duplicates_ignored=6, zero_norm_skipped=2,
+                                    non_finite_skipped=2)
+        ends = _line_ends(blob, after=blob.index(b"a 1 0 0"))
+        cuts = [[cut] for cut in ends]
+        if newline == "\n" and not bom:  # and every pair of cuts
+            cuts += [[a, b] for a in ends for b in ends if a < b]
+        for cut in cuts:
+            _cut_at(monkeypatch, path, cut)
+            children.clear()
+            assert _cached(path, processes=3) == one, cut
+            assert children == list(zip(cut, [*cut[1:], len(blob)]))
+
+    def test_a_later_range_defers_to_the_tokens_kept_before_it(self, tmp_path, monkeypatch,
+                                                               children):
+        # one pass checks for a duplicate before it parses the components and
+        # before the norm; a token whose first record was dropped is kept later
+        path = tmp_path / "v.txt"
+        first = "a 1 0\nb 0 0\nc 1 1\nd nan 0\n"
+        path.write_text(first + "a 0 0\nb 2 0\nc x 1\nd 0 1\na nan 1\nd 1 1\n", encoding="utf-8")
+        _cut_at(monkeypatch, path, [len(first)])
+        for processes in (1, 2):
+            report, _ = embeddings.cache_vectors(path, tmp_path / "v.cavs", processes=processes)
+            assert report == LoadReport(accepted=4, duplicates_ignored=4, zero_norm_skipped=1,
+                                        non_finite_skipped=1)
+            assert load_cache(tmp_path / "v.cavs").tokens == ("a", "c", "b", "d")
+        assert children == [(len(first), path.stat().st_size)]
+
+    def test_unparseable_record_of_a_new_token_is_an_error(self, tmp_path, monkeypatch,
+                                                           children):
+        path = tmp_path / "v.txt"
+        first = "a 1 0\nb 0 0\n\n"
+        path.write_text(first + "a x 1\nb x 1\nc 1 x\n", encoding="utf-8")
+        _cut_at(monkeypatch, path, [len(first)])
+        for processes in (1, 2):
+            assert _cached(path, processes=processes) == \
+                f"{path}: line 5: unparseable vector component"
+
+    @pytest.mark.parametrize("block_lines", [1, 3, 1024])
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("fold_case, digest, report", [
+        (True, "3b9139b633436ca37938409c27222214ceff7759c04cf85751da4572d304f35b",
+         LoadReport(accepted=5, duplicates_ignored=2, zero_norm_skipped=1, non_finite_skipped=1)),
+        (False, "36718e9ad278679561089764cec792a8b2aa11f292264203ce88b185ddb2ade7",
+         LoadReport(accepted=6, duplicates_ignored=1, zero_norm_skipped=1, non_finite_skipped=1)),
+    ])
+    def test_cache_pinned_at_every_process_count(self, tmp_path, monkeypatch, children,
+                                                 block_lines, processes, fold_case, digest,
+                                                 report):
+        # the digests of `test_cache_pinned_across_versions`, with ranges that
+        # cut the pinned file into `processes` parts
+        monkeypatch.chdir(tmp_path)
+        Path("pinned.vec").write_text(TestBlockParser.PINNED, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 16)
+        assert embeddings.cache_vectors("pinned.vec", "v.cavs", fold_case=fold_case,
+                                        processes=processes) == (report, 3)
+        assert hashlib.sha256(Path("v.cavs").read_bytes()).hexdigest() == digest
+        assert len(children) == processes - 1
+
+    @pytest.mark.parametrize("text", [
+        b"a 1 0\rb 0 1\ra 1 1\r",  # no \n to cut at
+        b"3 2\n\n \n",  # no record
+        b"\n 2 3\n7\nb 1 1\n",  # a first record with no component
+        b"\xff\na 1 0\nb 1 1\n",  # a line before the first record does not decode
+    ])
+    def test_a_file_that_cannot_be_cut_is_one_range(self, tmp_path, children, text):
+        path = tmp_path / "v.txt"
+        path.write_bytes(text)
+        assert _cached(path, processes=2) == _cached(path)
+        assert children == []
+
+    def test_bad_record_before_an_undecodable_byte_in_a_later_range(self, tmp_path,
+                                                                     children):
+        # `test_bad_record_before_an_undecodable_byte_is_reported_first`, cut
+        text = b"a 1 0\nb 1 2 3\n" + b"".join(b"w%d 1 0\n" % i for i in range(2000))
+        path = tmp_path / "v.txt"
+        path.write_bytes(text + b"\xff 1 0\n")
+        for processes in (1, 2, 3):
+            assert _cached(path, processes=processes) == \
+                f"{path}: line 2: expected 2 components, found 3"
+        assert len(children) == 3
+
+    @pytest.mark.parametrize("bad, reason", [(b"\xff", "invalid start byte"),
+                                             (b"\xe2\x82", "invalid continuation byte"),
+                                             (b"\x80", "invalid start byte")])
+    def test_undecodable_bytes_hide_their_chunk_at_a_cut(self, tmp_path, monkeypatch,
+                                                         children, bad, reason):
+        # one pass decodes 8 KiB chunks: bytes that do not decode hide every
+        # line that ends in their chunk, which may end the range before a cut
+        chunk = embeddings.TEXT_CHUNK_BYTES
+        lines = [b"w%04d 1 0\n" % i for i in range(3 * chunk // 10)]  # 10 bytes a line
+        cut = (chunk + 500) // 10 * 10  # in chunk 1
+        outcomes = {}
+        # a bad record in chunk 0, and in chunk 1 before and after the cut
+        for record in (400, chunk // 10 + 40, chunk // 10 + 60):
+            blob = b"".join(lines[:record] + [b"bad 1 2 3\n"] + lines[record:])
+            for at in (cut, 2 * chunk - 3, 2 * chunk, 2 * chunk + 5):
+                path = tmp_path / f"v-{record}-{at}.txt"
+                path.write_bytes(blob[:at] + bad + blob[at:])
+                one = _cached(path)
+                _cut_at(monkeypatch, path, [cut])
+                assert _cached(path, processes=2) == one
+                outcomes[record, at] = one.split(": ", 1)[1]
+        assert outcomes == {
+            (400, cut): "line 401: expected 2 components, found 3",
+            (400, 2 * chunk - 3): "line 401: expected 2 components, found 3",
+            (400, 2 * chunk): "line 401: expected 2 components, found 3",
+            (400, 2 * chunk + 5): "line 401: expected 2 components, found 3",
+            # its chunk is the cut's: hidden by bytes after the cut in that chunk
+            **{(chunk // 10 + 40, at): f"not UTF-8 text ({reason})"
+               for at in (cut, 2 * chunk - 3)},
+            (chunk // 10 + 40, 2 * chunk): f"line {chunk // 10 + 41}: expected 2 components, "
+                                           "found 3",
+            (chunk // 10 + 40, 2 * chunk + 5): f"line {chunk // 10 + 41}: expected 2 "
+                                               "components, found 3",
+            # after the cut: hidden, or not, in the second range
+            **{(chunk // 10 + 60, at): f"not UTF-8 text ({reason})"
+               for at in (cut, 2 * chunk - 3)},
+            (chunk // 10 + 60, 2 * chunk): f"line {chunk // 10 + 61}: expected 2 components, "
+                                           "found 3",
+            (chunk // 10 + 60, 2 * chunk + 5): f"line {chunk // 10 + 61}: expected 2 "
+                                               "components, found 3",
+        }
+
+
 class TestCosine:
     """Cosine similarity as every rating computes it: `raw_ratings` takes the dot
     product of load-normalized rows, one per seed when the seeds are single words."""
