@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Container
 
 from cadict import __version__
 from cadict.embeddings import MIN_RANGE_BYTES, LoadReport, cache_vectors, load_cache
@@ -39,9 +40,11 @@ CACHE_DIR_ENV = "CADICT_CACHE_DIR"
 
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 16)  # read into, and hashed from, one buffer
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -151,13 +154,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _load_predictions(path: str | Path, fold_case: bool) -> tuple[dict[str, float], LoadReport]:
+def _load_predictions(path: str | Path, fold_case: bool,
+                      vocab_filter: Container[str] | None = None
+                      ) -> tuple[dict[str, float], LoadReport]:
     """Read predicted ratings from a 2-column ratings TSV or the 4-column
     dictionary TSV. Dictionary files contribute the raw-ratio column: it keeps
     full rank fidelity, while the scaled column is quantized to 3 decimals
-    (and the correlations are affine-invariant, so the choice costs nothing)."""
-    preds, report = read_table(path, fold_case, PREDICTIONS)
-    if not preds:
+    (and the correlations are affine-invariant, so the choice costs nothing).
+    With `vocab_filter` (`evaluate` passes the gold words), only the
+    predictions of its tokens are kept, in file order; the other valid rows
+    count as `filtered_out`, and every row is still parsed and checked. A file
+    without one valid row is a DataError."""
+    preds, report = read_table(path, fold_case, PREDICTIONS, vocab_filter)
+    if report.rows == report.rejected:  # filtered out or not, no row held a prediction
         raise DataError(f"{path}: no predictions found")
     return preds, report
 
@@ -234,17 +243,17 @@ def _cmd_rate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     gold = load_ratings(args.gold, fold_case=args.fold_case)
-    preds, pred_report = _load_predictions(args.pred, fold_case=args.fold_case)
     ratings = gold._entries  # its dict's own methods: no Python call per token
-    joined = list(filter(ratings.__contains__, preds))
-    if len(joined) < 2:
-        detail = "empty join" if not joined else f"join of only {len(joined)} token(s)"
+    # only the gold words' predictions are kept, so they are the join, in file order
+    preds, pred_report = _load_predictions(args.pred, args.fold_case, vocab_filter=ratings)
+    if len(preds) < 2:
+        detail = "empty join" if not preds else f"join of only {len(preds)} token(s)"
         raise DataError(f"prediction/gold {detail}; need at least 2 shared tokens")
-    pred_values = list(map(preds.__getitem__, joined))
-    gold_values = list(map(ratings.__getitem__, joined))
+    pred_values = list(preds.values())
+    gold_values = list(map(ratings.__getitem__, preds))
     for path, values in ((args.pred, pred_values), (args.gold, gold_values)):
         if min(values) == max(values):
-            raise DataError(f"{path}: every rating over the {len(joined)} shared tokens is "
+            raise DataError(f"{path}: every rating over the {len(preds)} shared tokens is "
                             f"{values[0]}; correlations are undefined")
     report = evaluate_ratings(
         pred_values,

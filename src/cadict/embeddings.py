@@ -255,11 +255,12 @@ class _TextLoad:
     def block(self, numbered: list[tuple[int, str]]) -> None:
         """Add (line number, line) pairs, each split once into token and rest.
 
-        One np.loadtxt call parses the rests of the records that may be kept.
-        When it parsed every record of the block at the store's width, `rows`
-        checks them as arrays. Otherwise, and when numpy refuses the rests
-        (``1_0``, a bad component, unequal widths), `records` walks the block
-        in line order; it alone names a bad record's line in a DataError."""
+        One np.loadtxt call parses the rests of every record with components,
+        duplicates too. When it parsed every record of the block at the store's
+        width, `rows` checks them as arrays and drops the duplicates. Otherwise,
+        and when numpy refuses the rests (``1_0``, a bad component, unequal
+        widths, a duplicate's too), `records` walks the block in line order; it
+        alone names a bad record's line in a DataError."""
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
@@ -271,9 +272,8 @@ class _TextLoad:
                     continue
             token = head[0].lower() if self.fold_case else head[0]
             rest = head[1] if len(head) == 2 else ""
-            sent = bool(rest) and token not in self.tokens
-            records.append((lineno, token, rest, sent))
-            if sent:
+            records.append((lineno, token, rest))
+            if rest:
                 rests.append(rest)
         try:
             matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2) if rests else None
@@ -290,7 +290,7 @@ class _TextLoad:
         else:
             self.records(records, iter(matrix))
 
-    def rows(self, records: list[tuple[int, str, str, bool]], matrix: np.ndarray) -> None:
+    def rows(self, records: list[tuple[int, str, str]], matrix: np.ndarray) -> None:
         """Keep the rows of `matrix`, the parsed `records`, by the rules of
         `records`, checked as arrays: one batched row dot gives the squared
         norms, the same ``ddot`` per row as ``vec.dot(vec)``."""
@@ -323,17 +323,17 @@ class _TextLoad:
             matrix, norms = matrix[keep], norms[keep]
         self.write(matrix, norms)
 
-    def records(self, records: list[tuple[int, str, str, bool]],
+    def records(self, records: list[tuple[int, str, str]],
                 parsed: Iterator[np.ndarray] | None) -> None:
         """Keep the `records` of one block one at a time, applying each rule once
         in line order: width, duplicate, components, norm, zero and
-        non-finite drops. A record sent to numpy takes its row from `parsed`;
-        without it, or for a record not sent, the rest is split and read by
-        `float`. A bad record is a DataError naming its line, but for
-        components that do not parse in a range after the first: `undecided`."""
+        non-finite drops. A record with components takes its row from
+        `parsed`; without it, the rest is split and read by `float`. A bad
+        record is a DataError naming its line, but for components that do not
+        parse in a range after the first: `undecided`."""
         vecs, norms = [], []
-        for lineno, token, rest, sent in records:
-            fields = next(parsed) if sent and parsed is not None else rest.split()
+        for lineno, token, rest in records:
+            fields = next(parsed) if rest and parsed is not None else rest.split()
             if self.dimension is None:
                 if len(fields) < 1:
                     raise _RecordError(self.path, lineno, "record has no vector components")

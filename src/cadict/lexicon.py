@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Container, Iterator
 
 import numpy as np
 
@@ -219,7 +219,7 @@ class _Table:
     tokens were first read, and the drop counts."""
 
     def __init__(self, path: str | Path, kind: TableKind, fold_case: bool,
-                 vocab_filter: set[str] | None):
+                 vocab_filter: Container[str] | None):
         self.path, self.kind = path, kind
         self.fold_case, self.vocab_filter = fold_case, vocab_filter
         self.entries: dict[str, Any] = {}
@@ -288,7 +288,8 @@ class _Table:
 
 
 def read_table(path: str | Path, fold_case: bool, kind: TableKind,
-               vocab_filter: set[str] | None = None) -> tuple[dict[str, Any], LoadReport]:
+               vocab_filter: Container[str] | None = None
+               ) -> tuple[dict[str, Any], LoadReport]:
     """Read a `token TAB value ...` UTF-8 table of `kind` into a token -> value map.
 
     Blank lines are skipped. The first non-blank line is a header when its

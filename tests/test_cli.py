@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +359,8 @@ class TestRateCommand:
 
         assert run(["evaluate", "--pred", str(freq), "--gold", str(ratings)]) == EXIT_OK
         printed = capsys.readouterr().out.splitlines()
-        assert f"dropped from {freq}: duplicates_ignored=1" in printed
+        # only gold words' predictions load: `unrated` is filtered out
+        assert f"dropped from {freq}: duplicates_ignored=1, filtered_out=1" in printed
         assert f"dropped from {ratings}: multiword_excluded=1, duplicates_ignored=1" in printed
 
     def test_ratings_tsv_as_words_rates_first_column(self, corpus, core_file, tmp_path):
@@ -441,12 +443,80 @@ class TestEvaluateCommand:
                     "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["r_s"] == -1.0
 
-    def test_disjoint_vocabulary_is_data_error(self, tmp_path):
+    def test_disjoint_vocabulary_is_data_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text("a\t1.5\nb\t4.5\n", encoding="utf-8")
         pred = tmp_path / "pred.tsv"
         pred.write_text("x\t1.5\ny\t4.5\n", encoding="utf-8")
         assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "error: prediction/gold empty join; need at least 2 shared tokens\n"
+
+    @pytest.mark.parametrize("text", ["token\tscore\n", "\n\n", " \t2.0\n\t3.0\n"],
+                             ids=["header", "blank", "no-token"])
+    def test_no_prediction_row_is_data_error(self, tmp_path, capsys, text):
+        # decided from the rows read, not from the gold words kept
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\t1.5\nb\t4.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(text, encoding="utf-8")
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {pred}: no predictions found\n"
+
+    def test_non_gold_rows_change_only_the_drop_line(self, tmp_path, capsys):
+        # a dictionary TSV with a header, rows of words outside the gold and a
+        # repeated such word gives the report of its gold rows, byte for byte
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("word\trating\na\t1.5\nb\t2.5\nc\t3.0\nd\t4.5\nunused\t2.0\n",
+                        encoding="utf-8")
+        header = "token\traw_ratio\tscaled\tfloored\n"
+        rows = {"a": "0.5\t1.0\t0", "b": "1.25\t2.5\t0", "c": "0.75\t1.8\t1",
+                "d": "2.0\t5.0\t0"}
+        lines = [f"{t}\t{r}\n" for t, r in rows.items()]
+        full, only = tmp_path / "full.tsv", tmp_path / "only.tsv"
+        full.write_text(header + "x\t9.0\t5.0\t0\n" + "".join(lines[:2]) + "Y\t0.1\t1.0\t0\n"
+                        + "x\t3.0\t3.0\t0\n" + "".join(lines[2:]) + "A\t7.0\t5.0\t0\n",
+                        encoding="utf-8")
+        only.write_text(header + "".join(lines), encoding="utf-8")
+        reports = {}
+        for pred in (full, only):
+            out = tmp_path / f"{pred.stem}.json"
+            assert run(["evaluate", "--pred", str(pred), "--gold", str(gold),
+                        "--out", str(out)]) == EXIT_OK
+            printed = capsys.readouterr().out.splitlines()
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc.pop("manifest")["inputs"]["pred"]["path"] == str(pred)
+            reports[pred] = (json.dumps(doc, indent=2), printed[1:5], printed[5:])
+        assert reports[full][:2] == reports[only][:2]
+        assert json.loads(reports[full][0])["n"] == 4
+        # the first row of `a` wins; the three rows of x and Y are not gold words
+        assert reports[full][2] == [f"dropped from {full}: duplicates_ignored=1, "
+                                    "filtered_out=3"]
+        assert reports[only][2] == []
+
+    def test_bad_non_gold_row_is_data_error(self, tmp_path, capsys):
+        # every row is parsed and checked, a gold word's or not
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\t1.5\nb\t2.5\nc\t3.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("a\t1.0\nb\t2.0\nc\t3.0\nzebra\tnan\n", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold),
+                    "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {pred}: line 4: non-finite rating 'nan'\n"
+        assert not out.exists()
+
+    def test_filtered_predictions_are_the_join_in_file_order(self, tmp_path):
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("d\t4.0\nx\t1.0\nB\t2.0\na\t1.0\nb\t9.0\ny\t2.0\nx\t3.0\n",
+                        encoding="utf-8")
+        gold = {"a": 1.5, "b": 2.5, "c": 3.5, "d": 4.5}
+        preds, report = _load_predictions(pred, True, vocab_filter=gold)
+        assert list(preds.items()) == [("d", 4.0), ("b", 2.0), ("a", 1.0)]
+        assert report.accepted == 3 and report.filtered_out == 3
+        assert report.duplicates_ignored == 1
+        everything, _ = _load_predictions(pred, True)
+        assert list(preds) == [t for t in everything if t in gold]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_prediction_is_data_error(self, tmp_path, capsys, value):
@@ -515,6 +585,22 @@ class TestEvaluateCommand:
                          "config": {"threshold_gold": 3.0, "threshold_pred": None,
                                     "fold_case": True}},
         }, indent=2) + "\n"
+
+    def test_digest_reads_through_one_small_buffer(self, tmp_path):
+        # every size around the buffer's, and a file whose reads would each
+        # allocate a MiB if the hash did not reuse its buffer
+        blob = np.random.default_rng(3).bytes(3 << 20)
+        for size in (0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 20):
+            path = tmp_path / f"{size}.bin"
+            path.write_bytes(blob[:size])
+            tracemalloc.start()
+            try:
+                digest = cli._sha256(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert digest == hashlib.sha256(blob[:size]).hexdigest()
+            assert peak < 1 << 17
 
     def test_unparseable_prediction_is_data_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"

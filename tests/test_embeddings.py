@@ -498,6 +498,51 @@ class TestByteRanges:
         assert hashlib.sha256(Path("v.cavs").read_bytes()).hexdigest() == digest
         assert len(children) == processes - 1
 
+    # blocks of 2 lines, with a duplicate of a token that an earlier block kept:
+    # its rest parses (also the rest of a token dropped for its zero norm, which
+    # is kept later), does not parse, or has another width; then duplicates of a
+    # later range's own tokens and of the first range's. The digests, reports and
+    # error are those of the loader that sent numpy no rest of such a duplicate
+    DUPLICATES = {
+        "rest parses": ("a 1 0\nz 0 0\nb 0 1\nA nan 1\nz 3 4\nc 1 1\n",
+                        "e9e7195036b75d8dcb89718e3ed2f606f16baed1591d9767f8cdb50f5ab05d3b",
+                        LoadReport(accepted=4, duplicates_ignored=1, zero_norm_skipped=1)),
+        "rest does not parse": ("a 1 0\nb 0 1\na x 2\nc 1 1\n",
+                                "3f9cc6243ad382b5a68aed1c2a590abe041c925371ec53db0ea0a4e04742a87f",
+                                LoadReport(accepted=3, duplicates_ignored=1)),
+        "rest of another width": ("a 1 0\nb 0 1\na 2 2 2\nc 1 1\n", None,
+                                  "line 3: expected 2 components, found 3"),
+        "in a later range": ("a 1 0\nb 0 1\nc 1 1\na 2 0\nc 0 2\nd 1 2\nb 0 0\n",
+                             "fe08e13abdf5184f0a3e705d06f4ad1e34a79f142fdfc5279b933c42e88a9f93",
+                             LoadReport(accepted=4, duplicates_ignored=3)),
+    }
+
+    @pytest.mark.parametrize("case", list(DUPLICATES))
+    def test_duplicates_in_a_numpy_block(self, tmp_path, monkeypatch, children, case):
+        text, digest, expected = self.DUPLICATES[case]
+        monkeypatch.chdir(tmp_path)
+        path = Path("v.txt")
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
+        walked = []
+        records = embeddings._TextLoad.records
+        monkeypatch.setattr(embeddings._TextLoad, "records",
+                            lambda load, *args: walked.append(load.start) or records(load, *args))
+        one = _cached(path)
+        if digest is None:
+            assert one == f"{path}: {expected}"
+        else:
+            assert (hashlib.sha256(one[0]).hexdigest(), one[1:]) == (digest, (expected, 2))
+        # a block with a duplicate whose rest numpy reads is checked as arrays;
+        # the record walk takes only the block that numpy refuses
+        assert walked == ([] if case in ("rest parses", "in a later range") else [0])
+        ends = _line_ends(text.encode(), after=0)
+        for cut in ends:
+            _cut_at(monkeypatch, path, [cut])
+            children.clear()
+            assert _cached(path, processes=2) == one, cut
+            assert children == [(cut, len(text))]
+
     @pytest.mark.parametrize("text", [
         b"a 1 0\rb 0 1\ra 1 1\r",  # no \n to cut at
         b"3 2\n\n \n",  # no record
