@@ -10,14 +10,15 @@ A large text is parsed in byte ranges, each cut just after a ``\\n``, by
 several processes at once: this one parses the first range, and a child
 process each of the others. Each applies the parser's rules to its own range
 and leaves undecided only what depends on the ranges before it: whether a token
-it kept, or dropped, was kept earlier. The ranges are merged in order into the
-cache bytes, load report and first error of one pass over the whole file.
+it kept, or dropped, was kept earlier. The ranges only speed up a valid text.
+They are merged in order only when nothing in them can differ from one pass
+over the whole file; after an error, or anything else, that one pass is run and
+its cache, report or error is the answer, at the cost of up to one more pass.
 """
 
 from __future__ import annotations
 
 import codecs
-import io
 import itertools
 import json
 import logging
@@ -37,7 +38,7 @@ from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from cadict.errors import DataError, decoding
+from cadict.errors import DataError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +57,6 @@ COPY_BYTES = 1 << 16  # staged row bytes copied into a cache at a time
 # at most one range per MIN_RANGE_BYTES, and the first range, which it parses
 # itself while the children start, is MIN_RANGE_BYTES longer than each child's
 MIN_RANGE_BYTES = 1 << 24
-# the bytes a TextIOWrapper reads, and decodes, at a time from a file it opened
-TEXT_CHUNK_BYTES = 8192
 TOKEN_PIECE_BYTES = 1 << 16  # token-list bytes decoded and split at a time by `load_cache`
 # a smaller norm has a subnormal square, too inexact to normalize the row by
 MIN_NORM = math.sqrt(np.finfo(np.float64).tiny)
@@ -110,10 +109,14 @@ class VectorStore:
         if matrix.shape[0] == 0:
             raise DataError(f"vector store from {source_id!r} is empty")
         self._tokens = tuple(tokens)
-        for t in self._tokens:
-            if not t or len(t.split()) != 1:
-                raise ValueError(f"bad token for store: {t!r}")
-        self._index = {t: i for i, t in enumerate(self._tokens)}
+        # one split at C speed: NUL is no whitespace, so the joined tokens split
+        # into themselves alone exactly when no token holds whitespace
+        joined = "\0".join(self._tokens)
+        if "" in self._tokens or joined.split() != [joined]:
+            for t in self._tokens:
+                if t.split() != [t]:
+                    raise ValueError(f"bad token for store: {t!r}")
+        self._index = dict(zip(self._tokens, range(len(self._tokens))))
         if len(self._index) != len(self._tokens):
             raise ValueError("duplicate tokens in store construction")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -165,55 +168,6 @@ class VectorStore:
         return self._matrix[np.asarray(idx, dtype=np.intp)]
 
 
-UNPARSEABLE = "unparseable vector component"
-
-
-class _RecordError(DataError):
-    """A bad record of a word-vectors text: the message names its `line`."""
-
-    def __init__(self, path: Path, line: int, detail: str):
-        super().__init__(f"{path}: line {line}: {detail}")
-        self.line, self.detail = line, detail
-
-
-_CONTINUATION = bytes(range(0x80, 0xC0))  # the bytes that go on a UTF-8 character
-
-
-class _Range(io.RawIOBase):
-    """Bytes ``[start, stop)`` of the open file `fh`, read as a TextIOWrapper
-    over the whole file reads them: in the file's grid of `TEXT_CHUNK_BYTES`
-    chunks. The wrapper decodes a read at a time, so bytes that do not decode
-    hide every line that ends in their chunk. A range that stops inside a chunk
-    checks that the rest of it, the next range's start, decodes too before it
-    hands over its last piece."""
-
-    def __init__(self, fh: BinaryIO, start: int, stop: int | None):
-        self.fh, self.pos, self.stop = fh, start, stop
-        self.tail = b""  # the end of the last piece, which may begin a character
-        if start:
-            fh.seek(start)
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        size = min(len(buffer), TEXT_CHUNK_BYTES - self.pos % TEXT_CHUNK_BYTES)
-        if self.stop is not None:
-            size = min(size, self.stop - self.pos)
-        piece = memoryview(buffer)[:size]
-        n = self.fh.readinto(piece) or 0
-        piece = piece[:n]
-        self.pos += n
-        if n and self.pos == self.stop and self.stop % TEXT_CHUNK_BYTES:
-            rest = os.pread(self.fh.fileno(), TEXT_CHUNK_BYTES - self.stop % TEXT_CHUNK_BYTES,
-                            self.stop)
-            # raises as one pass's decode of this whole chunk would: `tail`, but for
-            # its leading continuation bytes, begins any character the piece begins
-            codecs.utf_8_decode(self.tail.lstrip(_CONTINUATION) + bytes(piece) + rest)
-        self.tail = bytes(piece[-3:])
-        return n
-
-
 def _looks_like_header(parts: list[str]) -> bool:
     if len(parts) != 2:
         return False
@@ -226,31 +180,30 @@ def _looks_like_header(parts: list[str]) -> bool:
 
 class _TextLoad:
     """One pass over the bytes ``[start, stop)`` of a word-vectors text file (by
-    default the whole file): the tokens kept so far, in order, the drop counts
-    and the lines read; each block's unit rows are written to `staging`.
+    default the whole file): the tokens kept so far, in order, and the drop
+    counts; each block's unit rows are written to `staging`.
 
-    A range after the first holds no header, and its records have the
-    `dimension` of the file's first record. The earlier ranges change how it
-    reads a record only through their kept tokens, so it reads as if they kept
-    none. It lists in `undecided` the records whose outcome an earlier kept
-    token would change, so that `_Merge.add` can decide them: those it dropped
-    for their norm, and those whose components do not parse, which are a bad
-    record only when no earlier range kept their token."""
+    A range after the first holds no header, and it takes its dimension from
+    its own first record. The earlier ranges change how it reads a record only
+    through their kept tokens, so it reads as if they kept none. It lists in
+    `undecided` the records whose outcome an earlier kept token would change,
+    so that `_Merge.add` can decide them: those it dropped for their norm, and
+    those whose components do not parse, which are a bad record only when no
+    earlier range kept their token."""
 
     def __init__(self, path: Path, fold_case: bool, staging: BinaryIO, start: int = 0,
-                 stop: int | None = None, dimension: int | None = None):
+                 stop: int | None = None):
         self.path, self.fold_case = path, fold_case
         self.staging = staging
         self.start, self.stop = start, stop
         # the kept tokens in row order, as an ordered dict's keys: not a set,
         # whose table grows 4x at a time below 50k entries
         self.tokens: dict[str, None] = {}
-        self.dimension = dimension
+        self.dimension: int | None = None
         self.started = start > 0  # a non-blank line has been read
         self.drops: Counter[str] = Counter()
-        self.lines = 0
-        # (line, token, drop cause, or None for components that do not parse)
-        self.undecided: list[tuple[int, str, str | None]] | None = [] if start else None
+        # (token, drop cause, or None for components that do not parse)
+        self.undecided: list[tuple[str, str | None]] | None = [] if start else None
 
     def block(self, numbered: list[tuple[int, str]]) -> None:
         """Add (line number, line) pairs, each split once into token and rest.
@@ -316,8 +269,7 @@ class _TextLoad:
         self.drops["zero_norm_skipped"] += int(np.count_nonzero(dropped & zero))
         self.drops["non_finite_skipped"] += int(np.count_nonzero(dropped & ~zero))
         if self.undecided is not None:
-            self.undecided += [(records[i][0], tokens[i],
-                                "zero_norm_skipped" if zero[i] else "non_finite_skipped")
+            self.undecided += [(tokens[i], "zero_norm_skipped" if zero[i] else "non_finite_skipped")
                                for i in np.flatnonzero(dropped).tolist()]
         if not keep.all():
             matrix, norms = matrix[keep], norms[keep]
@@ -336,11 +288,12 @@ class _TextLoad:
             fields = next(parsed) if rest and parsed is not None else rest.split()
             if self.dimension is None:
                 if len(fields) < 1:
-                    raise _RecordError(self.path, lineno, "record has no vector components")
+                    raise DataError(f"{self.path}: line {lineno}: record has no vector "
+                                    "components")
                 self.dimension = len(fields)
             elif len(fields) != self.dimension:
-                raise _RecordError(self.path, lineno, f"expected {self.dimension} "
-                                   f"components, found {len(fields)}")
+                raise DataError(f"{self.path}: line {lineno}: expected {self.dimension} "
+                                f"components, found {len(fields)}")
             if token in self.tokens:
                 self.drops["duplicates_ignored"] += 1
                 continue
@@ -348,8 +301,9 @@ class _TextLoad:
                 vec = np.asarray(fields, dtype=np.float64)
             except ValueError as exc:
                 if self.undecided is None:
-                    raise _RecordError(self.path, lineno, UNPARSEABLE) from exc
-                self.undecided.append((lineno, token, None))
+                    raise DataError(f"{self.path}: line {lineno}: unparseable vector "
+                                    "component") from exc
+                self.undecided.append((token, None))
                 continue
             norm = math.sqrt(vec.dot(vec))  # as np.linalg.norm computes it, bit for bit
             if not math.isfinite(norm) and np.isfinite(vec).all():
@@ -360,7 +314,7 @@ class _TextLoad:
                 cause = "zero_norm_skipped" if norm < MIN_NORM else "non_finite_skipped"
                 self.drops[cause] += 1
                 if self.undecided is not None:
-                    self.undecided.append((lineno, token, cause))
+                    self.undecided.append((token, cause))
                 continue
             self.tokens[token] = None
             vecs.append(vec)
@@ -383,13 +337,11 @@ class _TextLoad:
     def parse(self, block_lines: int | None = None) -> None:
         """Read the range through `block`, `block_lines` lines at a time (by
         default `BLOCK_LINES`), as UTF-8 with an optional byte-order mark at the
-        start of the file."""
+        start of the file. In a range after the first, line numbers count from
+        the range's start."""
         block_lines = block_lines or BLOCK_LINES
         # a finite record's squares may overflow; `rows` and `records` rescale it
-        with decoding(self.path), open(self.path, "rb", buffering=0) as raw, \
-                io.TextIOWrapper(_Range(raw, self.start, self.stop),
-                                 encoding="utf-8" if self.start else "utf-8-sig") as fh, \
-                np.errstate(over="ignore"):
+        with open_text(self.path, self.start, self.stop) as fh, np.errstate(over="ignore"):
             numbered = enumerate(fh, start=1)
             for first in numbered:
                 lines = [first]
@@ -397,7 +349,6 @@ class _TextLoad:
                     lines.extend(itertools.islice(numbered, block_lines - 1))
                 finally:  # the lines read before an undecodable one still count, and err, first
                     self.block(lines)
-                self.lines = lines[-1][0]
 
 
 def _cache_head(tokens: Collection[str], dimension: int, source_id: str) -> list[bytes]:
@@ -448,15 +399,29 @@ def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
     With `processes` above 1, a file of at least two `MIN_RANGE_BYTES` is cut
     into up to `processes` byte ranges (`_split`). This process parses the
     first, a child process each of the others, and `_Merge` joins them in range
-    order; the cache bytes, report and error equal one pass's. Only the kept
-    tokens and one block of rows are held. The unit rows are written to
-    staging files in `out`'s directory, which take about the matrix's bytes
-    there, and copied after the header and the tokens once the parse has
-    succeeded; `out` is not opened before then."""
+    order. Ranges that hold an error, or whose merge might differ from one
+    pass, are dropped and the file is parsed again in one pass, so the cache
+    bytes, report and error are one pass's. Only the kept tokens and one block
+    of rows are held. The unit rows are written to staging files in `out`'s
+    directory, which take about the matrix's bytes there, and copied after the
+    header and the tokens once the parse has succeeded; `out` is not opened
+    before then."""
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     path, out = Path(path), Path(out)
-    with _parse(path, out, fold_case, *_split(path, processes)) as (merge, parts):
+    cuts = _split(path, processes)
+    if len(cuts) > 2:
+        try:
+            return _cache(path, out, fold_case, cuts)
+        except (DataError, _Doubt) as why:
+            logger.debug("%s: byte ranges not merged, parsing it in one pass: %s", path, why)
+    return _cache(path, out, fold_case, [0, None])
+
+
+def _cache(path: Path, out: Path, fold_case: bool,
+           cuts: list[int | None]) -> tuple[LoadReport, int]:
+    """`cache_vectors`, parsing the byte ranges of `path` between `cuts`."""
+    with _parse(path, out, fold_case, cuts) as (merge, parts):
         if not merge.tokens:
             raise DataError(f"{path}: no usable vector records")
         head = _cache_head(merge.tokens, merge.dimension, str(path))
@@ -467,67 +432,29 @@ def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
     return LoadReport(accepted=len(merge.tokens), **merge.drops), merge.dimension
 
 
-def _split(path: Path, processes: int) -> tuple[list[int | None], int | None]:
+def _split(path: Path, processes: int) -> list[int | None]:
     """Where `cache_vectors` cuts `path` for `processes`: the offsets that bound
-    its byte ranges, ``[0, ..., size]``, each cut just after a ``\\n``, and the
-    dimension of the first record. The first cut follows that record, so only
-    the first range can hold the header. That range is `MIN_RANGE_BYTES` longer
-    than the others. The whole file, ``[0, None]``, and no dimension when it is
-    one range: under two `MIN_RANGE_BYTES`, with no ``\\n`` to cut at, or with a
-    first record that `_first_record` does not find."""
-    whole: tuple[list[int | None], int | None] = ([0, None], None)
+    its byte ranges, ``[0, ..., size]``, each cut just after a ``\\n``. The
+    first range is `MIN_RANGE_BYTES` longer than the others. The whole file,
+    ``[0, None]``, when it is one range: under two `MIN_RANGE_BYTES`, or with
+    no ``\\n`` to cut at."""
     size = os.stat(path).st_size
     count = min(processes, size // MIN_RANGE_BYTES)
-    if count < 2:
-        return whole
-    with open(path, "rb") as fh:
-        first = _first_record(fh)
-        if first is None:
-            return whole
-        dimension, end = first
-        cuts: list[int | None] = [0]
+    cuts: list[int | None] = [0]
+    if count > 1:
         step = (size - MIN_RANGE_BYTES) // count
-        for i in range(1, count):
-            # from the byte before the target, which may already end a line
-            cut = _line_end(fh, max(end, MIN_RANGE_BYTES + i * step) - 1)
-            if cut is None or cut >= size:
-                break
-            if cut > cuts[-1]:
-                cuts.append(cut)
-    return ([*cuts, size], dimension) if len(cuts) > 1 else whole
-
-
-def _first_record(fh: BinaryIO) -> tuple[int, int] | None:
-    """The dimension of the first record of the file `fh`, read from its start
-    as `_TextLoad.block` reads it, and the offset just after the ``\\n`` that
-    ends its line. None if a line before it is longer than 1 MiB or does not
-    decode, or if it has no component: one pass then reports what it finds."""
-    started, encoding = False, "utf-8-sig"
-    while (raw := fh.readline(1 << 20)).endswith(b"\n"):
-        try:
-            text = raw.decode(encoding)
-        except UnicodeDecodeError:
-            return None
-        encoding = "utf-8"
-        for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-            parts = line.split()
-            if not parts:
-                continue
-            if not started:
-                started = True
-                if _looks_like_header(parts):
-                    continue
-            return (len(parts) - 1, fh.tell()) if len(parts) > 1 else None
-    return None
-
-
-def _line_end(fh: BinaryIO, offset: int) -> int | None:
-    """The offset just after the first ``\\n`` at or after `offset` in `fh`, or None."""
-    fh.seek(offset)
-    while piece := fh.readline(1 << 16):
-        if piece.endswith(b"\n"):
-            return fh.tell()
-    return None
+        with open(path, "rb") as fh:
+            for i in range(1, count):
+                # to the first \n from the byte before the target, which may end a line
+                fh.seek(MIN_RANGE_BYTES + i * step - 1)
+                while (line := fh.readline(1 << 16)) and not line.endswith(b"\n"):
+                    pass
+                cut = fh.tell()
+                if not line or cut >= size:
+                    break
+                if cut > cuts[-1]:
+                    cuts.append(cut)
+    return [*cuts, size] if len(cuts) > 1 else [0, None]
 
 
 # a child's body: its first argument puts cadict's package first on its path. It
@@ -538,15 +465,20 @@ _CHILD = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
           "sys.stdout.flush(); os._exit(0)")
 
 
+class _Doubt(Exception):
+    """Byte ranges whose merge might not be one pass's, and why."""
+
+
 @contextmanager
-def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None],
-           dimension: int | None):
+def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
     """Parse the byte ranges of `path` between `cuts`: each after the first in a
     child process, started first, and the first in this process; then merge
     them in range order. It yields the `_Merge` and the staged rows, as
     (staging file, skipped rows) pairs. Each range stages its rows, and a
-    child its kept tokens, in files in `out`'s directory. On leaving, the
-    children still running are killed, and then their files are removed."""
+    child its kept tokens, in files in `out`'s directory. A `_Doubt` if the
+    first range read no non-blank line, since the header may follow it. On
+    leaving, the children still running are killed, and then their files are
+    removed."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     root = str(Path(__file__).resolve().parents[1])
     children, names = [], []
@@ -558,7 +490,7 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None],
                 os.close(fd)
                 names.append(name)
                 files.append(name)
-            args = [str(path), start, stop, fold_case, dimension, BLOCK_LINES, *files]
+            args = [str(path), start, stop, fold_case, BLOCK_LINES, *files]
             child = subprocess.Popen(
                 [sys.executable, "-c", _CHILD, root, json.dumps(args)], env=env,
                 stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -570,9 +502,11 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None],
             # removed when closed; its prefix names `out` in an error from creating it
             staging = stack.enter_context(
                 tempfile.TemporaryFile(dir=out.parent, prefix=f"{out.name}.staging."))
-            first = _TextLoad(path, fold_case, staging, 0, cuts[1], dimension)
+            first = _TextLoad(path, fold_case, staging, 0, cuts[1])
             first.parse()
-            merge = _Merge(path, first)
+            if children and not first.started:
+                raise _Doubt("the first range holds only blank lines")
+            merge = _Merge(first)
             parts = [(staging, [])]
             for child, start, stop, rows, tokens in children:
                 summary = _summary(child, path, start, stop)
@@ -609,60 +543,60 @@ def _range_child(args: str) -> None:
     print(json.dumps(_parse_range(*json.loads(args))))
 
 
-def _parse_range(path: str, start: int, stop: int, fold_case: bool, dimension: int,
-                 block_lines: int, staging: str, tokens: str) -> dict:
+def _parse_range(path: str, start: int, stop: int, fold_case: bool, block_lines: int,
+                 staging: str, tokens: str) -> dict:
     """Parse the bytes ``[start, stop)`` of `path` into the files named `staging`
     (the unit rows) and `tokens` (the kept tokens, one a line), and return the
-    summary that `_Merge.add` reads, ready for JSON: the lines read, the drop
-    counts, the undecided records and the first error, as ``[line, detail]``
-    for a bad record and as its message otherwise."""
+    summary that `_Merge.add` reads, ready for JSON: the dimension of the
+    range's records, the drop counts, the undecided records and its first
+    error, named by its range."""
     with open(staging, "wb") as fh:
-        load = _TextLoad(Path(path), fold_case, fh, start, stop, dimension)
-        error: list | str | None = None
+        load = _TextLoad(Path(path), fold_case, fh, start, stop)
+        error = None
         try:
             load.parse(block_lines)
-        except _RecordError as exc:
-            error = [exc.line, exc.detail]
         except DataError as exc:
-            error = str(exc)
+            error = f"bytes {start}-{stop}: {exc}"  # its line numbers count from `start`
     if error is None:
         with open(tokens, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(f"{token}\n" for token in load.tokens)
-    return {"lines": load.lines, "drops": load.drops, "undecided": load.undecided,
+    return {"dimension": load.dimension, "drops": load.drops, "undecided": load.undecided,
             "error": error}
 
 
 class _Merge:
     """Byte ranges' results, merged in range order into what one pass over the
     whole file gives: the kept tokens, where the first occurrence wins across
-    ranges, the drop counts and the first error. It starts from the `first`
-    range, parsed in this process, whose tokens it takes over."""
+    ranges, and the drop counts. It starts from the `first` range, parsed in
+    this process, whose tokens it takes over."""
 
-    def __init__(self, path: Path, first: _TextLoad):
-        self.path, self.dimension = path, first.dimension
-        self.tokens, self.drops = first.tokens, first.drops
-        self.lines = first.lines  # in the ranges merged so far
+    def __init__(self, first: _TextLoad):
+        self.dimension, self.tokens, self.drops = first.dimension, first.tokens, first.drops
 
     def add(self, summary: dict, tokens: Iterable[str]) -> list[int]:
         """Merge the next range, given its `_parse_range` summary and its kept
         `tokens` in row order. It returns the numbers of the range's rows whose
-        token an earlier range kept; they are duplicates. A DataError, naming the
-        line as one pass names it, if the range holds the file's first error."""
+        token an earlier range kept; they are duplicates. A `_Doubt` if one
+        pass might read the range otherwise: it holds an error, its records
+        have another dimension than the file's, or a record of a token that no
+        earlier range kept does not parse."""
+        if summary["error"] is not None:
+            raise _Doubt(summary["error"])
+        if self.dimension is None:
+            self.dimension = summary["dimension"]
+        if summary["dimension"] not in (None, self.dimension):
+            raise _Doubt(f"a range's records have {summary['dimension']} components, "
+                         f"not {self.dimension}")
         kept, drops = self.tokens, Counter(summary["drops"])
         # one pass checks for a duplicate before it parses the components and
         # before the norm: a record of a token kept earlier is a duplicate
-        for line, token, cause in summary["undecided"]:
+        for token, cause in summary["undecided"]:
             if token in kept:
                 drops["duplicates_ignored"] += 1
                 if cause:
                     drops[cause] -= 1
             elif cause is None:
-                raise _RecordError(self.path, self.lines + line, UNPARSEABLE)
-        error = summary["error"]
-        if isinstance(error, list):
-            raise _RecordError(self.path, self.lines + error[0], error[1])
-        if error is not None:
-            raise DataError(error)
+                raise _Doubt(f"a record of {token!r} in a later range does not parse")
         skipped = []
         for row, token in enumerate(tokens):
             if token in kept:
@@ -671,7 +605,6 @@ class _Merge:
                 kept[token] = None
         drops["duplicates_ignored"] += len(skipped)
         self.drops.update(drops)
-        self.lines += summary["lines"]
         return skipped
 
 
@@ -702,10 +635,14 @@ def load_vectors(path: str | Path, fold_case: bool = True) -> VectorStore:
     return VectorStore(store.tokens, store.matrix, store.source_id, load_report=report)
 
 
-def _check_left(fh, size: int, path: Path, what: str) -> None:
-    # checked before reading, so a corrupt length never becomes a huge allocation
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+def _check_left(fh, size: int, path: Path, what: str) -> int:
+    """The bytes of `fh` left after the next `size`; a DataError naming `what`
+    if fewer than `size` are left. Checked before reading, so a corrupt length
+    never becomes a huge allocation."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell() - size
+    if extra < 0:
         raise DataError(f"{path}: cache truncated in the {what}")
+    return extra
 
 
 def _read_exact(fh, size: int, path: Path, what: str) -> bytes:
@@ -779,7 +716,9 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
             total += len(piece)
         if total != count:
             raise DataError(f"{path}: cache token count mismatch")
-        _check_left(fh, count * dim * 8, path, "vector data")
+        extra = _check_left(fh, count * dim * 8, path, "vector data")
+        if extra:
+            raise DataError(f"{path}: corrupt cache: {extra} bytes after the vector data")
         if not tokens:
             raise DataError(f"{path}: vocab filter removed every cached vector")
         matrix = np.empty((len(tokens), dim), dtype="<f8")

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, the UTF-8 text opener that maps
-undecodable input onto them, the regular-file check of an input that is read
-twice, and the strict writer of every JSON output."""
+"""Exception types shared across the package, the UTF-8 text opener of a file
+or a byte range of it that maps undecodable input onto them, the regular-file
+check of an input that is read twice, and the strict writer of every JSON
+output."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import stat
@@ -36,12 +38,40 @@ def decoding(path: str | Path) -> Iterator[None]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+class _Bytes(io.RawIOBase):
+    """The binary file `fh` from where it stands up to offset `stop` (None: its
+    end); closing it closes `fh`."""
+
+    def __init__(self, fh: IO[bytes], stop: int | None):
+        self.fh, self.stop = fh, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = None if self.stop is None else self.stop - self.fh.tell()
+        return self.fh.readinto(memoryview(buffer)[:size]) or 0
+
+    def close(self) -> None:
+        self.fh.close()
+        super().close()
+
+
 @contextmanager
-def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """Open an input file as UTF-8 text, dropping a leading byte-order mark; bytes
+def open_text(path: str | Path, start: int = 0, stop: int | None = None) -> Iterator[IO[str]]:
+    """Open an input file as UTF-8 text, or only its bytes from offset `start`
+    to `stop` (None: its end), dropping a byte-order mark at offset 0; bytes
     that do not decode while it is read become a DataError naming the file."""
-    with decoding(path), open(path, encoding="utf-8-sig") as fh:
-        yield fh
+    encoding = "utf-8" if start else "utf-8-sig"
+    with decoding(path):
+        if start or stop is not None:
+            raw = open(path, "rb", buffering=0)
+            raw.seek(start)
+            fh = io.TextIOWrapper(_Bytes(raw, stop), encoding=encoding)
+        else:
+            fh = open(path, encoding=encoding)
+        with fh:
+            yield fh
 
 
 def check_regular(path: str | Path, reads: str) -> None:

@@ -1,0 +1,45 @@
+#!/bin/sh
+# cache-vectors of a text just over two MIN_RANGE_BYTES (about 34 MB), at
+# --processes 1 and 2, where the child process imports the package afresh. The
+# valid text must be cached from merged byte ranges, with the cache and
+# manifest of one process. The same text with one bad record in its second half
+# must exit 2 with one process's single `error:` line at both counts, and leave
+# no cache, staging or tokens file.
+# It runs the installed `cadict` script, or the command in $CADICT, such as
+#   CADICT="python -m cadict.cli" PYTHONPATH="$PWD/src" sh tests/byte_ranges.sh
+# in a temporary directory that it removes on exit.
+set -eu
+cadict=${CADICT:-cadict}
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+cd "$dir"
+python -c 'import numpy as np
+from cadict.embeddings import MIN_RANGE_BYTES
+rows = np.random.default_rng(2).normal(size=(1000, 50))
+rests = [" ".join(f"{x:.6f}" for x in row) for row in rows] + [" ".join(["0"] * 50)]
+lines, size = [], 0
+while size <= 2 * MIN_RANGE_BYTES:  # duplicates and zero rows on each side of the cut
+    lines.append(f"w{len(lines) % 40000} {rests[len(lines) % len(rests)]}\n")
+    size += len(lines[-1])
+open("big.vec", "w").writelines(lines)
+lines.insert(3 * len(lines) // 4, "bad 1 2 3\n")
+open("bad.vec", "w").writelines(lines)'
+$cadict -v cache-vectors --vectors big.vec --out big1.cavs --processes 1
+$cadict -v cache-vectors --vectors big.vec --out big2.cavs --processes 2 2> err.txt
+cat err.txt
+grep -q ': 2 byte ranges, 1 of them in child processes$' err.txt
+test "$(grep -c 'byte ranges not merged' err.txt)" -eq 0
+cmp big1.cavs big2.cavs
+cmp big1.cavs.manifest.json big2.cavs.manifest.json
+for processes in 1 2; do
+    code=0
+    $cadict cache-vectors --vectors bad.vec --out bad.cavs --processes "$processes" \
+        2> "bad$processes.txt" || code=$?
+    cat "bad$processes.txt"
+    test "$code" -eq 2
+    test "$(wc -l < "bad$processes.txt")" -eq 1
+    grep -q '^error: bad\.vec: line [0-9]*: expected 50 components, found 3$' "bad$processes.txt"
+done
+cmp bad1.txt bad2.txt
+test "$(ls | grep -c -e '^bad\.cavs' -e '\.staging\.' -e '\.tokens\.')" -eq 0
+echo "byte ranges: ok"

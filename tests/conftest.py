@@ -101,3 +101,19 @@ def children(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", Child)
     monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 1)
     return started
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The list that gets the cuts of each parse that `cache_vectors` makes, in
+    order: ``[0, None]`` for one pass over the whole file, which follows the
+    cuts of byte ranges that it did not merge."""
+    calls = []
+    cache = embeddings._cache
+
+    def spy(path, out, fold_case, cuts):
+        calls.append(cuts)
+        return cache(path, out, fold_case, cuts)
+
+    monkeypatch.setattr(embeddings, "_cache", spy)
+    return calls

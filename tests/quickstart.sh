@@ -2,9 +2,6 @@
 # README's quick start on a 60-word corpus: cache-vectors, search, rate and
 # evaluate must each exit 0. Then search given the word-vectors text must exit
 # 2 with one `error:` line naming `cadict cache-vectors`, and write no report.
-# Last, cache-vectors of a text just over two MIN_RANGE_BYTES must write the same
-# cache and manifest in two child processes, which import the package afresh,
-# as in one process.
 # It runs the installed `cadict` script, or the command in $CADICT, such as
 #   CADICT="python -m cadict.cli" PYTHONPATH="$PWD/src" sh tests/quickstart.sh
 # in a temporary directory that it removes on exit.
@@ -38,19 +35,4 @@ test "$code" -eq 2
 test "$(wc -l < err.txt)" -eq 1
 grep -q '^error: .*cadict cache-vectors' err.txt
 test ! -e text.json && test ! -e text-core.json
-python -c 'import numpy as np
-from cadict.embeddings import MIN_RANGE_BYTES
-rows = np.random.default_rng(2).normal(size=(1000, 50))
-rests = [" ".join(f"{x:.6f}" for x in row) for row in rows] + [" ".join(["0"] * 50)]
-size = i = 0
-with open("big.vec", "w") as fh:
-    while size <= 2 * MIN_RANGE_BYTES:  # duplicates and zero rows on each side of the cut
-        line = f"w{i % 40000} {rests[i % len(rests)]}\n"
-        fh.write(line)
-        size, i = size + len(line), i + 1'
-$cadict -v cache-vectors --vectors big.vec --out big1.cavs --processes 1
-$cadict -v cache-vectors --vectors big.vec --out big2.cavs --processes 2 2> err.txt
-grep -q ': 2 byte ranges, 1 of them in child processes$' err.txt
-cmp big1.cavs big2.cavs
-cmp big1.cavs.manifest.json big2.cavs.manifest.json
 echo "quick start: ok"

@@ -759,6 +759,10 @@ BAD_INPUTS = {
     "cache token count mismatch": ("c.cavs", _cache_bytes(["a\nb"], [[1, 0]]),
                                    ["rate", "--core", "{core}", "--vectors", "{bad}",
                                     "--out", "{out}"]),
+    "cache with bytes after its rows": ("c.cavs",
+                                        _cache_bytes(["a", "b"], [[1, 0], [0, 1]]) + b"\0",
+                                        ["rate", "--core", "{core}", "--vectors", "{bad}",
+                                         "--out", "{out}"]),
     "cache holds no filtered word": ("c.cavs", _cache_bytes(["a", "b"], [[1, 0], [0, 1]]),
                                      ["rate", "--core", "{core}", "--vectors", "{bad}",
                                       "--words", "{ratings}", "--out", "{out}"]),
@@ -1007,6 +1011,22 @@ class TestCacheProcesses:
         assert _cache_run(tmp_path, path, 3, capsys) == (
             EXIT_DATA, f"error: {path}: line 12: expected 3 components, found 2\n", {},
             ["v.vec"])
+
+    @pytest.mark.parametrize("bad", [b"e 1 2\n", b"e x 1 1\n", b"\xff 1 1 1\n"])
+    def test_real_children_before_one_pass_leave_no_file(self, tmp_path, monkeypatch, passes,
+                                                         capsys, bad):
+        # a bad record in the last range: the ranges are not merged, and the one
+        # pass that follows them gives the error line; no child's file remains
+        path = tmp_path / "v.vec"
+        path.write_bytes(TestCacheCommand.VECTORS.encode() + bad)
+        one = _cache_run(tmp_path, path, 1, capsys)
+        assert one[0] == EXIT_DATA and one[2:] == ({}, ["v.vec"])
+        assert len(one[1].splitlines()) == 1 and one[1].startswith(f"error: {path}: ")
+        monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 40)
+        passes.clear()
+        assert _cache_run(tmp_path, path, 3, capsys) == one
+        assert len(passes) == 2 and passes[1] == [0, None]
+        assert len(passes[0]) == 4 and passes[0][2] < len(TestCacheCommand.VECTORS)
 
     def test_a_killed_child_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(embeddings, "_CHILD",

@@ -1,8 +1,10 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import threading
@@ -395,11 +397,8 @@ def _cut_at(monkeypatch, path, cuts):
     """Make `cache_vectors` cut `path` at `cuts` (offsets inside it) for any
     process count above 1."""
     size = path.stat().st_size
-    _, dimension = embeddings._split(path, 1 << 20)  # with MIN_RANGE_BYTES lowered
-    assert dimension is not None
     monkeypatch.setattr(embeddings, "_split",
-                        lambda path, processes: ([0, *cuts, size], dimension)
-                        if processes > 1 else ([0, None], None))
+                        lambda path, processes: [0, *cuts, size] if processes > 1 else [0, None])
 
 
 def _line_ends(blob: bytes, after: int) -> list[int]:
@@ -410,7 +409,8 @@ def _line_ends(blob: bytes, after: int) -> list[int]:
 class TestByteRanges:
     """`cache_vectors` with processes: each byte range parsed on its own, as a
     child process parses it (here in this process: the `children` fixture), and
-    the ranges merged in order, must give the cache, report and error of one pass."""
+    the ranges merged in order, or dropped for one pass when in doubt, must give
+    the cache, report and error of one pass."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -434,11 +434,13 @@ class TestByteRanges:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("bom", ["", "\ufeff"])
-    def test_every_cut_equals_one_pass(self, tmp_path, monkeypatch, children, newline, bom):
+    def test_every_cut_equals_one_pass(self, tmp_path, monkeypatch, children, passes, newline,
+                                       bom):
         path = tmp_path / "v.txt"
         blob = (bom + newline.join(self.EDGES) + newline).encode()
         path.write_bytes(blob)
         one = _cached(path)
+        passes.clear()
         assert one[1] == LoadReport(accepted=7, duplicates_ignored=6, zero_norm_skipped=2,
                                     non_finite_skipped=2)
         ends = _line_ends(blob, after=blob.index(b"a 1 0 0"))
@@ -450,6 +452,8 @@ class TestByteRanges:
             children.clear()
             assert _cached(path, processes=3) == one, cut
             assert children == list(zip(cut, [*cut[1:], len(blob)]))
+            assert passes == [[0, *cut, len(blob)]]  # merged, not parsed again
+            passes.clear()
 
     def test_a_later_range_defers_to_the_tokens_kept_before_it(self, tmp_path, monkeypatch,
                                                                children):
@@ -484,7 +488,7 @@ class TestByteRanges:
         (False, "36718e9ad278679561089764cec792a8b2aa11f292264203ce88b185ddb2ade7",
          LoadReport(accepted=6, duplicates_ignored=1, zero_norm_skipped=1, non_finite_skipped=1)),
     ])
-    def test_cache_pinned_at_every_process_count(self, tmp_path, monkeypatch, children,
+    def test_cache_pinned_at_every_process_count(self, tmp_path, monkeypatch, children, passes,
                                                  block_lines, processes, fold_case, digest,
                                                  report):
         # the digests of `test_cache_pinned_across_versions`, with ranges that
@@ -497,6 +501,7 @@ class TestByteRanges:
                                         processes=processes) == (report, 3)
         assert hashlib.sha256(Path("v.cavs").read_bytes()).hexdigest() == digest
         assert len(children) == processes - 1
+        assert len(passes) == 1  # merged, not parsed again
 
     # blocks of 2 lines, with a duplicate of a token that an earlier block kept:
     # its rest parses (also the rest of a token dropped for its zero norm, which
@@ -543,6 +548,39 @@ class TestByteRanges:
             assert _cached(path, processes=2) == one, cut
             assert children == [(cut, len(text))]
 
+    # byte ranges, each after the first cut at a line end: with 2 processes the
+    # second and third are one range. Either way, one pass's reading of a later
+    # range may differ from its own, so the ranges are not merged
+    DOUBTS = {
+        "a later range with a wrong width": [b"a 1 0\nb 0 1\n", b"c 1 1 1\nd 0 1 1\n",
+                                             b"e 1 1 0\n"],
+        "an unparseable new token": [b"a 1 0\nb 0 0\n", b"c 1 1\nb x 1\n", b"d 1 1\n"],
+        "an undecodable byte": [b"a 1 0\nb 0 1\n", b"c 1 1\n\xff 0 1\n", b"d 1 1\n"],
+        "a first record of another width": [b"a 1 0\nb 0 1\n", b"c 1 1 1\nd 0 1\n",
+                                            b"e 1 1\n"],
+        # the header follows the first range; a later range reads it as a record
+        "a first range of blank lines only": [b"\n", b"\n2 1\n", b"a 1\nb -2\n"],
+    }
+
+    @pytest.mark.parametrize("case", list(DOUBTS))
+    def test_doubtful_ranges_give_one_pass(self, tmp_path, monkeypatch, children, passes,
+                                           caplog, case):
+        ranges = self.DOUBTS[case]
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"".join(ranges))
+        one = _cached(path)
+        cuts = list(itertools.accumulate(map(len, ranges[:-1])))
+        for processes in (2, 3):
+            _cut_at(monkeypatch, path, cuts[:processes - 1])
+            passes.clear()
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="cadict.embeddings"):
+                assert _cached(path, processes=processes) == one
+            assert passes == [[0, *cuts[:processes - 1], path.stat().st_size], [0, None]]
+            assert len([m for m in caplog.messages
+                        if m.startswith(f"{path}: byte ranges not merged, ")]) == 1
+        assert len(children) == 3
+
     @pytest.mark.parametrize("text", [
         b"a 1 0\rb 0 1\ra 1 1\r",  # no \n to cut at
         b"3 2\n\n \n",  # no record
@@ -553,7 +591,8 @@ class TestByteRanges:
         path = tmp_path / "v.txt"
         path.write_bytes(text)
         assert _cached(path, processes=2) == _cached(path)
-        assert children == []
+        if b"\n" not in text:
+            assert children == []
 
     def test_bad_record_before_an_undecodable_byte_in_a_later_range(self, tmp_path,
                                                                      children):
@@ -573,7 +612,7 @@ class TestByteRanges:
                                                          children, bad, reason):
         # one pass decodes 8 KiB chunks: bytes that do not decode hide every
         # line that ends in their chunk, which may end the range before a cut
-        chunk = embeddings.TEXT_CHUNK_BYTES
+        chunk = 8192
         lines = [b"w%04d 1 0\n" % i for i in range(3 * chunk // 10)]  # 10 bytes a line
         cut = (chunk + 500) // 10 * 10  # in chunk 1
         outcomes = {}
@@ -779,6 +818,17 @@ class TestCache:
         with pytest.raises(DataError, match="truncated"):
             load_cache(cache)
 
+    @pytest.mark.parametrize("vocab_filter", [None, {"b"}])
+    def test_bytes_after_the_vector_data_rejected(self, tmp_path, vocab_filter):
+        store = store_from_records(tmp_path, [("a", [1, 0]), ("b", [0, 2]), ("c", [1, 1])])
+        cache = tmp_path / "store.cavs"
+        save_cache(store, cache)
+        with open(cache, "ab") as fh:
+            fh.write(b"x" * 31)
+        with pytest.raises(DataError) as exc:
+            load_cache(cache, vocab_filter=vocab_filter)
+        assert str(exc.value) == f"{cache}: corrupt cache: 31 bytes after the vector data"
+
     @pytest.mark.parametrize("keep, vocab_filter", [
         *(pytest.param(keep, None, id=str(keep)) for keep in (10, 12, 20, 40)),
         *(pytest.param(keep, {"b"}, id=f"{keep}-filtered") for keep in (10, 12, 20, 40, -1)),
@@ -964,9 +1014,10 @@ class TestStoreConstruction:
         with pytest.raises(DataError, match="vector store from 'x' is empty"):
             VectorStore([], np.empty((0, 2)), source_id="x")
 
-    def test_constructor_rejects_bad_tokens(self):
-        with pytest.raises(ValueError, match="token"):
-            VectorStore(["a b"], np.array([[1.0, 0.0]]), source_id="x")
+    @pytest.mark.parametrize("bad", ["a b", " a", "\x1c", ""])
+    def test_constructor_rejects_bad_tokens(self, bad):
+        with pytest.raises(ValueError, match=f"bad token for store: {re.escape(repr(bad))}"):
+            VectorStore(["ok", bad], np.array([[1.0, 0.0], [0.0, 1.0]]), source_id="x")
 
     def test_overflowing_row_rejected_without_warning(self):
         # an overflowing row's norm is inf, and a NaN row's is NaN: neither is unit
