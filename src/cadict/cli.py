@@ -21,7 +21,13 @@ from pathlib import Path
 from typing import Container
 
 from cadict import __version__
-from cadict.embeddings import MIN_RANGE_BYTES, LoadReport, cache_vectors, load_cache
+from cadict.embeddings import (
+    MIN_RANGE_BYTES,
+    LoadReport,
+    cache_vectors,
+    load_cache,
+    usable_cpus,
+)
 from cadict.errors import DataError, InfeasibleError, check_regular, write_json
 from cadict.lexicon import PREDICTIONS, WORDS, load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
@@ -138,13 +144,6 @@ def _processes(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected at least 1 process, got {text!r}")
     return value
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _finite_float(text: str) -> float:
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True, help="word-vectors text file")
     p.add_argument("--out", default=None,
                    help=f"cache path (default: ${CACHE_DIR_ENV} or ./<stem>.cavs)")
-    p.add_argument("--processes", type=_processes, default=_usable_cpus(),
+    p.add_argument("--processes", type=_processes, default=usable_cpus(),
                    help="processes that parse byte ranges of a text of at least "
                         f"{2 * MIN_RANGE_BYTES >> 20} MiB at once: this one and child "
                         "processes (default: the %(default)s CPUs it may run on)")

@@ -4,7 +4,8 @@ Vectors are L2-normalized once, when `cache_vectors` parses a text file into
 a binary cache, so that every later similarity is a plain dot product; the
 seed search downstream evaluates millions of them. Every run-time load reads
 that cache through `load_cache`, since parsing a multi-gigabyte text dump
-would otherwise dominate each run's start-up time.
+would otherwise dominate each run's start-up time. A whole cache's rows are
+read, and checked for unit norms, in blocks on one thread per usable CPU.
 
 A large text is parsed in byte ranges, each cut just after a ``\\n``, by
 several processes at once: this one parses the first range, and a child
@@ -29,12 +30,13 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from array import array
 from collections import Counter
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +51,8 @@ CACHE_FORMAT = {"version": 1, "dtype": "<f8"}  # header fields `load_cache` requ
 # at 128, and the ingest benchmark's peak RSS 45.2 MB at 512, 42.8 MB at 256 and
 # 41.5 MB at 128: larger blocks cost memory, and smaller ones time
 BLOCK_LINES = 256
-CHUNK_BYTES = 1 << 24  # cache bytes read at a time by `load_cache`
+# cache bytes a block: read at a time by `load_cache`, checked at a time by `VectorStore`
+CHUNK_BYTES = 1 << 24
 COPY_BYTES = 1 << 16  # staged row bytes copied into a cache at a time
 # the text that one process parses while a child process starts: on a 2-vCPU Xeon
 # a child started (Python, numpy and cadict imported) in about 0.2 s, the time one
@@ -85,6 +88,68 @@ class LoadReport:
                          if cause != "accepted" and count)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the threads of a cache load and its
+    unit-row check, and the default processes of `cache_vectors`' CLI."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Blocks:
+    """`work(lo, hi)` over the rows ``[lo, hi)`` of `rows` rows of `row_bytes`
+    each, a block of `CHUNK_BYTES` at a time, on one thread per usable CPU
+    (`usable_cpus`), started at once; thread k takes blocks k, k + threads, ...
+    With one thread, or one block, it starts none, and `finish` does the work
+    in this thread. As a context it joins the threads on leaving, so that no
+    thread outlives an error raised meanwhile in this one."""
+
+    def __init__(self, work: Callable[[int, int], None], rows: int, row_bytes: int):
+        self.work, self.rows = work, rows
+        self.step = max(1, CHUNK_BYTES // max(1, row_bytes))
+        self.threads = min(usable_cpus(), -(-rows // self.step))
+        self.errors: dict[int, Exception] = {}  # by the first row of the block that raised
+        self.started: list[threading.Thread] = []
+        if self.threads > 1:
+            try:
+                for k in range(self.threads):
+                    thread = threading.Thread(target=self._blocks, args=(k, self.threads),
+                                              name=f"cadict-block-{k}")
+                    thread.start()
+                    self.started.append(thread)
+            except BaseException:
+                self.join()
+                raise
+
+    def _blocks(self, k: int, threads: int) -> None:
+        """Work on blocks k, k + threads, ... up to the first that raises."""
+        for lo in range(k * self.step, self.rows, threads * self.step):
+            try:
+                self.work(lo, min(lo + self.step, self.rows))
+            except Exception as exc:  # raised by `finish`, in the calling thread
+                self.errors[lo] = exc
+                return
+
+    def join(self) -> None:
+        for thread in self.started:
+            thread.join()
+
+    def finish(self) -> None:
+        """Wait for the work, or do it here when no thread was started; the
+        first block's error, if any block raised one."""
+        if not self.started:
+            self._blocks(0, 1)
+        self.join()
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+    def __enter__(self) -> _Blocks:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.join()
+
+
 def _check_unit_rows(matrix: np.ndarray) -> None:
     """A ValueError unless every row of the 2-d `matrix` has unit L2 norm."""
     # einsum needs no full-size temporary; a corrupt row's squares may
@@ -99,7 +164,10 @@ class VectorStore:
     """Immutable token -> unit vector map over a single dense matrix.
 
     Rows are float64 and L2-normalized; the matrix is marked read-only after
-    construction, so no caller can change a published store.
+    construction, so no caller can change a published store. The unit-row
+    check runs over blocks of `CHUNK_BYTES` on one thread per usable CPU
+    (`_Blocks`) while this thread checks the tokens and builds their index; a
+    matrix of one block is checked in this thread.
     """
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray, source_id: str,
@@ -108,19 +176,21 @@ class VectorStore:
             raise ValueError("matrix shape does not match token count")
         if matrix.shape[0] == 0:
             raise DataError(f"vector store from {source_id!r} is empty")
-        self._tokens = tuple(tokens)
-        # one split at C speed: NUL is no whitespace, so the joined tokens split
-        # into themselves alone exactly when no token holds whitespace
-        joined = "\0".join(self._tokens)
-        if "" in self._tokens or joined.split() != [joined]:
-            for t in self._tokens:
-                if t.split() != [t]:
-                    raise ValueError(f"bad token for store: {t!r}")
-        self._index = dict(zip(self._tokens, range(len(self._tokens))))
-        if len(self._index) != len(self._tokens):
-            raise ValueError("duplicate tokens in store construction")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        _check_unit_rows(matrix)
+        with _Blocks(lambda lo, hi: _check_unit_rows(matrix[lo:hi]), len(matrix),
+                     matrix.shape[1] * 8) as check:
+            self._tokens = tuple(tokens)
+            # one split at C speed: NUL is no whitespace, so the joined tokens split
+            # into themselves alone exactly when no token holds whitespace
+            joined = "\0".join(self._tokens)
+            if "" in self._tokens or joined.split() != [joined]:
+                for t in self._tokens:
+                    if t.split() != [t]:
+                        raise ValueError(f"bad token for store: {t!r}")
+            self._index = dict(zip(self._tokens, range(len(self._tokens))))
+            if len(self._index) != len(self._tokens):
+                raise ValueError("duplicate tokens in store construction")
+            check.finish()
         matrix.setflags(write=False)
         self._matrix = matrix
         self._source_id = source_id
@@ -673,13 +743,22 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
     A file that is no cache, such as word-vectors text, is a DataError that
     names `cadict cache-vectors`. A truncated or corrupt file is a DataError
     naming the file and the part that is unreadable, and so is a header whose
-    version or dtype is not the one `save_cache` writes. With `vocab_filter`,
-    only the kept tokens and rows are held: the token list is split a piece at
-    a time (`_token_pieces`), and each run of consecutive kept rows is read
-    straight into its place.
+    version or dtype is not the one `save_cache` writes; a token-list error
+    comes before one in the vector data.
+
+    Without `vocab_filter`, the rows are read straight into the matrix, a
+    block of `CHUNK_BYTES` a read, on one thread per usable CPU (`_Blocks`),
+    started once the file's size matches its header, while this thread decodes
+    the token list; a cache of one block, or one usable CPU, is read in this
+    thread after the tokens. With `vocab_filter`, only the kept tokens and rows
+    are held: the token list is split a piece at a time (`_token_pieces`), and
+    each run of consecutive kept rows is read straight into its place, in this
+    thread, since its many short reads ran slower on threads. `VectorStore`
+    then checks the rows, on threads too. At debug level it logs the rows read
+    and the threads that read them.
     """
     path = Path(path)
-    # unbuffered, so that each run of kept rows costs one read of just its bytes
+    # unbuffered: the rows are read from its descriptor (`_read`), not through it
     with open(path, "rb", buffering=0) as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise DataError(f"{path}: not a cadict vector cache: not a regular file")
@@ -703,26 +782,43 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
                                 f"(expected {expected!r}); re-run cache-vectors")
         (token_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "token length"))
         _check_left(fh, token_len, path, "token list")
-        tokens: list[str] = []
-        rows = None if vocab_filter is None else array("q")  # each kept token's row
-        total = 0
-        for piece in _token_pieces(fh, token_len, path):
-            if rows is None:
-                tokens += piece
+        fd, data = fh.fileno(), fh.tell() + token_len
+        matrix = rows = None
+        if vocab_filter is not None:
+            rows = array("q")  # each kept token's row
+        elif os.fstat(fd).st_size == data + count * dim * 8:
+            matrix = np.empty((count, dim), dtype="<f8")
+        with ExitStack() as stack:
+            if matrix is not None:  # its blocks are read while the tokens are decoded
+                reads = stack.enter_context(_Blocks(
+                    lambda lo, hi: _read(fd, matrix[lo:hi], data + lo * dim * 8, path),
+                    count, dim * 8))
+            tokens: list[str] = []
+            total = 0
+            for piece in _token_pieces(fh, token_len, path):
+                if rows is None:
+                    tokens += piece
+                else:
+                    kept = list(map(vocab_filter.__contains__, piece))
+                    tokens += itertools.compress(piece, kept)
+                    rows.extend(itertools.compress(range(total, total + len(piece)), kept))
+                total += len(piece)
+            if total != count:
+                raise DataError(f"{path}: cache token count mismatch")
+            extra = _check_left(fh, count * dim * 8, path, "vector data")
+            if extra:
+                raise DataError(f"{path}: corrupt cache: {extra} bytes after the vector data")
+            if not tokens:
+                raise DataError(f"{path}: vocab filter removed every cached vector")
+            if matrix is None:
+                matrix = np.empty((len(tokens), dim), dtype="<f8")
+                _read_runs(fd, matrix, rows, data, path)
+                threads = 1
             else:
-                kept = list(map(vocab_filter.__contains__, piece))
-                tokens += itertools.compress(piece, kept)
-                rows.extend(itertools.compress(range(total, total + len(piece)), kept))
-            total += len(piece)
-        if total != count:
-            raise DataError(f"{path}: cache token count mismatch")
-        extra = _check_left(fh, count * dim * 8, path, "vector data")
-        if extra:
-            raise DataError(f"{path}: corrupt cache: {extra} bytes after the vector data")
-        if not tokens:
-            raise DataError(f"{path}: vocab filter removed every cached vector")
-        matrix = np.empty((len(tokens), dim), dtype="<f8")
-        _read_rows(fh, matrix, rows, path)
+                reads.finish()
+                threads = reads.threads
+        logger.debug("%s: %d rows read on %d thread%s", path, len(matrix), threads,
+                     "" if threads == 1 else "s")
 
     report = LoadReport(accepted=len(tokens), filtered_out=count - len(tokens))
     try:
@@ -731,26 +827,26 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
         raise DataError(f"{path}: corrupt cache: {exc}") from exc
 
 
-def _read_rows(fh, matrix: np.ndarray, rows: array | None, path: Path) -> None:
-    """Fill `matrix` with the cache rows numbered `rows` (every row when None),
-    read from `fh`, which stands at the first row. Each run of consecutive rows
-    is read straight into its place, at most `CHUNK_BYTES` a read, so nothing
-    but the matrix is held."""
+def _read(fd: int, part: np.ndarray, offset: int, path: Path) -> None:
+    """Fill the contiguous `part` with the bytes at `offset` of the file `fd`:
+    one ``preadv``, which moves neither the file's offset nor any other read's."""
+    if os.preadv(fd, [part], offset) != part.nbytes:
+        raise DataError(f"{path}: cache truncated in the vector data")
+
+
+def _read_runs(fd: int, matrix: np.ndarray, rows: array, data: int, path: Path) -> None:
+    """Fill `matrix` with the cache rows numbered `rows`, the vector data
+    starting at byte `data` of `fd`. Each run of consecutive rows is read
+    straight into its place, at most `CHUNK_BYTES` a read, so nothing but the
+    matrix is held."""
     row_bytes = matrix.shape[1] * 8
-    if rows is None:
-        runs = [(0, len(matrix), 0)]
-    else:
-        breaks = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
-        starts = [0, *breaks]
-        runs = zip(starts, [*breaks, len(rows)], [rows[i] for i in starts])
-    data = fh.tell()
+    breaks = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+    starts = [0, *breaks]
     step = max(1, CHUNK_BYTES // row_bytes)
-    for lo, hi, first in runs:
-        fh.seek(data + first * row_bytes)
+    for lo, hi, first in zip(starts, [*breaks, len(rows)], [rows[i] for i in starts]):
         for start in range(lo, hi, step):
-            part = matrix[start:min(start + step, hi)]
-            if fh.readinto(part.data) != part.nbytes:
-                raise DataError(f"{path}: cache truncated in the vector data")
+            _read(fd, matrix[start:min(start + step, hi)],
+                  data + (first + start - lo) * row_bytes, path)
 
 
 def open_store(path: str | Path, vocab_filter: set[str] | None = None) -> VectorStore:

@@ -6,8 +6,10 @@ import math
 import os
 import re
 import struct
+import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -850,18 +852,128 @@ class TestCache:
         cache = tmp_path / "store.cavs"
         saved = store_from_raw(tokens, rng.normal(size=(50, 6)))
         save_cache(saved, cache)
-        # scattered rows; whole kept chunks around a partial one; no filter at all
+        # scattered rows; whole kept chunks around a partial one; no filter at all,
+        # whose blocks are read and checked on threads but with one usable CPU
         for kept in ({t for t in tokens if rng.random() < 0.3} | {tokens[0], tokens[49]},
                      set(tokens[:21]) | set(tokens[42:]) | {tokens[30]}, None):
             idx = [i for i, t in enumerate(tokens) if kept is None or t in kept]
-            for rows_per_chunk in (1, 3, 7, 50, 64):
+            for rows_per_chunk, cpus in itertools.product((1, 3, 7, 50, 64), (1, 3)):
                 # a chunk size that is not a whole number of rows reads whole rows
                 monkeypatch.setattr(embeddings, "CHUNK_BYTES", rows_per_chunk * 6 * 8 + 5)
+                monkeypatch.setattr(embeddings, "usable_cpus", lambda: cpus)
                 part = load_cache(cache, vocab_filter=kept)
                 assert part.tokens == tuple(tokens[i] for i in idx)
                 assert part.matrix.tobytes() == saved.matrix[idx].tobytes()
                 assert part.load_report == LoadReport(accepted=len(idx),
                                                       filtered_out=50 - len(idx))
+
+    @staticmethod
+    def _blocks_cache(tmp_path, monkeypatch) -> tuple[Path, VectorStore]:
+        """A cache of 50 rows of 6 components, read and checked in blocks of 7
+        rows: the last block holds row 49 alone."""
+        monkeypatch.setattr(embeddings, "CHUNK_BYTES", 7 * 6 * 8)
+        rng = np.random.default_rng(11)
+        saved = store_from_raw([f"w{i}" for i in range(50)], rng.normal(size=(50, 6)))
+        cache = tmp_path / "store.cavs"
+        save_cache(saved, cache)
+        return cache, saved
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_non_unit_row_in_the_last_block_is_corrupt(self, tmp_path, monkeypatch, cpus):
+        cache, saved = self._blocks_cache(tmp_path, monkeypatch)
+        monkeypatch.setattr(embeddings, "usable_cpus", lambda: cpus)
+        blob = cache.read_bytes()
+        cache.write_bytes(blob[:-48] + np.array([2.0, 0, 0, 0, 0, 0]).tobytes())
+        for kept in (None, set(saved.tokens)):
+            with pytest.raises(DataError) as exc:
+                load_cache(cache, vocab_filter=kept)
+            assert str(exc.value) == f"{cache}: corrupt cache: store rows must be unit-normalized"
+
+    @pytest.mark.parametrize("tokens, error", [
+        pytest.param("\n".join(f"w{i}" for i in range(25)).encode() + b"\xff" +
+                     "\n".join(f"w{i}" for i in range(25, 50)).encode(),
+                     "corrupt cache token list: 'utf-8' codec can't decode byte 0xff in "
+                     "position 89: invalid start byte", id="undecodable"),
+        pytest.param("\n".join(f"w{i}" for i in range(49)).encode(),
+                     "cache token count mismatch", id="count"),
+    ])
+    @pytest.mark.parametrize("data", ["whole", "short", "long"])
+    def test_token_list_error_waits_for_the_reads(self, tmp_path, monkeypatch, tokens, error,
+                                                  data):
+        # the rows are read on threads while the token list is decoded: its error
+        # is raised once every block is read, and leaves no thread behind; a
+        # cache whose vector data is short or long starts no read before it
+        monkeypatch.setattr(embeddings, "CHUNK_BYTES", 7 * 6 * 8)
+        monkeypatch.setattr(embeddings, "usable_cpus", lambda: 3)
+        rows = np.eye(6)[np.arange(50) % 6].tobytes()
+        rows = {"whole": rows, "short": rows[:-8], "long": rows + b"x" * 31}[data]
+        header = b'{"count": 50, "dimension": 6, "dtype": "<f8", "source_id": "x", "version": 1}'
+        cache = tmp_path / "store.cavs"
+        cache.write_bytes(self._cache_bytes(header, tokens, rows))
+        preadv, reads = os.preadv, []
+
+        def slow_preadv(*args):
+            time.sleep(0.02)
+            reads.append(threading.current_thread())
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", slow_preadv)
+        before = threading.active_count()
+        with pytest.raises(DataError) as exc:
+            load_cache(cache)
+        assert threading.active_count() == before
+        assert str(exc.value) == f"{cache}: {error}"
+        assert len(reads) == (8 if data == "whole" else 0)
+        assert threading.current_thread() not in reads
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("bad", [0, 20, 49])
+    def test_constructor_rejects_a_bad_row_in_any_block(self, tmp_path, monkeypatch, cpus, bad):
+        _, saved = self._blocks_cache(tmp_path, monkeypatch)
+        monkeypatch.setattr(embeddings, "usable_cpus", lambda: cpus)
+        # a row a little long, and one whose squares overflow without a warning
+        for row in (saved.matrix[bad] * 1.001, np.full(6, 1e200)):
+            matrix = saved.matrix.copy()
+            matrix[bad] = row
+            with pytest.raises(ValueError, match="^store rows must be unit-normalized$"):
+                VectorStore(saved.tokens, matrix, source_id="x")
+
+    def test_the_first_failing_block_raises(self, monkeypatch):
+        # blocks of one row on more threads than CPUs, switching threads often:
+        # every block from row 10 on raises, and row 10's error is the one seen
+        monkeypatch.setattr(embeddings, "usable_cpus", lambda: 4)
+        done = []
+
+        def work(lo, hi):
+            if lo >= 10:
+                raise ValueError(lo)
+            done.append(lo)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                done.clear()
+                blocks = embeddings._Blocks(work, 40, embeddings.CHUNK_BYTES)
+                assert blocks.threads == 4
+                with pytest.raises(ValueError) as exc:
+                    blocks.finish()
+                assert exc.value.args == (10,)
+                assert sorted(done) == list(range(10))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_load_logs_its_threads(self, tmp_path, monkeypatch, caplog):
+        cache, saved = self._blocks_cache(tmp_path, monkeypatch)
+        monkeypatch.setattr(embeddings, "usable_cpus", lambda: 2)
+        with caplog.at_level("DEBUG", logger="cadict.embeddings"):
+            load_cache(cache)
+            load_cache(cache, vocab_filter=set(saved.tokens[:30]))
+            monkeypatch.setattr(embeddings, "CHUNK_BYTES", 1 << 24)
+            load_cache(cache)
+        assert caplog.messages == [f"{cache}: 50 rows read on 2 threads",
+                                   f"{cache}: 30 rows read on 1 thread",
+                                   f"{cache}: 50 rows read on 1 thread"]
 
     def test_filtered_load_holds_only_the_kept_rows(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
