@@ -4,8 +4,8 @@ Vectors are L2-normalized once, when `cache_vectors` parses a text file into
 a binary cache, so that every later similarity is a plain dot product; the
 seed search downstream evaluates millions of them. Every run-time load reads
 that cache through `load_cache`, since parsing a multi-gigabyte text dump
-would otherwise dominate each run's start-up time. A whole cache's rows are
-read, and checked for unit norms, in blocks on one thread per usable CPU.
+would otherwise dominate each run's start-up time. Every read, unit-norm check
+and copy of cache rows moves them in the pieces that `_pieces` cuts.
 
 A large text is parsed in byte ranges, each cut just after a ``\\n``, by
 several processes at once: this one parses the first range, and a child
@@ -20,6 +20,7 @@ its cache, report or error is the answer, at the cost of up to one more pass.
 from __future__ import annotations
 
 import codecs
+import errno
 import itertools
 import json
 import logging
@@ -41,6 +42,7 @@ from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from cadict.errors import DataError, open_text
+from cadict.metrics import pow2_scaled
 
 logger = logging.getLogger(__name__)
 
@@ -51,9 +53,8 @@ CACHE_FORMAT = {"version": 1, "dtype": "<f8"}  # header fields `load_cache` requ
 # at 128, and the ingest benchmark's peak RSS 45.2 MB at 512, 42.8 MB at 256 and
 # 41.5 MB at 128: larger blocks cost memory, and smaller ones time
 BLOCK_LINES = 256
-# cache bytes a block: read at a time by `load_cache`, checked at a time by `VectorStore`
+# the most cache bytes a piece of rows (`_pieces`) holds: read, checked or copied at a time
 CHUNK_BYTES = 1 << 24
-COPY_BYTES = 1 << 16  # staged row bytes copied into a cache at a time
 # the text that one process parses while a child process starts: on a 2-vCPU Xeon
 # a child started (Python, numpy and cadict imported) in about 0.2 s, the time one
 # process took to parse about 16 MB of 300-d rows. `cache_vectors` cuts a file into
@@ -91,24 +92,37 @@ class LoadReport:
 def usable_cpus() -> int:
     """The CPUs this process may run on: the threads of a cache load and its
     unit-row check, and the default processes of `cache_vectors`' CLI."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
+
+
+def _pieces(rows: Sequence[int], row_bytes: int) -> Iterator[tuple[int, int, int]]:
+    """The increasing row numbers `rows`, of `row_bytes` each, as the pieces in
+    which every read, check and copy of cache rows moves them: ``(first source
+    row, first destination row, rows)`` for each run of consecutive rows, cut
+    every `CHUNK_BYTES`, of one row at least; destination row i is ``rows[i]``."""
+    count, step = len(rows), max(1, CHUNK_BYTES // max(1, row_bytes))
+    if not count:
+        return
+    # rows that span no more numbers than they count, such as a range, are one run
+    breaks = ([] if rows[-1] - rows[0] == count - 1
+              else (np.flatnonzero(np.diff(rows) != 1) + 1).tolist())
+    for lo, hi in zip([0, *breaks], [*breaks, count]):
+        first = int(rows[lo]) - lo
+        for dst in range(lo, hi, step):
+            yield first + dst, dst, min(step, hi - dst)
 
 
 class _Blocks:
-    """`work(lo, hi)` over the rows ``[lo, hi)`` of `rows` rows of `row_bytes`
-    each, a block of `CHUNK_BYTES` at a time, on one thread per usable CPU
-    (`usable_cpus`), started at once; thread k takes blocks k, k + threads, ...
-    With one thread, or one block, it starts none, and `finish` does the work
-    in this thread. As a context it joins the threads on leaving, so that no
-    thread outlives an error raised meanwhile in this one."""
+    """`work(src, dst, rows)` over each of `pieces` (`_pieces`), on one thread
+    per usable CPU (`usable_cpus`), started at once; thread k takes pieces k,
+    k + threads, ... With one thread, or one piece, it starts none, and `finish`
+    does the work here. As a context it joins the threads on leaving, so that
+    no thread outlives an error raised meanwhile in this one."""
 
-    def __init__(self, work: Callable[[int, int], None], rows: int, row_bytes: int):
-        self.work, self.rows = work, rows
-        self.step = max(1, CHUNK_BYTES // max(1, row_bytes))
-        self.threads = min(usable_cpus(), -(-rows // self.step))
-        self.errors: dict[int, Exception] = {}  # by the first row of the block that raised
+    def __init__(self, work: Callable[[int, int, int], None], pieces: list[tuple[int, int, int]]):
+        self.work, self.pieces = work, pieces
+        self.threads = min(usable_cpus(), len(pieces))
+        self.errors: dict[int, Exception] = {}  # by the number of the piece that raised
         self.started: list[threading.Thread] = []
         if self.threads > 1:
             try:
@@ -122,12 +136,12 @@ class _Blocks:
                 raise
 
     def _blocks(self, k: int, threads: int) -> None:
-        """Work on blocks k, k + threads, ... up to the first that raises."""
-        for lo in range(k * self.step, self.rows, threads * self.step):
+        """Work on pieces k, k + threads, ... up to the first that raises."""
+        for i in range(k, len(self.pieces), threads):
             try:
-                self.work(lo, min(lo + self.step, self.rows))
+                self.work(*self.pieces[i])
             except Exception as exc:  # raised by `finish`, in the calling thread
-                self.errors[lo] = exc
+                self.errors[i] = exc
                 return
 
     def join(self) -> None:
@@ -136,7 +150,7 @@ class _Blocks:
 
     def finish(self) -> None:
         """Wait for the work, or do it here when no thread was started; the
-        first block's error, if any block raised one."""
+        first piece's error, if any piece raised one."""
         if not self.started:
             self._blocks(0, 1)
         self.join()
@@ -165,9 +179,9 @@ class VectorStore:
 
     Rows are float64 and L2-normalized; the matrix is marked read-only after
     construction, so no caller can change a published store. The unit-row
-    check runs over blocks of `CHUNK_BYTES` on one thread per usable CPU
+    check runs over the matrix's `_pieces` on one thread per usable CPU
     (`_Blocks`) while this thread checks the tokens and builds their index; a
-    matrix of one block is checked in this thread.
+    matrix of one piece is checked in this thread.
     """
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray, source_id: str,
@@ -177,8 +191,8 @@ class VectorStore:
         if matrix.shape[0] == 0:
             raise DataError(f"vector store from {source_id!r} is empty")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        with _Blocks(lambda lo, hi: _check_unit_rows(matrix[lo:hi]), len(matrix),
-                     matrix.shape[1] * 8) as check:
+        with _Blocks(lambda src, dst, rows: _check_unit_rows(matrix[dst:dst + rows]),
+                     list(_pieces(range(len(matrix)), matrix.shape[1] * 8))) as check:
             self._tokens = tuple(tokens)
             # one split at C speed: NUL is no whitespace, so the joined tokens split
             # into themselves alone exactly when no token holds whitespace
@@ -251,7 +265,8 @@ def _looks_like_header(parts: list[str]) -> bool:
 class _TextLoad:
     """One pass over the bytes ``[start, stop)`` of a word-vectors text file (by
     default the whole file): the tokens kept so far, in order, and the drop
-    counts; each block's unit rows are written to `staging`.
+    counts; each block's unit rows are written to `staging`, a file for the
+    cache `out`, which a failed write names.
 
     A range after the first holds no header, and it takes its dimension from
     its own first record. The earlier ranges change how it reads a record only
@@ -261,11 +276,10 @@ class _TextLoad:
     those whose components do not parse, which are a bad record only when no
     earlier range kept their token."""
 
-    def __init__(self, path: Path, fold_case: bool, staging: BinaryIO, start: int = 0,
-                 stop: int | None = None):
+    def __init__(self, path: Path, fold_case: bool, staging: BinaryIO, out: Path,
+                 start: int = 0, stop: int | None = None):
         self.path, self.fold_case = path, fold_case
-        self.staging = staging
-        self.start, self.stop = start, stop
+        self.staging, self.out, self.start, self.stop = staging, out, start, stop
         # the kept tokens in row order, as an ordered dict's keys: not a set,
         # whose table grows 4x at a time below 50k entries
         self.tokens: dict[str, None] = {}
@@ -280,10 +294,10 @@ class _TextLoad:
 
         One np.loadtxt call parses the rests of every record with components,
         duplicates too. When it parsed every record of the block at the store's
-        width, `rows` checks them as arrays and drops the duplicates. Otherwise,
-        and when numpy refuses the rests (``1_0``, a bad component, unequal
-        widths, a duplicate's too), `records` walks the block in line order; it
-        alone names a bad record's line in a DataError."""
+        width, `rows` keeps them. Otherwise, and when numpy refuses the rests
+        (``1_0``, a bad component, unequal widths, a duplicate's too), `records`
+        walks the block in line order and passes its rows to `rows`; it alone
+        names a bad record's line in a DataError."""
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
@@ -309,21 +323,22 @@ class _TextLoad:
             self.records(records, None)
         elif len(rests) == len(records) and self.dimension in (None, matrix.shape[1]):
             self.dimension = matrix.shape[1]
-            self.rows(records, matrix)
+            self.rows([token for _, token, _ in records], matrix)
         else:
             self.records(records, iter(matrix))
 
-    def rows(self, records: list[tuple[int, str, str]], matrix: np.ndarray) -> None:
-        """Keep the rows of `matrix`, the parsed `records`, by the rules of
-        `records`, checked as arrays: one batched row dot gives the squared
-        norms, the same ``ddot`` per row as ``vec.dot(vec)``."""
-        tokens = [token for _, token, *_ in records]
+    def rows(self, tokens: list[str], matrix: np.ndarray) -> None:
+        """Keep the parsed rows `matrix` of `tokens` in order, as arrays: a row of a
+        token kept earlier is a duplicate; else a zero (below `MIN_NORM`) or
+        non-finite norm drops it. One batched row dot gives the squared norms, each
+        row's ``vec.dot(vec)`` bit for bit, after a row whose squares overflow is scaled."""
+        if not tokens:
+            return
         squares = np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel()
         for i in np.flatnonzero(~np.isfinite(squares)).tolist():
             vec = matrix[i]
             if np.isfinite(vec).all():  # finite, but its squares overflowed
-                np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1], out=vec)
-                squares[i] = vec.dot(vec)
+                squares[i] = pow2_scaled(vec, out=vec).dot(vec)
         norms = np.sqrt(squares)
         zero = norms < MIN_NORM
         keep = ~zero & np.isfinite(norms)
@@ -347,13 +362,12 @@ class _TextLoad:
 
     def records(self, records: list[tuple[int, str, str]],
                 parsed: Iterator[np.ndarray] | None) -> None:
-        """Keep the `records` of one block one at a time, applying each rule once
-        in line order: width, duplicate, components, norm, zero and
-        non-finite drops. A record with components takes its row from
-        `parsed`; without it, the rest is split and read by `float`. A bad
-        record is a DataError naming its line, but for components that do not
-        parse in a range after the first: `undecided`."""
-        vecs, norms = [], []
+        """Walk the `records` of one block in line order for their width and
+        components: from `parsed`, or else split and read by `float`. Their
+        rows go to `rows` at the end, and before a record whose components do
+        not parse, so that it is a duplicate if its token was kept, or else a
+        DataError naming its line, but in a range after the first: `undecided`."""
+        tokens, vecs = [], []
         for lineno, token, rest in records:
             fields = next(parsed) if rest and parsed is not None else rest.split()
             if self.dimension is None:
@@ -364,45 +378,36 @@ class _TextLoad:
             elif len(fields) != self.dimension:
                 raise DataError(f"{self.path}: line {lineno}: expected {self.dimension} "
                                 f"components, found {len(fields)}")
-            if token in self.tokens:
-                self.drops["duplicates_ignored"] += 1
-                continue
             try:
-                vec = np.asarray(fields, dtype=np.float64)
+                vecs.append(np.asarray(fields, dtype=np.float64))
+                tokens.append(token)
             except ValueError as exc:
-                if self.undecided is None:
+                self.rows(tokens, np.array(vecs))
+                tokens, vecs = [], []
+                if token in self.tokens:
+                    self.drops["duplicates_ignored"] += 1
+                elif self.undecided is None:
                     raise DataError(f"{self.path}: line {lineno}: unparseable vector "
                                     "component") from exc
-                self.undecided.append((token, None))
-                continue
-            norm = math.sqrt(vec.dot(vec))  # as np.linalg.norm computes it, bit for bit
-            if not math.isfinite(norm) and np.isfinite(vec).all():
-                # finite, but its squares overflowed: scale by a power of two, as `pearson` does
-                np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1], out=vec)
-                norm = math.sqrt(vec.dot(vec))
-            if norm < MIN_NORM or not math.isfinite(norm):
-                cause = "zero_norm_skipped" if norm < MIN_NORM else "non_finite_skipped"
-                self.drops[cause] += 1
-                if self.undecided is not None:
-                    self.undecided.append((token, cause))
-                continue
-            self.tokens[token] = None
-            vecs.append(vec)
-            norms.append(norm)
-        if vecs:
-            self.write(np.stack(vecs), np.array(norms))
+                else:
+                    self.undecided.append((token, None))
+        self.rows(tokens, np.array(vecs))
 
     def write(self, rows: np.ndarray, norms: np.ndarray) -> None:
         """Divide the kept `rows` by their `norms` in place, check that they are
         unit rows and write them to the staging file."""
-        if not len(rows):
-            return
         rows /= norms[:, None]
         try:
             _check_unit_rows(rows)
         except ValueError as exc:  # the check `VectorStore` would make
             raise DataError(f"{self.path}: {exc}") from exc
-        self.staging.write(rows.astype("<f8", copy=False).data)
+        with _writing(self.out):
+            try:
+                self.staging.write(rows.astype("<f8", copy=False).data)
+                self.staging.flush()  # a failed write fails here, and is named
+            except OSError:
+                self.staging.raw.close()  # so that closing the file writes, and fails, no more
+                raise
 
     def parse(self, block_lines: int | None = None) -> None:
         """Read the range through `block`, `block_lines` lines at a time (by
@@ -410,7 +415,7 @@ class _TextLoad:
         start of the file. In a range after the first, line numbers count from
         the range's start."""
         block_lines = block_lines or BLOCK_LINES
-        # a finite record's squares may overflow; `rows` and `records` rescale it
+        # a finite record's squares may overflow; `rows` rescales it
         with open_text(self.path, self.start, self.stop) as fh, np.errstate(over="ignore"):
             numbered = enumerate(fh, start=1)
             for first in numbered:
@@ -421,33 +426,39 @@ class _TextLoad:
                     self.block(lines)
 
 
-def _cache_head(tokens: Collection[str], dimension: int, source_id: str) -> list[bytes]:
-    """Everything a cache holds before its rows, in pieces to write in turn: the
-    magic, the header and the token list's length, then the token list. The
-    tokens are encoded once, a piece at a time, so the list's bytes are held
-    once and never beside one joined str of every token."""
-    header = {
-        **CACHE_FORMAT,
-        "dimension": dimension,
-        "count": len(tokens),
-        "source_id": source_id,
-    }
-    header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
+@contextmanager
+def _writing(out: Path):
+    """Name `out` in an OSError raised meanwhile: a failed write of its cache or
+    staging files names no file."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(out)) from exc
+
+
+def _write_cache(out: Path, tokens: Collection[str], dimension: int, source_id: str,
+                 rows: Callable[[BinaryIO], object]) -> None:
+    """Write a cache to `out`: the magic, the header and the token list, then
+    its rows, which `rows(fh)` writes. The tokens are encoded once, a piece at
+    a time, so the list's bytes are held once and never beside one joined str
+    of every token. A failed write is an OSError naming `out`."""
+    header_blob = json.dumps({**CACHE_FORMAT, "dimension": dimension, "count": len(tokens),
+                              "source_id": source_id}, sort_keys=True).encode("utf-8")
     rest = iter(tokens)
     blob: list[bytes] = []
     while piece := list(itertools.islice(rest, 1 << 14)):  # tokens a piece
         blob += (b"\n", "\n".join(piece).encode("utf-8"))
     del blob[:1]  # no newline before the first piece
-    return [CACHE_MAGIC, struct.pack("<I", len(header_blob)), header_blob,
-            struct.pack("<Q", sum(map(len, blob))), *blob]
+    with _writing(out), open(out, "wb") as fh:
+        fh.writelines([CACHE_MAGIC, struct.pack("<I", len(header_blob)), header_blob,
+                       struct.pack("<Q", sum(map(len, blob))), *blob])
+        rows(fh)
 
 
 def save_cache(store: VectorStore, path: str | Path) -> None:
     """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
-    head = _cache_head(store.tokens, store.dimension, store.source_id)
-    with open(path, "wb") as fh:
-        fh.writelines(head)
-        fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
+    _write_cache(Path(path), store.tokens, store.dimension, store.source_id,
+                 lambda fh: fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data))
 
 
 def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
@@ -472,10 +483,10 @@ def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
     order. Ranges that hold an error, or whose merge might differ from one
     pass, are dropped and the file is parsed again in one pass, so the cache
     bytes, report and error are one pass's. Only the kept tokens and one block
-    of rows are held. The unit rows are written to staging files in `out`'s
-    directory, which take about the matrix's bytes there, and copied after the
+    of rows are held. The unit rows are staged in files in `out`'s directory,
+    about the matrix's bytes, and copied by the kernel (`_copy_rows`) after the
     header and the tokens once the parse has succeeded; `out` is not opened
-    before then."""
+    before then. A failed write is an OSError naming `out`."""
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     path, out = Path(path), Path(out)
@@ -494,11 +505,8 @@ def _cache(path: Path, out: Path, fold_case: bool,
     with _parse(path, out, fold_case, cuts) as (merge, parts):
         if not merge.tokens:
             raise DataError(f"{path}: no usable vector records")
-        head = _cache_head(merge.tokens, merge.dimension, str(path))
-        with open(out, "wb") as fh:
-            fh.writelines(head)
-            for staging, skipped in parts:
-                _copy_rows(staging, fh, skipped, merge.dimension * 8)
+        _write_cache(out, merge.tokens, merge.dimension, str(path),
+                     lambda fh: _copy_rows(parts, fh, merge.dimension * 8))
     return LoadReport(accepted=len(merge.tokens), **merge.drops), merge.dimension
 
 
@@ -560,7 +568,7 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
                 os.close(fd)
                 names.append(name)
                 files.append(name)
-            args = [str(path), start, stop, fold_case, BLOCK_LINES, *files]
+            args = [str(path), start, stop, fold_case, BLOCK_LINES, str(out), *files]
             child = subprocess.Popen(
                 [sys.executable, "-c", _CHILD, root, json.dumps(args)], env=env,
                 stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -572,7 +580,7 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
             # removed when closed; its prefix names `out` in an error from creating it
             staging = stack.enter_context(
                 tempfile.TemporaryFile(dir=out.parent, prefix=f"{out.name}.staging."))
-            first = _TextLoad(path, fold_case, staging, 0, cuts[1])
+            first = _TextLoad(path, fold_case, staging, out, 0, cuts[1])
             first.parse()
             if children and not first.started:
                 raise _Doubt("the first range holds only blank lines")
@@ -614,21 +622,21 @@ def _range_child(args: str) -> None:
 
 
 def _parse_range(path: str, start: int, stop: int, fold_case: bool, block_lines: int,
-                 staging: str, tokens: str) -> dict:
+                 out: str, staging: str, tokens: str) -> dict:
     """Parse the bytes ``[start, stop)`` of `path` into the files named `staging`
-    (the unit rows) and `tokens` (the kept tokens, one a line), and return the
-    summary that `_Merge.add` reads, ready for JSON: the dimension of the
-    range's records, the drop counts, the undecided records and its first
-    error, named by its range."""
+    (the unit rows) and `tokens` (the kept tokens, one a line) for the cache
+    `out`, and return the summary that `_Merge.add` reads, ready for JSON: the
+    dimension of the range's records, the drop counts, the undecided records
+    and its first error, named by its range."""
     with open(staging, "wb") as fh:
-        load = _TextLoad(Path(path), fold_case, fh, start, stop)
+        load = _TextLoad(Path(path), fold_case, fh, Path(out), start, stop)
         error = None
         try:
             load.parse(block_lines)
         except DataError as exc:
             error = f"bytes {start}-{stop}: {exc}"  # its line numbers count from `start`
     if error is None:
-        with open(tokens, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing(out), open(tokens, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(f"{token}\n" for token in load.tokens)
     return {"dimension": load.dimension, "drops": load.drops, "undecided": load.undecided,
             "error": error}
@@ -678,19 +686,21 @@ class _Merge:
         return skipped
 
 
-def _copy_rows(staging: BinaryIO, out: BinaryIO, skipped: list[int], row_bytes: int) -> None:
-    """Copy the rows of the `staging` file to `out`, but for the rows numbered
-    `skipped` (in increasing order), reading at most `COPY_BYTES` at a time."""
-    staging.flush()
-    rows = os.fstat(staging.fileno()).st_size // row_bytes
-    row = 0
-    for end in [*skipped, rows]:
-        staging.seek(row * row_bytes)
-        left = (end - row) * row_bytes
-        while left > 0 and (piece := staging.read(min(left, COPY_BYTES))):
-            out.write(piece)
-            left -= len(piece)
-        row = end + 1
+def _copy_rows(parts: list[tuple[BinaryIO, list[int]]], out: BinaryIO, row_bytes: int) -> None:
+    """Append the staged rows of `parts`, (staging file, skipped rows) pairs, to
+    `out` in order, but for the rows of each numbered `skipped` (increasing):
+    a `_pieces` piece a ``copy_file_range``, file to file, with no buffer here."""
+    out.flush()
+    for staging, skipped in parts:
+        rows = os.fstat(staging.fileno()).st_size // row_bytes
+        kept = np.delete(np.arange(rows), skipped) if skipped else range(rows)
+        for src, _, count in _pieces(kept, row_bytes):
+            offset, left = src * row_bytes, count * row_bytes
+            while left:  # a call may copy fewer bytes than asked
+                copied = os.copy_file_range(staging.fileno(), out.fileno(), left, offset)
+                if not copied:
+                    raise OSError(errno.EIO, "staging file ended early")
+                offset, left = offset + copied, left - copied
 
 
 def load_vectors(path: str | Path, fold_case: bool = True) -> VectorStore:
@@ -746,14 +756,14 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
     version or dtype is not the one `save_cache` writes; a token-list error
     comes before one in the vector data.
 
-    Without `vocab_filter`, the rows are read straight into the matrix, a
-    block of `CHUNK_BYTES` a read, on one thread per usable CPU (`_Blocks`),
-    started once the file's size matches its header, while this thread decodes
-    the token list; a cache of one block, or one usable CPU, is read in this
-    thread after the tokens. With `vocab_filter`, only the kept tokens and rows
-    are held: the token list is split a piece at a time (`_token_pieces`), and
-    each run of consecutive kept rows is read straight into its place, in this
-    thread, since its many short reads ran slower on threads. `VectorStore`
+    Rows are read straight into their place in the matrix, one `_pieces`
+    piece a read. Without `vocab_filter`, the pieces are read on one thread per
+    usable CPU (`_Blocks`), started once the file's size matches its header,
+    while this thread decodes the token list; a cache of one piece, or one
+    usable CPU, is read in this thread after the tokens. With `vocab_filter`,
+    only the kept tokens and rows are held: the token list is split a piece at
+    a time (`_token_pieces`), and the kept rows' pieces are read in this
+    thread, since their many short reads ran slower on threads. `VectorStore`
     then checks the rows, on threads too. At debug level it logs the rows read
     and the threads that read them.
     """
@@ -789,10 +799,10 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
         elif os.fstat(fd).st_size == data + count * dim * 8:
             matrix = np.empty((count, dim), dtype="<f8")
         with ExitStack() as stack:
-            if matrix is not None:  # its blocks are read while the tokens are decoded
+            if matrix is not None:  # its pieces are read while the tokens are decoded
                 reads = stack.enter_context(_Blocks(
-                    lambda lo, hi: _read(fd, matrix[lo:hi], data + lo * dim * 8, path),
-                    count, dim * 8))
+                    lambda src, dst, n: _read(fd, matrix[dst:dst + n], data + src * dim * 8, path),
+                    list(_pieces(range(count), dim * 8))))
             tokens: list[str] = []
             total = 0
             for piece in _token_pieces(fh, token_len, path):
@@ -812,7 +822,8 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
                 raise DataError(f"{path}: vocab filter removed every cached vector")
             if matrix is None:
                 matrix = np.empty((len(tokens), dim), dtype="<f8")
-                _read_runs(fd, matrix, rows, data, path)
+                for src, dst, n in _pieces(rows, dim * 8):
+                    _read(fd, matrix[dst:dst + n], data + src * dim * 8, path)
                 threads = 1
             else:
                 reads.finish()
@@ -832,21 +843,6 @@ def _read(fd: int, part: np.ndarray, offset: int, path: Path) -> None:
     one ``preadv``, which moves neither the file's offset nor any other read's."""
     if os.preadv(fd, [part], offset) != part.nbytes:
         raise DataError(f"{path}: cache truncated in the vector data")
-
-
-def _read_runs(fd: int, matrix: np.ndarray, rows: array, data: int, path: Path) -> None:
-    """Fill `matrix` with the cache rows numbered `rows`, the vector data
-    starting at byte `data` of `fd`. Each run of consecutive rows is read
-    straight into its place, at most `CHUNK_BYTES` a read, so nothing but the
-    matrix is held."""
-    row_bytes = matrix.shape[1] * 8
-    breaks = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
-    starts = [0, *breaks]
-    step = max(1, CHUNK_BYTES // row_bytes)
-    for lo, hi, first in zip(starts, [*breaks, len(rows)], [rows[i] for i in starts]):
-        for start in range(lo, hi, step):
-            _read(fd, matrix[start:min(start + step, hi)],
-                  data + (first + start - lo) * row_bytes, path)
 
 
 def open_store(path: str | Path, vocab_filter: set[str] | None = None) -> VectorStore:

@@ -32,6 +32,12 @@ class EvaluationReport:
         return asdict(self)
 
 
+def pow2_scaled(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`values` (into `out` if given) times the power of two that puts their
+    largest magnitude in [0.5, 1): exact unless a value is ~2^1000 below it."""
+    return np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1], out=out)
+
+
 def pearson(x, y) -> float:
     """Product-moment correlation, clamped to [-1, 1]; fsum-compensated sums."""
     xa = np.asarray(x, dtype=np.float64)
@@ -41,10 +47,8 @@ def pearson(x, y) -> float:
     n = xa.size
     if n < 2:
         raise ValueError("pearson needs at least 2 points")
-    # a power-of-two scale leaves r's bits unchanged (it is exact unless a value
-    # is ~2^1000 below the largest), and squares of |values| < 1 cannot overflow
-    xa = np.ldexp(xa, -np.frexp(np.max(np.abs(xa)))[1])
-    ya = np.ldexp(ya, -np.frexp(np.max(np.abs(ya)))[1])
+    # a power-of-two scale leaves r's bits unchanged
+    xa, ya = pow2_scaled(xa), pow2_scaled(ya)
     dx, dy = xa - math.fsum(xa) / n, ya - math.fsum(ya) / n
     sxx, syy = math.fsum(dx * dx), math.fsum(dy * dy)
     if sxx == 0.0 or syy == 0.0:

@@ -1,10 +1,13 @@
+import errno
 import hashlib
 import json
 import math
 import os
 import re
+import resource
 import struct
 import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -694,6 +697,31 @@ class TestCacheCommand:
             f"error: {path}: line 12: expected 3 components, found 2\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != path} == \
             {name: blob for name, blob in old.items() if name != path.name}
+
+    @pytest.mark.parametrize("limit", [
+        pytest.param(40_000, id="staging"),  # under the 160,000 bytes of staged rows
+        pytest.param(165_000, id="cache"),  # over them, under the cache's 171,000
+    ])
+    def test_a_failed_write_names_the_out_file(self, tmp_path, limit):
+        # a file-size limit set in the command's process: Python ignores
+        # SIGXFSZ, so the first write past the limit fails with EFBIG
+        path, out = tmp_path / "v.vec", tmp_path / "v.cavs"
+        rng = np.random.default_rng(13)
+        path.write_text("".join(f"w{i} {' '.join(map(str, row))}\n" for i, row in
+                                enumerate(rng.normal(size=(2000, 10)).round(3).tolist())),
+                        encoding="utf-8")
+        src = str(Path(cadict.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-B", "-m", "cadict.cli", "cache-vectors", "--vectors", str(path),
+             "--out", str(out), "--processes", "1"],
+            env=env, capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+        assert (done.returncode, done.stderr) == (
+            EXIT_DATA, f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{out}'\n")
+        assert [p.name for p in tmp_path.iterdir()
+                if ".staging." in p.name or ".tokens." in p.name] == []
 
     def test_pipe_is_refused(self, tmp_path, capsys):
         # the manifest hashes the input in a second read, which a pipe cannot give

@@ -227,6 +227,9 @@ class TestBlockParser:
     @example(text="a 1e200 -1e200\nb nan 1\nc 1 2\nd inf 0\n", block_lines=256,
              fold_case=True)
     @example(text="a 1 0\nb 1_0 2\na x 1\n", block_lines=3, fold_case=True)
+    # `a` is dropped for its zero norm, so the record walk's unparseable `a` on
+    # line 3 is that line's error, not a duplicate
+    @example(text="a 0 0\nb 1_0 1\na x 1\n", block_lines=3, fold_case=True)
     @example(text="a 1 0\nb 1e200 1e200\n", block_lines=2, fold_case=False)
     @example(text="\ufeff2 3\na 1 0 0\n", block_lines=3, fold_case=True)
     @example(text="\n \n2 3\na 1 0 0\n", block_lines=1, fold_case=True)
@@ -418,14 +421,19 @@ class TestByteRanges:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=vector_files(), block_lines=st.sampled_from([1, 3, 1024]),
            processes=st.sampled_from([2, 3, 5]), min_range=st.sampled_from([1, 4, 16]),
-           fold_case=st.booleans())
+           chunk=st.sampled_from([(1, 5), (3, 0), None]), fold_case=st.booleans())
     def test_ranges_equal_one_pass(self, tmp_path, monkeypatch, children, text, block_lines,
-                                   processes, min_range, fold_case):
+                                   processes, min_range, chunk, fold_case):
         path = tmp_path / "v.txt"
         path.write_text(text, encoding="utf-8")
         monkeypatch.setattr(embeddings, "BLOCK_LINES", block_lines)
         one = _cached(path, fold_case=fold_case)
         monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", min_range)
+        if chunk and not isinstance(one, str):
+            # (rows, extra bytes) a piece: the staged rows kept around the skipped
+            # duplicates are copied in several pieces
+            rows, extra = chunk
+            monkeypatch.setattr(embeddings, "CHUNK_BYTES", rows * one[2] * 8 + extra)
         assert _cached(path, fold_case=fold_case, processes=processes) == one
 
     # a header, blank lines, a case-fold collision, and duplicates of kept,
@@ -939,22 +947,23 @@ class TestCache:
                 VectorStore(saved.tokens, matrix, source_id="x")
 
     def test_the_first_failing_block_raises(self, monkeypatch):
-        # blocks of one row on more threads than CPUs, switching threads often:
-        # every block from row 10 on raises, and row 10's error is the one seen
+        # pieces of one row on more threads than CPUs, switching threads often:
+        # every piece from row 10 on raises, and row 10's error is the one seen
         monkeypatch.setattr(embeddings, "usable_cpus", lambda: 4)
         done = []
 
-        def work(lo, hi):
-            if lo >= 10:
-                raise ValueError(lo)
-            done.append(lo)
+        def work(src, dst, rows):
+            if dst >= 10:
+                raise ValueError(dst)
+            done.append(dst)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 done.clear()
-                blocks = embeddings._Blocks(work, 40, embeddings.CHUNK_BYTES)
+                blocks = embeddings._Blocks(
+                    work, list(embeddings._pieces(range(40), embeddings.CHUNK_BYTES)))
                 assert blocks.threads == 4
                 with pytest.raises(ValueError) as exc:
                     blocks.finish()
