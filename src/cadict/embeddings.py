@@ -34,7 +34,7 @@ import tempfile
 import threading
 from array import array
 from collections import Counter
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
@@ -294,10 +294,11 @@ class _TextLoad:
 
         One np.loadtxt call parses the rests of every record with components,
         duplicates too. When it parsed every record of the block at the store's
-        width, `rows` keeps them. Otherwise, and when numpy refuses the rests
-        (``1_0``, a bad component, unequal widths, a duplicate's too), `records`
-        walks the block in line order and passes its rows to `rows`; it alone
-        names a bad record's line in a DataError."""
+        width, `rows` keeps them. Otherwise (a record without components, another
+        width) and when numpy refuses the rests (``1_0``, a bad component,
+        unequal widths, a duplicate's too), `records` walks the block's text in
+        line order and passes its rows to `rows`; it alone names a bad record's
+        line in a DataError."""
         records, rests = [], []
         for lineno, line in numbered:
             head = line.split(None, 1)
@@ -316,16 +317,15 @@ class _TextLoad:
             matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2) if rests else None
         except ValueError:
             matrix = None
-        if matrix is None or len(matrix) != len(rests):
-            if rests:
-                logger.debug("%s: lines %d-%d parsed line by line",
-                             self.path, numbered[0][0], numbered[-1][0])
-            self.records(records, None)
-        elif len(rests) == len(records) and self.dimension in (None, matrix.shape[1]):
+        if matrix is not None and len(matrix) == len(rests) == len(records) \
+                and self.dimension in (None, matrix.shape[1]):
             self.dimension = matrix.shape[1]
             self.rows([token for _, token, _ in records], matrix)
         else:
-            self.records(records, iter(matrix))
+            if rests:
+                logger.debug("%s: lines %d-%d parsed line by line",
+                             self.path, numbered[0][0], numbered[-1][0])
+            self.records(records)
 
     def rows(self, tokens: list[str], matrix: np.ndarray) -> None:
         """Keep the parsed rows `matrix` of `tokens` in order, as arrays: a row of a
@@ -360,16 +360,15 @@ class _TextLoad:
             matrix, norms = matrix[keep], norms[keep]
         self.write(matrix, norms)
 
-    def records(self, records: list[tuple[int, str, str]],
-                parsed: Iterator[np.ndarray] | None) -> None:
+    def records(self, records: list[tuple[int, str, str]]) -> None:
         """Walk the `records` of one block in line order for their width and
-        components: from `parsed`, or else split and read by `float`. Their
-        rows go to `rows` at the end, and before a record whose components do
-        not parse, so that it is a duplicate if its token was kept, or else a
+        components, each split from its text and read by `float`. Their rows go
+        to `rows` at the end, and before a record whose components do not
+        parse, so that it is a duplicate if its token was kept, or else a
         DataError naming its line, but in a range after the first: `undecided`."""
         tokens, vecs = [], []
         for lineno, token, rest in records:
-            fields = next(parsed) if rest and parsed is not None else rest.split()
+            fields = rest.split()
             if self.dimension is None:
                 if len(fields) < 1:
                     raise DataError(f"{self.path}: line {lineno}: record has no vector "
@@ -436,6 +435,14 @@ def _writing(out: Path):
         raise OSError(exc.errno, exc.strerror, str(out)) from exc
 
 
+def _staging(out: Path) -> BinaryIO:
+    """A new file for rows staged for the cache `out`, in its directory: one with
+    no name, so that it is gone once closed, also when the process is killed. A
+    failure to make it names `out`."""
+    with _writing(out):
+        return tempfile.TemporaryFile(dir=out.parent)
+
+
 def _write_cache(out: Path, tokens: Collection[str], dimension: int, source_id: str,
                  rows: Callable[[BinaryIO], object]) -> None:
     """Write a cache to `out`: the magic, the header and the token list, then
@@ -483,9 +490,10 @@ def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
     order. Ranges that hold an error, or whose merge might differ from one
     pass, are dropped and the file is parsed again in one pass, so the cache
     bytes, report and error are one pass's. Only the kept tokens and one block
-    of rows are held. The unit rows are staged in files in `out`'s directory,
-    about the matrix's bytes, and copied by the kernel (`_copy_rows`) after the
-    header and the tokens once the parse has succeeded; `out` is not opened
+    of rows are held. The unit rows are staged in nameless files in `out`'s
+    directory (`_staging`), about the matrix's bytes, which are gone when the
+    parse ends, however it ends; once it has succeeded, they are copied by the
+    kernel (`_copy_rows`) after the header and the tokens. `out` is not opened
     before then. A failed write is an OSError naming `out`."""
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
@@ -537,7 +545,7 @@ def _split(path: Path, processes: int) -> list[int | None]:
 
 # a child's body: its first argument puts cadict's package first on its path. It
 # exits without tearing its modules down, which the parent would wait for (25-30 ms
-# on a 2-vCPU Xeon); its files are closed and its summary printed by then
+# on a 2-vCPU Xeon); its staging file is closed and its summary printed by then
 _CHILD = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
           "from cadict.embeddings import _range_child; _range_child(sys.argv[2]); "
           "sys.stdout.flush(); os._exit(0)")
@@ -552,54 +560,43 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
     """Parse the byte ranges of `path` between `cuts`: each after the first in a
     child process, started first, and the first in this process; then merge
     them in range order. It yields the `_Merge` and the staged rows, as
-    (staging file, skipped rows) pairs. Each range stages its rows, and a
-    child its kept tokens, in files in `out`'s directory. A `_Doubt` if the
-    first range read no non-blank line, since the header may follow it. On
-    leaving, the children still running are killed, and then their files are
-    removed."""
+    (staging file, skipped rows) pairs. Each range stages its rows in a
+    `_staging` file, which a child inherits as a descriptor; a child's other
+    results, its kept tokens too, come in its summary. A `_Doubt` if the first
+    range read no non-blank line, since the header may follow it. On leaving,
+    the children still running are killed."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     root = str(Path(__file__).resolve().parents[1])
-    children, names = [], []
-    try:
-        for start, stop in zip(cuts[1:], cuts[2:]):
-            files = []
-            for kind in ("staging", "tokens"):
-                fd, name = tempfile.mkstemp(dir=out.parent, prefix=f"{out.name}.{kind}.")
-                os.close(fd)
-                names.append(name)
-                files.append(name)
-            args = [str(path), start, stop, fold_case, BLOCK_LINES, str(out), *files]
-            child = subprocess.Popen(
-                [sys.executable, "-c", _CHILD, root, json.dumps(args)], env=env,
-                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-            children.append((child, start, stop, *files))
-        if children:
-            logger.debug("%s: %d byte ranges, %d of them in child processes",
-                         path, len(cuts) - 1, len(children))
-        with ExitStack() as stack:
-            # removed when closed; its prefix names `out` in an error from creating it
-            staging = stack.enter_context(
-                tempfile.TemporaryFile(dir=out.parent, prefix=f"{out.name}.staging."))
+    children = []
+    with ExitStack() as stack:
+        try:
+            for start, stop in zip(cuts[1:], cuts[2:]):
+                staging = stack.enter_context(_staging(out))
+                fd = staging.fileno()
+                args = [str(path), start, stop, fold_case, BLOCK_LINES, str(out), fd]
+                child = subprocess.Popen(
+                    [sys.executable, "-c", _CHILD, root, json.dumps(args)], env=env,
+                    pass_fds=(fd,), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE)
+                children.append((child, start, stop, staging))
+            if children:
+                logger.debug("%s: %d byte ranges, %d of them in child processes",
+                             path, len(cuts) - 1, len(children))
+            staging = stack.enter_context(_staging(out))
             first = _TextLoad(path, fold_case, staging, out, 0, cuts[1])
             first.parse()
             if children and not first.started:
                 raise _Doubt("the first range holds only blank lines")
             merge = _Merge(first)
             parts = [(staging, [])]
-            for child, start, stop, rows, tokens in children:
-                summary = _summary(child, path, start, stop)
-                with open(tokens, encoding="utf-8", newline="\n") as fh:
-                    skipped = merge.add(summary, (line[:-1] for line in fh))
-                parts.append((stack.enter_context(open(rows, "rb")), skipped))
+            for child, start, stop, rows in children:
+                parts.append((rows, merge.add(_summary(child, path, start, stop))))
             yield merge, parts
-    finally:
-        for child, *_ in children:
-            if child.returncode is None:
-                child.kill()
-                child.communicate()
-        for name in names:
-            with suppress(FileNotFoundError):
-                os.unlink(name)
+        finally:
+            for child, *_ in children:
+                if child.returncode is None:
+                    child.kill()
+                    child.communicate()
 
 
 def _summary(child: subprocess.Popen, path: Path, start: int, stop: int) -> dict:
@@ -616,18 +613,13 @@ def _summary(child: subprocess.Popen, path: Path, start: int, stop: int) -> dict
 
 
 def _range_child(args: str) -> None:
-    """A child process of `cache_vectors`: parse the range that the JSON list
-    `args` gives to `_parse_range` and print its summary as one JSON line."""
-    print(json.dumps(_parse_range(*json.loads(args))))
-
-
-def _parse_range(path: str, start: int, stop: int, fold_case: bool, block_lines: int,
-                 out: str, staging: str, tokens: str) -> dict:
-    """Parse the bytes ``[start, stop)`` of `path` into the files named `staging`
-    (the unit rows) and `tokens` (the kept tokens, one a line) for the cache
-    `out`, and return the summary that `_Merge.add` reads, ready for JSON: the
-    dimension of the range's records, the drop counts, the undecided records
-    and its first error, named by its range."""
+    """A child process of `cache_vectors`. The JSON list `args` gives the bytes
+    ``[start, stop)`` of `path` to parse, and the inherited descriptor `staging`
+    that gets their unit rows, for the cache `out`. It prints the summary that
+    `_Merge.add` reads as one JSON line: the dimension of the range's records,
+    the drop counts, the undecided records, and its first error, named by its
+    range, or else its kept tokens in row order."""
+    path, start, stop, fold_case, block_lines, out, staging = json.loads(args)
     with open(staging, "wb") as fh:
         load = _TextLoad(Path(path), fold_case, fh, Path(out), start, stop)
         error = None
@@ -635,11 +627,9 @@ def _parse_range(path: str, start: int, stop: int, fold_case: bool, block_lines:
             load.parse(block_lines)
         except DataError as exc:
             error = f"bytes {start}-{stop}: {exc}"  # its line numbers count from `start`
-    if error is None:
-        with _writing(out), open(tokens, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{token}\n" for token in load.tokens)
-    return {"dimension": load.dimension, "drops": load.drops, "undecided": load.undecided,
-            "error": error}
+    print(json.dumps({"dimension": load.dimension, "drops": load.drops,
+                      "undecided": load.undecided, "error": error,
+                      "tokens": None if error else list(load.tokens)}))
 
 
 class _Merge:
@@ -651,9 +641,9 @@ class _Merge:
     def __init__(self, first: _TextLoad):
         self.dimension, self.tokens, self.drops = first.dimension, first.tokens, first.drops
 
-    def add(self, summary: dict, tokens: Iterable[str]) -> list[int]:
-        """Merge the next range, given its `_parse_range` summary and its kept
-        `tokens` in row order. It returns the numbers of the range's rows whose
+    def add(self, summary: dict) -> list[int]:
+        """Merge the next range, given its `_range_child` summary, which holds its
+        kept tokens in row order. It returns the numbers of the range's rows whose
         token an earlier range kept; they are duplicates. A `_Doubt` if one
         pass might read the range otherwise: it holds an error, its records
         have another dimension than the file's, or a record of a token that no
@@ -676,7 +666,7 @@ class _Merge:
             elif cause is None:
                 raise _Doubt(f"a record of {token!r} in a later range does not parse")
         skipped = []
-        for row, token in enumerate(tokens):
+        for row, token in enumerate(summary["tokens"]):
             if token in kept:
                 skipped.append(row)
             else:

@@ -4,7 +4,8 @@
 # valid text must be cached from merged byte ranges, with the cache and
 # manifest of one process. The same text with one bad record in its second half
 # must exit 2 with one process's single `error:` line at both counts, and leave
-# no cache, staging or tokens file.
+# no cache, staging or tokens file. A run killed by SIGKILL while its child
+# parses must leave no file either, and its child must end before the script.
 # It runs the installed `cadict` script, or the command in $CADICT, such as
 #   CADICT="python -m cadict.cli" PYTHONPATH="$PWD/src" sh tests/byte_ranges.sh
 # in a temporary directory that it removes on exit.
@@ -42,4 +43,25 @@ for processes in 1 2; do
 done
 cmp bad1.txt bad2.txt
 test "$(ls | grep -c -e '^bad\.cavs' -e '\.staging\.' -e '\.tokens\.')" -eq 0
+# the child is started with the path, so `pgrep -f` finds it once orphaned
+$cadict -v cache-vectors --vectors "$dir/big.vec" --out killed.cavs --processes 2 \
+    2> killed.txt &
+pid=$!
+tries=0
+until grep -q ': 2 byte ranges, 1 of them in child processes$' killed.txt; do
+    tries=$((tries + 1))
+    test "$tries" -le 300 || { kill -9 "$pid"; exit 1; }  # 30 s
+    sleep 0.1
+done
+kill -9 "$pid"
+code=0
+wait "$pid" || code=$?
+test "$code" -eq 137
+tries=0
+while pgrep -f "$dir/big.vec" > /dev/null; do
+    tries=$((tries + 1))
+    test "$tries" -le 300 || { pkill -9 -f "$dir/big.vec"; exit 1; }  # 30 s
+    sleep 0.1
+done
+test "$(ls | grep -c -e '^killed\.cavs' -e '\.staging\.' -e '\.tokens\.')" -eq 0
 echo "byte ranges: ok"

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 
 import numpy as np
@@ -78,17 +79,20 @@ def tiny_store(tmp_path):
 @pytest.fixture
 def children(monkeypatch):
     """`cache_vectors` cuts any file of two bytes or more into ranges, and its
-    children run their body, `_range_child`, in this process as they start. The
-    list it returns gets each child's ``(start, stop)`` byte range."""
+    children run their body, `_range_child`, in this process as they start. A
+    child writes its rows to a duplicate of the staging descriptor that it would
+    inherit, since it closes the descriptor it is given. The list it returns
+    gets each child's ``(start, stop)`` byte range."""
     started = []
 
     class Child:
         def __init__(self, argv, **kwargs):
             args = json.loads(argv[-1])
             started.append((args[1], args[2]))
+            args[-1] = os.dup(args[-1])
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                embeddings._range_child(argv[-1])
+                embeddings._range_child(json.dumps(args))
             self.stdout, self.returncode = out.getvalue().encode(), None
 
         def communicate(self):

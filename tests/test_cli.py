@@ -42,6 +42,13 @@ def run(argv):
         return exc.code
 
 
+def python_env():
+    """The environment for a Python subprocess that imports this cadict."""
+    src = str(Path(cadict.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """A small clustered corpus written as real input files."""
@@ -710,18 +717,26 @@ class TestCacheCommand:
         path.write_text("".join(f"w{i} {' '.join(map(str, row))}\n" for i, row in
                                 enumerate(rng.normal(size=(2000, 10)).round(3).tolist())),
                         encoding="utf-8")
-        src = str(Path(cadict.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-B", "-m", "cadict.cli", "cache-vectors", "--vectors", str(path),
              "--out", str(out), "--processes", "1"],
-            env=env, capture_output=True, text=True,
+            env=python_env(), capture_output=True, text=True,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
         assert (done.returncode, done.stderr) == (
             EXIT_DATA, f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{out}'\n")
         assert [p.name for p in tmp_path.iterdir()
                 if ".staging." in p.name or ".tokens." in p.name] == []
+
+    @pytest.mark.parametrize("processes", [1, 3])
+    def test_a_missing_out_directory_is_named(self, tmp_path, children, capsys, processes):
+        # the first staging file, a child's at 3 processes, cannot be made
+        path, out = tmp_path / "v.vec", tmp_path / "missing" / "v.cavs"
+        path.write_text("a 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+        assert run(["cache-vectors", "--vectors", str(path), "--out", str(out),
+                    "--processes", str(processes)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'"]
+        assert children == [] and list(tmp_path.iterdir()) == [path]
 
     def test_pipe_is_refused(self, tmp_path, capsys):
         # the manifest hashes the input in a second read, which a pipe cannot give
@@ -1001,8 +1016,8 @@ class TestCacheProcesses:
     ])
     def test_a_child_that_fails_is_one_line_error(self, tmp_path, monkeypatch, children,
                                                   capsys, code, stderr, how):
-        # the first child fails; the second, still running, is killed, and the
-        # files of both are removed
+        # the first child fails, and the second, still running, is killed;
+        # their staging files have no name to remove
         killed = []
 
         class Failed:
@@ -1055,6 +1070,29 @@ class TestCacheProcesses:
         assert _cache_run(tmp_path, path, 3, capsys) == one
         assert len(passes) == 2 and passes[1] == [0, None]
         assert len(passes[0]) == 4 and passes[0][2] < len(TestCacheCommand.VECTORS)
+
+    def test_a_run_that_dies_leaves_no_file(self, tmp_path):
+        # the command's process exits while it parses the first range, with its
+        # two children started: `os._exit`, like SIGKILL, runs no `finally`
+        path = tmp_path / "v.vec"
+        path.write_text(TestCacheCommand.VECTORS, encoding="utf-8")
+        script = """if True:
+            import os, sys
+            from cadict import cli, embeddings
+            embeddings.MIN_RANGE_BYTES = 40
+            parse = embeddings._TextLoad.parse
+            def dying(load, *args):
+                if load.start == 0:
+                    os._exit(3)
+                parse(load, *args)
+            embeddings._TextLoad.parse = dying
+            cli.main(["cache-vectors", "--vectors", sys.argv[1], "--out", sys.argv[2],
+                      "--processes", "3"])
+        """
+        done = subprocess.run([sys.executable, "-B", "-c", script, str(path),
+                               str(tmp_path / "v.cavs")], env=python_env(), capture_output=True)
+        assert done.returncode == 3
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_a_killed_child_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(embeddings, "_CHILD",

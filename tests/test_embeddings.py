@@ -234,6 +234,10 @@ class TestBlockParser:
     @example(text="\ufeff2 3\na 1 0 0\n", block_lines=3, fold_case=True)
     @example(text="\n \n2 3\na 1 0 0\n", block_lines=1, fold_case=True)
     @example(text="2 1\n5 7\n", block_lines=1, fold_case=True)
+    # numpy parses every rest, but a record has no components, or the block
+    # has another width than the store's: the walk reads the text and errs
+    @example(text="a 1 0\nb\nc 1 1\n", block_lines=3, fold_case=True)
+    @example(text="a 1 0\nb 1 0 0\nc 1 0 1\n", block_lines=1, fold_case=True)
     def test_equals_the_line_loader(self, tmp_path, monkeypatch, text, block_lines, fold_case):
         path = tmp_path / "vectors.txt"
         path.write_text(text, encoding="utf-8")
