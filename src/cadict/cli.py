@@ -28,7 +28,7 @@ from cadict.embeddings import (
     load_cache,
     usable_cpus,
 )
-from cadict.errors import DataError, InfeasibleError, check_regular, write_json
+from cadict.errors import DataError, InfeasibleError, check_regular, write_json, writing
 from cadict.lexicon import PREDICTIONS, WORDS, load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
@@ -199,7 +199,7 @@ def _cmd_search(args) -> int:
         "manifest": manifest,
     })
     if args.out_landscape:
-        with open(args.out_landscape, "w", encoding="utf-8") as fh:
+        with writing(args.out_landscape), open(args.out_landscape, "w", encoding="utf-8") as fh:
             fh.write("x\ty\tz\tbest_r_s\n")
             for c in report.cells:
                 fh.write(f"{c.x}\t{c.y}\t{c.z}\t{c.best_r_s!r}\n")
@@ -227,7 +227,7 @@ def _cmd_rate(args) -> int:
 
     write_json(_sidecar(args.out), _manifest(args, None, {"fold_case": args.fold_case}))
     skip_path = _skipped(args.out)
-    with open(skip_path, "w", encoding="utf-8") as fh:
+    with writing(skip_path), open(skip_path, "w", encoding="utf-8") as fh:
         for token in summary.skipped_tokens:
             fh.write(token + "\n")
 

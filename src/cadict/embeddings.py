@@ -4,8 +4,9 @@ Vectors are L2-normalized once, when `cache_vectors` parses a text file into
 a binary cache, so that every later similarity is a plain dot product; the
 seed search downstream evaluates millions of them. Every run-time load reads
 that cache through `load_cache`, since parsing a multi-gigabyte text dump
-would otherwise dominate each run's start-up time. Every read, unit-norm check
-and copy of cache rows moves them in the pieces that `_pieces` cuts.
+would otherwise dominate each run's start-up time. It reads the header, the
+token list, then the rows. Every read, unit-norm check and copy of cache rows
+moves them in the pieces that `_pieces` cuts, some on a thread pool.
 
 A large text is parsed in byte ranges, each cut just after a ``\\n``, by
 several processes at once: this one parses the first range, and a child
@@ -31,7 +32,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import threading
 from array import array
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -41,7 +41,7 @@ from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from cadict.errors import DataError, open_text
+from cadict.errors import DataError, open_text, writing
 from cadict.metrics import pow2_scaled
 
 logger = logging.getLogger(__name__)
@@ -112,56 +112,30 @@ def _pieces(rows: Sequence[int], row_bytes: int) -> Iterator[tuple[int, int, int
             yield first + dst, dst, min(step, hi - dst)
 
 
-class _Blocks:
-    """`work(src, dst, rows)` over each of `pieces` (`_pieces`), on one thread
-    per usable CPU (`usable_cpus`), started at once; thread k takes pieces k,
-    k + threads, ... With one thread, or one piece, it starts none, and `finish`
-    does the work here. As a context it joins the threads on leaving, so that
-    no thread outlives an error raised meanwhile in this one."""
+@contextmanager
+def _threads(work: Callable[[int, int, int], None], pieces: list[tuple[int, int, int]]):
+    """`work(src, dst, rows)` over each of `pieces` (`_pieces`) on a pool of one
+    thread per usable CPU, at most one a piece, none of which outlives the
+    context. It yields a function that waits for every piece, raises the first
+    failing one's error and returns the thread count; it does the work itself
+    when one thread would run it, and none is started."""
+    threads = min(usable_cpus(), len(pieces))
+    if threads < 2:
+        def wait() -> int:
+            for piece in pieces:
+                work(*piece)
+            return 1
+        yield wait
+        return
+    from concurrent.futures import ThreadPoolExecutor  # not imported by a one-thread run
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [pool.submit(work, *piece) for piece in pieces]
 
-    def __init__(self, work: Callable[[int, int, int], None], pieces: list[tuple[int, int, int]]):
-        self.work, self.pieces = work, pieces
-        self.threads = min(usable_cpus(), len(pieces))
-        self.errors: dict[int, Exception] = {}  # by the number of the piece that raised
-        self.started: list[threading.Thread] = []
-        if self.threads > 1:
-            try:
-                for k in range(self.threads):
-                    thread = threading.Thread(target=self._blocks, args=(k, self.threads),
-                                              name=f"cadict-block-{k}")
-                    thread.start()
-                    self.started.append(thread)
-            except BaseException:
-                self.join()
-                raise
-
-    def _blocks(self, k: int, threads: int) -> None:
-        """Work on pieces k, k + threads, ... up to the first that raises."""
-        for i in range(k, len(self.pieces), threads):
-            try:
-                self.work(*self.pieces[i])
-            except Exception as exc:  # raised by `finish`, in the calling thread
-                self.errors[i] = exc
-                return
-
-    def join(self) -> None:
-        for thread in self.started:
-            thread.join()
-
-    def finish(self) -> None:
-        """Wait for the work, or do it here when no thread was started; the
-        first piece's error, if any piece raised one."""
-        if not self.started:
-            self._blocks(0, 1)
-        self.join()
-        if self.errors:
-            raise self.errors[min(self.errors)]
-
-    def __enter__(self) -> _Blocks:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.join()
+        def wait() -> int:
+            for future in futures:
+                future.result()
+            return threads
+        yield wait
 
 
 def _check_unit_rows(matrix: np.ndarray) -> None:
@@ -179,9 +153,7 @@ class VectorStore:
 
     Rows are float64 and L2-normalized; the matrix is marked read-only after
     construction, so no caller can change a published store. The unit-row
-    check runs over the matrix's `_pieces` on one thread per usable CPU
-    (`_Blocks`) while this thread checks the tokens and builds their index; a
-    matrix of one piece is checked in this thread.
+    check runs on the pool of `_threads` while this thread checks and indexes the tokens.
     """
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray, source_id: str,
@@ -191,8 +163,8 @@ class VectorStore:
         if matrix.shape[0] == 0:
             raise DataError(f"vector store from {source_id!r} is empty")
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        with _Blocks(lambda src, dst, rows: _check_unit_rows(matrix[dst:dst + rows]),
-                     list(_pieces(range(len(matrix)), matrix.shape[1] * 8))) as check:
+        with _threads(lambda src, dst, rows: _check_unit_rows(matrix[dst:dst + rows]),
+                      list(_pieces(range(len(matrix)), matrix.shape[1] * 8))) as check:
             self._tokens = tuple(tokens)
             # one split at C speed: NUL is no whitespace, so the joined tokens split
             # into themselves alone exactly when no token holds whitespace
@@ -204,7 +176,7 @@ class VectorStore:
             self._index = dict(zip(self._tokens, range(len(self._tokens))))
             if len(self._index) != len(self._tokens):
                 raise ValueError("duplicate tokens in store construction")
-            check.finish()
+            check()
         matrix.setflags(write=False)
         self._matrix = matrix
         self._source_id = source_id
@@ -400,7 +372,7 @@ class _TextLoad:
             _check_unit_rows(rows)
         except ValueError as exc:  # the check `VectorStore` would make
             raise DataError(f"{self.path}: {exc}") from exc
-        with _writing(self.out):
+        with writing(self.out):
             try:
                 self.staging.write(rows.astype("<f8", copy=False).data)
                 self.staging.flush()  # a failed write fails here, and is named
@@ -425,21 +397,11 @@ class _TextLoad:
                     self.block(lines)
 
 
-@contextmanager
-def _writing(out: Path):
-    """Name `out` in an OSError raised meanwhile: a failed write of its cache or
-    staging files names no file."""
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(out)) from exc
-
-
 def _staging(out: Path) -> BinaryIO:
     """A new file for rows staged for the cache `out`, in its directory: one with
     no name, so that it is gone once closed, also when the process is killed. A
     failure to make it names `out`."""
-    with _writing(out):
+    with writing(out):
         return tempfile.TemporaryFile(dir=out.parent)
 
 
@@ -456,7 +418,7 @@ def _write_cache(out: Path, tokens: Collection[str], dimension: int, source_id: 
     while piece := list(itertools.islice(rest, 1 << 14)):  # tokens a piece
         blob += (b"\n", "\n".join(piece).encode("utf-8"))
     del blob[:1]  # no newline before the first piece
-    with _writing(out), open(out, "wb") as fh:
+    with writing(out), open(out, "wb") as fh:
         fh.writelines([CACHE_MAGIC, struct.pack("<I", len(header_blob)), header_blob,
                        struct.pack("<Q", sum(map(len, blob))), *blob])
         rows(fh)
@@ -564,7 +526,8 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
     `_staging` file, which a child inherits as a descriptor; a child's other
     results, its kept tokens too, come in its summary. A `_Doubt` if the first
     range read no non-blank line, since the header may follow it. On leaving,
-    the children still running are killed."""
+    the children still running are killed; the kernel kills them once this
+    thread, which starts and waits for all of them, ends (`_end_with_parent`)."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     root = str(Path(__file__).resolve().parents[1])
     children = []
@@ -573,7 +536,7 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
             for start, stop in zip(cuts[1:], cuts[2:]):
                 staging = stack.enter_context(_staging(out))
                 fd = staging.fileno()
-                args = [str(path), start, stop, fold_case, BLOCK_LINES, str(out), fd]
+                args = [str(path), start, stop, fold_case, BLOCK_LINES, str(out), os.getpid(), fd]
                 child = subprocess.Popen(
                     [sys.executable, "-c", _CHILD, root, json.dumps(args)], env=env,
                     pass_fds=(fd,), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
@@ -612,14 +575,25 @@ def _summary(child: subprocess.Popen, path: Path, start: int, stop: int) -> dict
     return json.loads(stdout)
 
 
+def _end_with_parent(parent: int) -> None:
+    """Have the kernel kill this process once the thread that started it ends,
+    and exit now if its parent, the process `parent`, has ended already."""
+    import ctypes
+    import signal
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG, on Linux
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _range_child(args: str) -> None:
-    """A child process of `cache_vectors`. The JSON list `args` gives the bytes
-    ``[start, stop)`` of `path` to parse, and the inherited descriptor `staging`
-    that gets their unit rows, for the cache `out`. It prints the summary that
-    `_Merge.add` reads as one JSON line: the dimension of the range's records,
-    the drop counts, the undecided records, and its first error, named by its
-    range, or else its kept tokens in row order."""
-    path, start, stop, fold_case, block_lines, out, staging = json.loads(args)
+    """A child process of `cache_vectors`, which ends with the process `parent`.
+    The JSON list `args` gives the bytes ``[start, stop)`` of `path` to parse, and
+    the inherited descriptor `staging` that gets their unit rows, for the cache
+    `out`. It prints the summary that `_Merge.add` reads as one JSON line: the
+    dimension of the range's records, the drop counts, the undecided records, and
+    its first error, named by its range, or else its kept tokens in row order."""
+    path, start, stop, fold_case, block_lines, out, parent, staging = json.loads(args)
+    _end_with_parent(parent)
     with open(staging, "wb") as fh:
         load = _TextLoad(Path(path), fold_case, fh, Path(out), start, stop)
         error = None
@@ -746,19 +720,16 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
     version or dtype is not the one `save_cache` writes; a token-list error
     comes before one in the vector data.
 
-    Rows are read straight into their place in the matrix, one `_pieces`
-    piece a read. Without `vocab_filter`, the pieces are read on one thread per
-    usable CPU (`_Blocks`), started once the file's size matches its header,
-    while this thread decodes the token list; a cache of one piece, or one
-    usable CPU, is read in this thread after the tokens. With `vocab_filter`,
-    only the kept tokens and rows are held: the token list is split a piece at
-    a time (`_token_pieces`), and the kept rows' pieces are read in this
-    thread, since their many short reads ran slower on threads. `VectorStore`
-    then checks the rows, on threads too. At debug level it logs the rows read
-    and the threads that read them.
+    It reads in one sequence: the header, the token list a piece at a time
+    (`_token_pieces`), keeping only `vocab_filter`'s tokens, the count and size
+    checks, then the rows, one `_pieces` piece a ``preadv`` into the matrix. A
+    whole load reads on a pool of one thread per usable CPU (`_threads`); a
+    filtered load holds only the kept rows and reads them here, since their
+    many short reads ran slower on threads. `VectorStore` then checks the
+    rows. At debug level it logs the rows read and the threads that read them.
     """
     path = Path(path)
-    # unbuffered: the rows are read from its descriptor (`_read`), not through it
+    # unbuffered: the rows are read from its descriptor, not through it
     with open(path, "rb", buffering=0) as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise DataError(f"{path}: not a cadict vector cache: not a regular file")
@@ -783,41 +754,36 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
         (token_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "token length"))
         _check_left(fh, token_len, path, "token list")
         fd, data = fh.fileno(), fh.tell() + token_len
-        matrix = rows = None
-        if vocab_filter is not None:
-            rows = array("q")  # each kept token's row
-        elif os.fstat(fd).st_size == data + count * dim * 8:
-            matrix = np.empty((count, dim), dtype="<f8")
-        with ExitStack() as stack:
-            if matrix is not None:  # its pieces are read while the tokens are decoded
-                reads = stack.enter_context(_Blocks(
-                    lambda src, dst, n: _read(fd, matrix[dst:dst + n], data + src * dim * 8, path),
-                    list(_pieces(range(count), dim * 8))))
-            tokens: list[str] = []
-            total = 0
-            for piece in _token_pieces(fh, token_len, path):
-                if rows is None:
-                    tokens += piece
-                else:
-                    kept = list(map(vocab_filter.__contains__, piece))
-                    tokens += itertools.compress(piece, kept)
-                    rows.extend(itertools.compress(range(total, total + len(piece)), kept))
-                total += len(piece)
-            if total != count:
-                raise DataError(f"{path}: cache token count mismatch")
-            extra = _check_left(fh, count * dim * 8, path, "vector data")
-            if extra:
-                raise DataError(f"{path}: corrupt cache: {extra} bytes after the vector data")
-            if not tokens:
-                raise DataError(f"{path}: vocab filter removed every cached vector")
-            if matrix is None:
-                matrix = np.empty((len(tokens), dim), dtype="<f8")
-                for src, dst, n in _pieces(rows, dim * 8):
-                    _read(fd, matrix[dst:dst + n], data + src * dim * 8, path)
-                threads = 1
+        tokens: list[str] = []
+        rows = array("q")  # each kept token's row, with `vocab_filter`
+        total = 0
+        for piece in _token_pieces(fh, token_len, path):
+            if vocab_filter is None:
+                tokens += piece
             else:
-                reads.finish()
-                threads = reads.threads
+                kept = list(map(vocab_filter.__contains__, piece))
+                tokens += itertools.compress(piece, kept)
+                rows.extend(itertools.compress(range(total, total + len(piece)), kept))
+            total += len(piece)
+        if total != count:
+            raise DataError(f"{path}: cache token count mismatch")
+        extra = _check_left(fh, count * dim * 8, path, "vector data")
+        if extra:
+            raise DataError(f"{path}: corrupt cache: {extra} bytes after the vector data")
+        if not tokens:
+            raise DataError(f"{path}: vocab filter removed every cached vector")
+        matrix = np.empty((len(tokens), dim), dtype="<f8")
+
+        def read(src: int, dst: int, n: int) -> None:  # a preadv moves no file offset
+            if os.preadv(fd, [matrix[dst:dst + n]], data + src * dim * 8) != n * dim * 8:
+                raise DataError(f"{path}: cache truncated in the vector data")
+        if vocab_filter is None:
+            with _threads(read, list(_pieces(range(count), dim * 8))) as reads:
+                threads = reads()
+        else:
+            for piece in _pieces(rows, dim * 8):
+                read(*piece)
+            threads = 1
         logger.debug("%s: %d rows read on %d thread%s", path, len(matrix), threads,
                      "" if threads == 1 else "s")
 
@@ -826,13 +792,6 @@ def load_cache(path: str | Path, vocab_filter: set[str] | None = None) -> Vector
         return VectorStore(tokens, matrix, source_id=source_id, load_report=report)
     except ValueError as exc:  # blank or duplicate tokens, rows not unit length
         raise DataError(f"{path}: corrupt cache: {exc}") from exc
-
-
-def _read(fd: int, part: np.ndarray, offset: int, path: Path) -> None:
-    """Fill the contiguous `part` with the bytes at `offset` of the file `fd`:
-    one ``preadv``, which moves neither the file's offset nor any other read's."""
-    if os.preadv(fd, [part], offset) != part.nbytes:
-        raise DataError(f"{path}: cache truncated in the vector data")
 
 
 def open_store(path: str | Path, vocab_filter: set[str] | None = None) -> VectorStore:

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the UTF-8 text opener of a file
 or a byte range of it that maps undecodable input onto them, the regular-file
-check of an input that is read twice, and the strict writer of every JSON
-output."""
+check of an input that is read twice, the context that names the path of a
+failed write, and the strict writer of every JSON output."""
 
 from __future__ import annotations
 
@@ -82,9 +82,19 @@ def check_regular(path: str | Path, reads: str) -> None:
         raise DataError(f"{path}: not a regular file; it is read twice, {reads}")
 
 
+@contextmanager
+def writing(path: str | Path) -> Iterator[None]:
+    """Name `path` in an OSError raised meanwhile: a failed write, such as one
+    past a file-size limit, names no file."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def write_json(path: str | Path, doc: dict) -> None:
     """Write `doc` as indented JSON; NaN and infinity are not JSON, so they are
-    a ValueError raised before the file is opened."""
+    a ValueError raised before the file is opened. A failed write names `path`."""
     text = json.dumps(doc, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -81,14 +81,16 @@ def children(monkeypatch):
     """`cache_vectors` cuts any file of two bytes or more into ranges, and its
     children run their body, `_range_child`, in this process as they start. A
     child writes its rows to a duplicate of the staging descriptor that it would
-    inherit, since it closes the descriptor it is given. The list it returns
-    gets each child's ``(start, stop)`` byte range."""
+    inherit, since it closes the descriptor it is given, and it is given this
+    process as its parent, whose death signal it does not set. The list it
+    returns gets each child's ``(start, stop)`` byte range."""
     started = []
 
     class Child:
         def __init__(self, argv, **kwargs):
             args = json.loads(argv[-1])
             started.append((args[1], args[2]))
+            assert args[-2] == os.getpid()  # the parent that it ends with
             args[-1] = os.dup(args[-1])
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -103,6 +105,7 @@ def children(monkeypatch):
             pass
 
     monkeypatch.setattr(subprocess, "Popen", Child)
+    monkeypatch.setattr(embeddings, "_end_with_parent", lambda parent: None)
     monkeypatch.setattr(embeddings, "MIN_RANGE_BYTES", 1)
     return started
 

@@ -5,9 +5,11 @@ import math
 import os
 import re
 import resource
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -47,6 +49,21 @@ def python_env():
     src = str(Path(cadict.__file__).parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_limited(argv, limit):
+    """Run the CLI in a subprocess whose files may grow to `limit` bytes. The
+    limit is set in the command's process: Python ignores SIGXFSZ, so the first
+    write past the limit fails with EFBIG."""
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "cadict.cli", *argv], env=python_env(),
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+
+
+def too_large(path):
+    """The error line of a write of `path` past the file-size limit."""
+    return f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{path}'\n"
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +112,15 @@ def search_args(corpus, outdir, **extra):
 def test_every_public_name_resolves():
     # a stale __all__ entry breaks `from cadict import *`
     assert [name for name in cadict.__all__ if not hasattr(cadict, name)] == []
+
+
+def test_importing_the_cli_imports_no_thread_pool():
+    # only a cache load or store check on two threads or more imports it
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cadict.cli; print('concurrent.futures' in sys.modules)"],
+        env=python_env(), capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_the_public_store_reader_reads_a_cache():
@@ -260,6 +286,15 @@ class TestSearchCommand:
         assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
             "ee673a808dfe1066cecf13e89a80f635b98426a58b31bbfae48e4e5a5df3bc57"
 
+    def test_a_failed_report_write_names_the_report(self, corpus, tmp_path):
+        # the report, of about 5.9 kB, is the first file that search writes
+        out = tmp_path / "report.json"
+        done = run_limited(search_args(corpus, tmp_path), 4096)
+        # the other lines on standard error are the sweep's progress records
+        errors = [line for line in done.stderr.splitlines(keepends=True)
+                  if not line.startswith("INFO ")]
+        assert (done.returncode, errors) == (EXIT_DATA, [too_large(out)])
+
     def test_usage_error_exits_1(self, corpus, tmp_path, capsys):
         assert run(["search", "--ratings", "r.tsv"]) == EXIT_USAGE
         assert run(["bogus-command"]) == EXIT_USAGE
@@ -312,6 +347,13 @@ class TestRateCommand:
         assert len(lines) == len(corpus["tokens"])
         assert (tmp_path / "dict.tsv.manifest.json").exists()
         assert (tmp_path / "dict.tsv.skipped.txt").read_text() == ""
+
+    def test_a_failed_write_names_the_dictionary(self, corpus, core_file, tmp_path):
+        # the dictionary, of about 2 kB, is the first file that rate writes
+        out = tmp_path / "dict.tsv"
+        done = run_limited(["rate", "--core", str(core_file), "--vectors", str(corpus["vectors"]),
+                            "--out", str(out)], 1000)
+        assert (done.returncode, done.stderr) == (EXIT_DATA, too_large(out))
 
     def test_rate_word_list_with_oov(self, corpus, core_file, tmp_path):
         words = tmp_path / "words.txt"
@@ -710,20 +752,14 @@ class TestCacheCommand:
         pytest.param(165_000, id="cache"),  # over them, under the cache's 171,000
     ])
     def test_a_failed_write_names_the_out_file(self, tmp_path, limit):
-        # a file-size limit set in the command's process: Python ignores
-        # SIGXFSZ, so the first write past the limit fails with EFBIG
         path, out = tmp_path / "v.vec", tmp_path / "v.cavs"
         rng = np.random.default_rng(13)
         path.write_text("".join(f"w{i} {' '.join(map(str, row))}\n" for i, row in
                                 enumerate(rng.normal(size=(2000, 10)).round(3).tolist())),
                         encoding="utf-8")
-        done = subprocess.run(
-            [sys.executable, "-B", "-m", "cadict.cli", "cache-vectors", "--vectors", str(path),
-             "--out", str(out), "--processes", "1"],
-            env=python_env(), capture_output=True, text=True,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
-        assert (done.returncode, done.stderr) == (
-            EXIT_DATA, f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{out}'\n")
+        done = run_limited(["cache-vectors", "--vectors", str(path), "--out", str(out),
+                            "--processes", "1"], limit)
+        assert (done.returncode, done.stderr) == (EXIT_DATA, too_large(out))
         assert [p.name for p in tmp_path.iterdir()
                 if ".staging." in p.name or ".tokens." in p.name] == []
 
@@ -1103,6 +1139,67 @@ class TestCacheProcesses:
         assert _cache_run(tmp_path, path, 2, capsys) == (
             EXIT_DATA, f"error: {path}: the process parsing bytes 6-12 was killed by signal 9\n",
             {}, ["v.vec"])
+
+
+    def test_a_child_ends_with_its_killed_parent(self, tmp_path):
+        # every Python process started here runs this sitecustomize.py: ranges
+        # are cut at 4 kB, and a child writes its pid in its first block, then
+        # sleeps a minute there; the command's process is killed by SIGKILL
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text("""if True:
+            import os, time
+            from cadict import embeddings
+            embeddings.MIN_RANGE_BYTES = 1 << 12
+            block = embeddings._TextLoad.block
+            def slow(load, numbered):
+                if load.start:
+                    pid = os.environ["CHILD_PID"]
+                    with open(pid + ".part", "w") as fh:
+                        fh.write(str(os.getpid()))
+                    os.replace(pid + ".part", pid)
+                    time.sleep(60)
+                block(load, numbered)
+            embeddings._TextLoad.block = slow
+        """, encoding="utf-8")
+        path, pid = tmp_path / "v.vec", tmp_path / "child.pid"
+        rng = np.random.default_rng(17)
+        path.write_text("".join(f"w{i} {' '.join(map(str, row))}\n" for i, row in
+                                enumerate(rng.normal(size=(400, 10)).round(3).tolist())),
+                        encoding="utf-8")
+        env = python_env()
+        env.update(PYTHONPATH=os.pathsep.join([str(site), env["PYTHONPATH"]]), CHILD_PID=str(pid))
+        parent = subprocess.Popen(
+            [sys.executable, "-B", "-m", "cadict.cli", "cache-vectors", "--vectors", str(path),
+             "--out", str(tmp_path / "v.cavs"), "--processes", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        child = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid.exists():
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            child = int(pid.read_text())
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 1
+            while not _ended(child):
+                assert time.monotonic() < deadline, "the child outlived its parent by 1 s"
+                time.sleep(0.01)
+        finally:
+            parent.kill()
+            parent.wait()
+            if child is not None and not _ended(child):
+                os.kill(child, signal.SIGKILL)
+
+
+def _ended(pid):
+    """Whether the process `pid` has ended: it is gone, or a zombie not yet reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 @pytest.mark.parametrize("reader", ["ratings", "freq", "pred", "words", "vectors", "core"])

@@ -910,11 +910,10 @@ class TestCache:
                      "cache token count mismatch", id="count"),
     ])
     @pytest.mark.parametrize("data", ["whole", "short", "long"])
-    def test_token_list_error_waits_for_the_reads(self, tmp_path, monkeypatch, tokens, error,
-                                                  data):
-        # the rows are read on threads while the token list is decoded: its error
-        # is raised once every block is read, and leaves no thread behind; a
-        # cache whose vector data is short or long starts no read before it
+    def test_a_token_list_error_reads_no_rows(self, tmp_path, monkeypatch, tokens, error,
+                                              data):
+        # the token list is decoded and checked before any row is read, whether
+        # the vector data is whole, short or long, and no thread is started
         monkeypatch.setattr(embeddings, "CHUNK_BYTES", 7 * 6 * 8)
         monkeypatch.setattr(embeddings, "usable_cpus", lambda: 3)
         rows = np.eye(6)[np.arange(50) % 6].tobytes()
@@ -924,19 +923,38 @@ class TestCache:
         cache.write_bytes(self._cache_bytes(header, tokens, rows))
         preadv, reads = os.preadv, []
 
-        def slow_preadv(*args):
-            time.sleep(0.02)
-            reads.append(threading.current_thread())
+        def spy(*args):
+            reads.append(args[2])
             return preadv(*args)
 
-        monkeypatch.setattr(os, "preadv", slow_preadv)
+        monkeypatch.setattr(os, "preadv", spy)
         before = threading.active_count()
         with pytest.raises(DataError) as exc:
             load_cache(cache)
         assert threading.active_count() == before
         assert str(exc.value) == f"{cache}: {error}"
-        assert len(reads) == (8 if data == "whole" else 0)
-        assert threading.current_thread() not in reads
+        assert reads == []
+
+    def test_a_short_read_on_a_thread_is_truncation(self, tmp_path, monkeypatch):
+        # a whole load on 3 threads whose read of rows 21-27, a middle piece,
+        # comes up short: the load names the vector data, and joins its threads
+        cache, _ = self._blocks_cache(tmp_path, monkeypatch)
+        monkeypatch.setattr(embeddings, "usable_cpus", lambda: 3)
+        short = cache.stat().st_size - (50 - 21) * 6 * 8
+        preadv, reads = os.preadv, []
+
+        def spy(fd, buffers, offset):
+            reads.append((offset, threading.current_thread()))
+            return preadv(fd, buffers, offset) - 8 * (offset == short)
+
+        monkeypatch.setattr(os, "preadv", spy)
+        before = threading.active_count()
+        with pytest.raises(DataError) as exc:
+            load_cache(cache)
+        assert threading.active_count() == before
+        assert str(exc.value) == f"{cache}: cache truncated in the vector data"
+        assert short in [offset for offset, _ in reads]
+        assert threading.current_thread() not in [thread for _, thread in reads]
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("bad", [0, 20, 49])
@@ -950,7 +968,7 @@ class TestCache:
             with pytest.raises(ValueError, match="^store rows must be unit-normalized$"):
                 VectorStore(saved.tokens, matrix, source_id="x")
 
-    def test_the_first_failing_block_raises(self, monkeypatch):
+    def test_the_first_failing_piece_raises(self, monkeypatch):
         # pieces of one row on more threads than CPUs, switching threads often:
         # every piece from row 10 on raises, and row 10's error is the one seen
         monkeypatch.setattr(embeddings, "usable_cpus", lambda: 4)
@@ -961,18 +979,21 @@ class TestCache:
                 raise ValueError(dst)
             done.append(dst)
 
+        pieces = list(embeddings._pieces(range(40), embeddings.CHUNK_BYTES))
+        before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 done.clear()
-                blocks = embeddings._Blocks(
-                    work, list(embeddings._pieces(range(40), embeddings.CHUNK_BYTES)))
-                assert blocks.threads == 4
                 with pytest.raises(ValueError) as exc:
-                    blocks.finish()
+                    with embeddings._threads(work, pieces) as wait:
+                        wait()
                 assert exc.value.args == (10,)
                 assert sorted(done) == list(range(10))
+                assert threading.active_count() == before
+            with embeddings._threads(work, pieces[:10]) as wait:
+                assert wait() == 4
         finally:
             sys.setswitchinterval(interval)
 
