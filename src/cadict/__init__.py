@@ -6,7 +6,7 @@ expert-rated words, then extrapolate ratings to any vocabulary through
 cosine-similarity ratios against the core.
 """
 
-from cadict.embeddings import VectorStore, load_cache
+from cadict.embeddings import VectorStore, cache_vectors, load_cache
 from cadict.errors import CadictError, DataError, InfeasibleError
 from cadict.lexicon import (
     BaseDictionary,
@@ -64,6 +64,7 @@ __all__ = [
     "average_ranks",
     "binary_accuracy",
     "build_dictionary",
+    "cache_vectors",
     "evaluate_ratings",
     "load_cache",
     "load_core",

@@ -28,7 +28,7 @@ from cadict.embeddings import (
     load_cache,
     usable_cpus,
 )
-from cadict.errors import DataError, InfeasibleError, check_regular, write_json, writing
+from cadict.errors import DataError, InfeasibleError, check_regular, output, sidecar, write_json
 from cadict.lexicon import PREDICTIONS, WORDS, load_frequencies, load_ratings, read_table
 from cadict.metrics import evaluate_ratings
 from cadict.rater import build_dictionary, load_core, save_core
@@ -96,13 +96,9 @@ def _manifest(args, rng_seed: int | None, config: dict) -> dict:
     }
 
 
-def _sidecar(out_path: str | Path) -> str:
-    return str(out_path) + ".manifest.json"
-
-
 def _with_sidecar(out_path: str | Path | None) -> list[str | Path]:
     """An optional output and its sidecar, as paths the command writes."""
-    return [out_path, _sidecar(out_path)] if out_path else []
+    return [out_path, sidecar(out_path)] if out_path else []
 
 
 def _skipped(out_path: str | Path) -> str:
@@ -199,11 +195,10 @@ def _cmd_search(args) -> int:
         "manifest": manifest,
     })
     if args.out_landscape:
-        with writing(args.out_landscape), open(args.out_landscape, "w", encoding="utf-8") as fh:
-            fh.write("x\ty\tz\tbest_r_s\n")
-            for c in report.cells:
-                fh.write(f"{c.x}\t{c.y}\t{c.z}\t{c.best_r_s!r}\n")
-        write_json(_sidecar(args.out_landscape), manifest)
+        with output(args.out_landscape) as fh:
+            fh.writelines(["x\ty\tz\tbest_r_s\n",
+                           *(f"{c.x}\t{c.y}\t{c.z}\t{c.best_r_s!r}\n" for c in report.cells)])
+        write_json(sidecar(args.out_landscape), manifest)
 
     print(f"cells evaluated: {len(report.cells)} (skipped: {len(report.skipped)})")
     print(f"best r_s = {best.best_r_s:.4f} at X={best.x} Y={best.y} Z={best.z}")
@@ -224,12 +219,10 @@ def _cmd_rate(args) -> int:
         vocab_filter = set(words) | set(core.seed_abstract) | set(core.seed_concrete)
     store = load_cache(args.vectors, vocab_filter=vocab_filter)
     summary = build_dictionary(core, words, store, args.out)
-
-    write_json(_sidecar(args.out), _manifest(args, None, {"fold_case": args.fold_case}))
     skip_path = _skipped(args.out)
-    with writing(skip_path), open(skip_path, "w", encoding="utf-8") as fh:
-        for token in summary.skipped_tokens:
-            fh.write(token + "\n")
+    with output(skip_path) as fh:
+        fh.writelines(token + "\n" for token in summary.skipped_tokens)
+    write_json(sidecar(args.out), _manifest(args, None, {"fold_case": args.fold_case}))
 
     print(f"rated {summary.rated} word(s) -> {args.out}")
     print(f"skipped {summary.skipped} out-of-vocabulary word(s) -> {skip_path}")
@@ -283,7 +276,7 @@ def _cmd_cache_vectors(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
     report, dimension = cache_vectors(args.vectors, out, fold_case=args.fold_case,
                                       processes=args.processes)
-    write_json(_sidecar(out), _manifest(args, None, {"fold_case": args.fold_case}))
+    write_json(sidecar(out), _manifest(args, None, {"fold_case": args.fold_case}))
     print(f"cached {report.accepted} vector(s) of dimension {dimension} -> {out}")
     _print_drops(args.vectors, report)
     return EXIT_OK

@@ -41,7 +41,7 @@ from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from cadict.errors import DataError, open_text, writing
+from cadict.errors import DataError, open_text, output, writing
 from cadict.metrics import pow2_scaled
 
 logger = logging.getLogger(__name__)
@@ -380,19 +380,16 @@ class _TextLoad:
                 self.staging.raw.close()  # so that closing the file writes, and fails, no more
                 raise
 
-    def parse(self, block_lines: int | None = None) -> None:
-        """Read the range through `block`, `block_lines` lines at a time (by
-        default `BLOCK_LINES`), as UTF-8 with an optional byte-order mark at the
-        start of the file. In a range after the first, line numbers count from
-        the range's start."""
-        block_lines = block_lines or BLOCK_LINES
+    def parse(self) -> None:
+        """Read the range through `block`, `BLOCK_LINES` lines at a time, as UTF-8 with a
+        byte-order mark allowed at offset 0; line numbers count from the range's start."""
         # a finite record's squares may overflow; `rows` rescales it
         with open_text(self.path, self.start, self.stop) as fh, np.errstate(over="ignore"):
             numbered = enumerate(fh, start=1)
             for first in numbered:
                 lines = [first]
                 try:
-                    lines.extend(itertools.islice(numbered, block_lines - 1))
+                    lines.extend(itertools.islice(numbered, BLOCK_LINES - 1))
                 finally:  # the lines read before an undecodable one still count, and err, first
                     self.block(lines)
 
@@ -407,10 +404,10 @@ def _staging(out: Path) -> BinaryIO:
 
 def _write_cache(out: Path, tokens: Collection[str], dimension: int, source_id: str,
                  rows: Callable[[BinaryIO], object]) -> None:
-    """Write a cache to `out`: the magic, the header and the token list, then
-    its rows, which `rows(fh)` writes. The tokens are encoded once, a piece at
-    a time, so the list's bytes are held once and never beside one joined str
-    of every token. A failed write is an OSError naming `out`."""
+    """Write a cache that replaces `out` once whole (`errors.output`): the magic,
+    the header and the token list, then its rows, which `rows(fh)` writes. The
+    tokens are encoded once, a piece at a time, so the list's bytes are held once
+    and never beside one joined str of every token."""
     header_blob = json.dumps({**CACHE_FORMAT, "dimension": dimension, "count": len(tokens),
                               "source_id": source_id}, sort_keys=True).encode("utf-8")
     rest = iter(tokens)
@@ -418,14 +415,15 @@ def _write_cache(out: Path, tokens: Collection[str], dimension: int, source_id: 
     while piece := list(itertools.islice(rest, 1 << 14)):  # tokens a piece
         blob += (b"\n", "\n".join(piece).encode("utf-8"))
     del blob[:1]  # no newline before the first piece
-    with writing(out), open(out, "wb") as fh:
+    with output(out, binary=True) as fh:
         fh.writelines([CACHE_MAGIC, struct.pack("<I", len(header_blob)), header_blob,
                        struct.pack("<Q", sum(map(len, blob))), *blob])
         rows(fh)
 
 
 def save_cache(store: VectorStore, path: str | Path) -> None:
-    """Write a binary cache of `store`; loads back via `load_cache` byte-exactly."""
+    """Write a binary cache of `store`, which replaces `path` only once it is
+    whole; loads back via `load_cache` byte-exactly."""
     _write_cache(Path(path), store.tokens, store.dimension, store.source_id,
                  lambda fh: fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data))
 
@@ -455,8 +453,8 @@ def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
     of rows are held. The unit rows are staged in nameless files in `out`'s
     directory (`_staging`), about the matrix's bytes, which are gone when the
     parse ends, however it ends; once it has succeeded, they are copied by the
-    kernel (`_copy_rows`) after the header and the tokens. `out` is not opened
-    before then. A failed write is an OSError naming `out`."""
+    kernel (`_copy_rows`) after the header and the tokens. The new cache replaces
+    `out` only once it is whole; a failed write is an OSError naming `out`."""
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     path, out = Path(path), Path(out)
@@ -536,7 +534,7 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
             for start, stop in zip(cuts[1:], cuts[2:]):
                 staging = stack.enter_context(_staging(out))
                 fd = staging.fileno()
-                args = [str(path), start, stop, fold_case, BLOCK_LINES, str(out), os.getpid(), fd]
+                args = [str(path), start, stop, fold_case, str(out), os.getpid(), fd]
                 child = subprocess.Popen(
                     [sys.executable, "-c", _CHILD, root, json.dumps(args)], env=env,
                     pass_fds=(fd,), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
@@ -592,13 +590,13 @@ def _range_child(args: str) -> None:
     `out`. It prints the summary that `_Merge.add` reads as one JSON line: the
     dimension of the range's records, the drop counts, the undecided records, and
     its first error, named by its range, or else its kept tokens in row order."""
-    path, start, stop, fold_case, block_lines, out, parent, staging = json.loads(args)
+    path, start, stop, fold_case, out, parent, staging = json.loads(args)
     _end_with_parent(parent)
     with open(staging, "wb") as fh:
         load = _TextLoad(Path(path), fold_case, fh, Path(out), start, stop)
         error = None
         try:
-            load.parse(block_lines)
+            load.parse()
         except DataError as exc:
             error = f"bytes {start}-{stop}: {exc}"  # its line numbers count from `start`
     print(json.dumps({"dimension": load.dimension, "drops": load.drops,

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the UTF-8 text opener of a file
 or a byte range of it that maps undecodable input onto them, the regular-file
-check of an input that is read twice, the context that names the path of a
-failed write, and the strict writer of every JSON output."""
+check of an input that is read twice, the context that names the path of a failed
+write, the one opener of an output path, and the strict JSON writer."""
 
 from __future__ import annotations
 
@@ -84,17 +84,50 @@ def check_regular(path: str | Path, reads: str) -> None:
 
 @contextmanager
 def writing(path: str | Path) -> Iterator[None]:
-    """Name `path` in an OSError raised meanwhile: a failed write, such as one
-    past a file-size limit, names no file."""
+    """Name `path` in an OSError raised meanwhile: a failed write's names no file."""
     try:
         yield
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+def sidecar(path: str | Path) -> str:
+    return str(path) + ".manifest.json"
+
+
+@contextmanager
+def output(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A new hidden file beside the output `path`, UTF-8 text unless `binary`, that
+    replaces it whole when the block ends, after removing `path`'s stale `sidecar`,
+    or is removed if the block raises (KeyboardInterrupt too). It has `open`'s mode
+    or a regular `path`'s, and replaces a symlink's target; a FIFO or other
+    non-regular file is written in place. A failed write is an OSError naming `path`."""
+    mode, encoding = ("b", None) if binary else ("", "utf-8")
+    with writing(path):
+        old = os.stat(path) if os.path.exists(path) else None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            with open(path, "w" + mode, encoding=encoding) as fh:
+                yield fh
+            return
+        head, name = os.path.split(os.path.realpath(path))
+        tmp = os.path.join(head, f".{name[:60]}.{os.urandom(4).hex()}.tmp")  # 254 bytes at most
+        fh = open(tmp, "x" + mode, encoding=encoding)
+        try:
+            with fh:
+                if old is not None:
+                    os.chmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+                yield fh
+            if os.path.lexists(sidecar(path)):  # False, not an error, for a name too long
+                os.remove(sidecar(path))
+            os.replace(tmp, os.path.join(head, name))
+        except BaseException:
+            os.remove(tmp)
+            raise
+
+
 def write_json(path: str | Path, doc: dict) -> None:
-    """Write `doc` as indented JSON; NaN and infinity are not JSON, so they are
-    a ValueError raised before the file is opened. A failed write names `path`."""
+    """Write `doc` as indented JSON through `output`; NaN and infinity are not
+    JSON, so they are a ValueError raised before the file is made."""
     text = json.dumps(doc, indent=2, allow_nan=False)
-    with writing(path), open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         fh.write(text + "\n")

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from cadict.embeddings import VectorStore
-from cadict.errors import DataError, open_text, write_json, writing
+from cadict.errors import DataError, open_text, output, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -151,10 +151,10 @@ def build_dictionary(core: SemanticCore, vocab: Iterable[str] | None,
     Row format: token, raw rating (9 significant digits), scaled rating
     (3 decimals), flags (`-` when none), tab separated. Each chunk of
     `DICTIONARY_CHUNK_ROWS` rows is formatted by one `%` and written at once.
-    A failed write names `out`.
+    The file replaces `out` only once it is whole; a failed write names `out`.
     """
     batch = rate_all(vocab, core, store)
-    with writing(out), open(out, "w", encoding="utf-8") as fh:
+    with output(out) as fh:
         for start in range(0, len(batch.tokens), DICTIONARY_CHUNK_ROWS):
             stop = min(start + DICTIONARY_CHUNK_ROWS, len(batch.tokens))
             cells = ["-"] * (4 * (stop - start))  # a row not floored keeps its "-" flag

@@ -3,8 +3,9 @@
 # --processes 1 and 2, where the child process imports the package afresh. The
 # valid text must be cached from merged byte ranges, with the cache and
 # manifest of one process. The same text with one bad record in its second half
-# must exit 2 with one process's single `error:` line at both counts, and leave
-# no cache, staging or tokens file. A run killed by SIGKILL while its child
+# must exit 2 with one process's single `error:` line at both counts, leave the
+# valid cache already at its --out as it was, and leave no manifest, staging,
+# tokens or hidden temporary file. A run killed by SIGKILL while its child
 # parses must leave no file either, and its child must end within 2 s.
 # It runs the installed `cadict` script, or the command in $CADICT, such as
 #   CADICT="python -m cadict.cli" PYTHONPATH="$PWD/src" sh tests/byte_ranges.sh
@@ -32,6 +33,7 @@ grep -q ': 2 byte ranges, 1 of them in child processes$' err.txt
 test "$(grep -c 'byte ranges not merged' err.txt)" -eq 0
 cmp big1.cavs big2.cavs
 cmp big1.cavs.manifest.json big2.cavs.manifest.json
+cp big1.cavs bad.cavs
 for processes in 1 2; do
     code=0
     $cadict cache-vectors --vectors bad.vec --out bad.cavs --processes "$processes" \
@@ -42,7 +44,10 @@ for processes in 1 2; do
     grep -q '^error: bad\.vec: line [0-9]*: expected 50 components, found 3$' "bad$processes.txt"
 done
 cmp bad1.txt bad2.txt
-test "$(ls | grep -c -e '^bad\.cavs' -e '\.staging\.' -e '\.tokens\.')" -eq 0
+cmp big1.cavs bad.cavs
+# the writer's temporary file is hidden: .<name>.<random>.tmp
+test "$(ls -A | grep -c -e '^bad\.cavs\.' -e '\.staging\.' -e '\.tokens\.' -e '^\..*\.tmp$')" \
+    -eq 0
 # the child is started with the path, so `pgrep -f` finds it once orphaned
 $cadict -v cache-vectors --vectors "$dir/big.vec" --out killed.cavs --processes 2 \
     2> killed.txt &
@@ -63,5 +68,6 @@ while pgrep -f "$dir/big.vec" > /dev/null; do  # the kernel kills it with its pa
     test "$tries" -le 20 || { pkill -9 -f "$dir/big.vec"; exit 1; }  # 2 s
     sleep 0.1
 done
-test "$(ls | grep -c -e '^killed\.cavs' -e '\.staging\.' -e '\.tokens\.')" -eq 0
+test "$(ls -A | grep -c -e '^killed\.cavs' -e '\.staging\.' -e '\.tokens\.' -e '^\..*\.tmp$')" \
+    -eq 0
 echo "byte ranges: ok"

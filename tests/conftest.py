@@ -3,13 +3,32 @@ import io
 import json
 import os
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cadict
 from cadict import embeddings
 from cadict.embeddings import VectorStore, cache_vectors, load_vectors
 from cadict.lexicon import FrequencyList, RatingLexicon
+
+
+def python_env():
+    """The environment for a Python subprocess that imports this cadict."""
+    src = str(Path(cadict.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def listing(directory):
+    """The names in `directory`, hidden ones too, sorted."""
+    return sorted(os.listdir(directory))
+
+
+def contents(directory):
+    """The bytes of each file in `directory`, hidden ones too, by name."""
+    return {name: (directory / name).read_bytes() for name in listing(directory)}
 
 
 def write_vec_file(path, records, header=False):

@@ -33,7 +33,7 @@ from cadict.lexicon import load_frequencies, load_ratings
 from cadict.rater import SemanticCore, load_core
 from cadict.search import SearchConfig
 
-from conftest import cache_from_records
+from conftest import cache_from_records, contents, python_env
 
 
 def run(argv):
@@ -42,13 +42,6 @@ def run(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
-
-
-def python_env():
-    """The environment for a Python subprocess that imports this cadict."""
-    src = str(Path(cadict.__file__).parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run_limited(argv, limit):
@@ -125,7 +118,7 @@ def test_importing_the_cli_imports_no_thread_pool():
 
 def test_the_public_store_reader_reads_a_cache():
     # text is parsed by `cadict cache-vectors` alone; a caller loads its cache
-    assert "load_cache" in cadict.__all__
+    assert {"load_cache", "cache_vectors"} <= set(cadict.__all__)
     assert not {"load_vectors", "open_store"} & set(cadict.__all__)
 
 
@@ -287,13 +280,17 @@ class TestSearchCommand:
             "ee673a808dfe1066cecf13e89a80f635b98426a58b31bbfae48e4e5a5df3bc57"
 
     def test_a_failed_report_write_names_the_report(self, corpus, tmp_path):
-        # the report, of about 5.9 kB, is the first file that search writes
+        # the report, of about 5.9 kB, is the first file that search writes; it
+        # and the core of an earlier run are left as they were, with no new file
         out = tmp_path / "report.json"
+        assert run(search_args(corpus, tmp_path)) == EXIT_OK
+        old = contents(tmp_path)
         done = run_limited(search_args(corpus, tmp_path), 4096)
         # the other lines on standard error are the sweep's progress records
         errors = [line for line in done.stderr.splitlines(keepends=True)
                   if not line.startswith("INFO ")]
         assert (done.returncode, errors) == (EXIT_DATA, [too_large(out)])
+        assert contents(tmp_path) == old
 
     def test_usage_error_exits_1(self, corpus, tmp_path, capsys):
         assert run(["search", "--ratings", "r.tsv"]) == EXIT_USAGE
@@ -349,11 +346,17 @@ class TestRateCommand:
         assert (tmp_path / "dict.tsv.skipped.txt").read_text() == ""
 
     def test_a_failed_write_names_the_dictionary(self, corpus, core_file, tmp_path):
-        # the dictionary, of about 2 kB, is the first file that rate writes
+        # the dictionary, of about 2 kB, is the first file that rate writes; an
+        # earlier run's dictionary and the sidecar that describes it are left as
+        # they were, with no new file
         out = tmp_path / "dict.tsv"
-        done = run_limited(["rate", "--core", str(core_file), "--vectors", str(corpus["vectors"]),
-                            "--out", str(out)], 1000)
+        argv = ["rate", "--core", str(core_file), "--vectors", str(corpus["vectors"]),
+                "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        old = contents(tmp_path)
+        done = run_limited(argv, 1000)
         assert (done.returncode, done.stderr) == (EXIT_DATA, too_large(out))
+        assert contents(tmp_path) == old
 
     def test_rate_word_list_with_oov(self, corpus, core_file, tmp_path):
         words = tmp_path / "words.txt"
@@ -752,16 +755,19 @@ class TestCacheCommand:
         pytest.param(165_000, id="cache"),  # over them, under the cache's 171,000
     ])
     def test_a_failed_write_names_the_out_file(self, tmp_path, limit):
+        # an earlier run's cache and manifest are left as they were, with no
+        # staging or new file beside them
         path, out = tmp_path / "v.vec", tmp_path / "v.cavs"
         rng = np.random.default_rng(13)
         path.write_text("".join(f"w{i} {' '.join(map(str, row))}\n" for i, row in
                                 enumerate(rng.normal(size=(2000, 10)).round(3).tolist())),
                         encoding="utf-8")
-        done = run_limited(["cache-vectors", "--vectors", str(path), "--out", str(out),
-                            "--processes", "1"], limit)
+        argv = ["cache-vectors", "--vectors", str(path), "--out", str(out), "--processes", "1"]
+        assert run(argv) == EXIT_OK
+        old = contents(tmp_path)
+        done = run_limited(argv, limit)
         assert (done.returncode, done.stderr) == (EXIT_DATA, too_large(out))
-        assert [p.name for p in tmp_path.iterdir()
-                if ".staging." in p.name or ".tokens." in p.name] == []
+        assert contents(tmp_path) == old
 
     @pytest.mark.parametrize("processes", [1, 3])
     def test_a_missing_out_directory_is_named(self, tmp_path, children, capsys, processes):
@@ -1074,9 +1080,15 @@ class TestCacheProcesses:
             EXIT_DATA, f"error: {path}: the process parsing bytes 6-12 {how}\n", {}, ["v.vec"])
         assert len(killed) == 1
 
-    def test_real_children_write_the_bytes_of_one_process(self, tmp_path, monkeypatch,
-                                                          capsys):
-        # children import the package afresh: BLOCK_LINES reaches them as an argument
+    def test_real_children_write_the_bytes_of_one_process(self, tmp_path, tmp_path_factory,
+                                                          monkeypatch, capsys):
+        # children import the package afresh: 2-line blocks reach them through
+        # a sitecustomize.py, which every Python process started here runs
+        site = tmp_path_factory.mktemp("site")
+        (site / "sitecustomize.py").write_text(
+            "from cadict import embeddings\nembeddings.BLOCK_LINES = 2\n", encoding="utf-8")
+        monkeypatch.setenv("PYTHONPATH",
+                           os.pathsep.join([str(site), python_env()["PYTHONPATH"]]))
         path = tmp_path / "v.vec"
         path.write_text(TestCacheCommand.VECTORS.replace("\nb 1 1 1\n", "\nb 1 x 1\n"),
                         encoding="utf-8")

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -305,9 +307,48 @@ class TestBuildDictionary:
             build_dictionary(core, ["ghost"], tiny_store, tmp_path / "dict.tsv")
 
     def test_unwritable_path(self, tiny_store, tmp_path):
+        # the error names `out`, not the new file made beside it
         core = SemanticCore(("north",), ("east",))
-        with pytest.raises(OSError):
-            build_dictionary(core, None, tiny_store, tmp_path / "missing_dir" / "dict.tsv")
+        out = tmp_path / "missing_dir" / "dict.tsv"
+        with pytest.raises(OSError) as raised:
+            build_dictionary(core, None, tiny_store, out)
+        assert raised.value.filename == str(out)
+
+    @pytest.mark.parametrize("old", [None, b"an earlier dictionary\n"])
+    def test_an_interrupted_write_leaves_the_old_dictionary(self, tiny_store, tmp_path,
+                                                            monkeypatch, old):
+        # one row a chunk, and the second chunk's write is interrupted: the first
+        # was written, yet `out` is as it was and no other file is left
+        class Interrupted:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise KeyboardInterrupt
+                return self.fh.write(text)
+
+        files = []
+        output = rater.output
+
+        @contextlib.contextmanager
+        def interrupted(path):
+            with output(path) as fh:
+                files.append(Interrupted(fh))
+                yield files[-1]
+
+        monkeypatch.setattr(rater, "output", interrupted)
+        monkeypatch.setattr(rater, "DICTIONARY_CHUNK_ROWS", 1)
+        out = tmp_path / "out" / "dict.tsv"
+        out.parent.mkdir()
+        if old is not None:
+            out.write_bytes(old)
+        with pytest.raises(KeyboardInterrupt):
+            build_dictionary(SemanticCore(("north",), ("east",)), None, tiny_store, out)
+        assert files[0].writes == 2
+        assert os.listdir(out.parent) == ([] if old is None else ["dict.tsv"])
+        assert old is None or out.read_bytes() == old
 
     def test_nine_significant_digits(self, tiny_store, tmp_path):
         core = SemanticCore(seed_abstract=("northeast",), seed_concrete=("east",))
