@@ -13,9 +13,10 @@ several processes at once: this one parses the first range, and a child
 process each of the others. Each applies the parser's rules to its own range
 and leaves undecided only what depends on the ranges before it: whether a token
 it kept, or dropped, was kept earlier. The ranges only speed up a valid text.
-They are merged in order only when nothing in them can differ from one pass
-over the whole file; after an error, or anything else, that one pass is run and
-its cache, report or error is the answer, at the cost of up to one more pass.
+The first range's loader merges the others in order (`_TextLoad.absorb`) only
+when nothing in them can differ from one pass over the whole file; after an
+error, or anything else, that one pass is run and its cache, report or error is
+the answer, at the cost of up to one more pass.
 """
 
 from __future__ import annotations
@@ -243,10 +244,10 @@ class _TextLoad:
     A range after the first holds no header, and it takes its dimension from
     its own first record. The earlier ranges change how it reads a record only
     through their kept tokens, so it reads as if they kept none. It lists in
-    `undecided` the records whose outcome an earlier kept token would change,
-    so that `_Merge.add` can decide them: those it dropped for their norm, and
-    those whose components do not parse, which are a bad record only when no
-    earlier range kept their token."""
+    `undecided` the records whose outcome an earlier kept token would change:
+    those it dropped for their norm, and those whose components do not parse,
+    which are a bad record only when no earlier range kept their token. The
+    first range's loader is the merge: its `absorb` adds each later range."""
 
     def __init__(self, path: Path, fold_case: bool, staging: BinaryIO, out: Path,
                  start: int = 0, stop: int | None = None):
@@ -313,24 +314,56 @@ class _TextLoad:
                 squares[i] = pow2_scaled(vec, out=vec).dot(vec)
         norms = np.sqrt(squares)
         zero = norms < MIN_NORM
-        keep = ~zero & np.isfinite(norms)
-        kept, duplicates = self.tokens, []
-        for i, (token, good) in enumerate(zip(tokens, keep.tolist())):
-            if token in kept:  # a first occurrence dropped for its norm kept no token
-                duplicates.append(i)
-            elif good:
-                kept[token] = None
-        dropped = ~keep
-        dropped[duplicates] = keep[duplicates] = False
-        self.drops["duplicates_ignored"] += len(duplicates)
+        good = ~zero & np.isfinite(norms)
+        duplicates = self.keep(tokens, good.tolist())
+        dropped = ~good
+        dropped[duplicates] = good[duplicates] = False
         self.drops["zero_norm_skipped"] += int(np.count_nonzero(dropped & zero))
         self.drops["non_finite_skipped"] += int(np.count_nonzero(dropped & ~zero))
         if self.undecided is not None:
             self.undecided += [(tokens[i], "zero_norm_skipped" if zero[i] else "non_finite_skipped")
                                for i in np.flatnonzero(dropped).tolist()]
-        if not keep.all():
-            matrix, norms = matrix[keep], norms[keep]
+        if not good.all():
+            matrix, norms = matrix[good], norms[good]
         self.write(matrix, norms)
+
+    def keep(self, tokens: Iterable[str], good: Iterable[bool]) -> list[int]:
+        """Keep in order each of `tokens` that is `good`, unless its token was kept
+        earlier: those are duplicates, and counted; their indices are returned."""
+        kept, duplicates = self.tokens, []
+        for i, (token, ok) in enumerate(zip(tokens, good)):
+            if token in kept:  # a first occurrence dropped for its norm kept no token
+                duplicates.append(i)
+            elif ok:
+                kept[token] = None
+        self.drops["duplicates_ignored"] += len(duplicates)
+        return duplicates
+
+    def absorb(self, summary: dict) -> list[int]:
+        """Merge the next range, given its `_range_child` summary, which holds its
+        kept tokens in row order, into this, the first range's loader. It returns
+        the numbers of the range's rows whose token an earlier range kept; they
+        are duplicates. A `_Doubt` if one pass might read the range otherwise: it
+        holds an error, its records have another dimension than the file's, or a
+        record of a token that no earlier range kept does not parse."""
+        if summary["error"] is not None:
+            raise _Doubt(summary["error"])
+        if self.dimension is None:
+            self.dimension = summary["dimension"]
+        if summary["dimension"] not in (None, self.dimension):
+            raise _Doubt(f"a range's records have {summary['dimension']} components, "
+                         f"not {self.dimension}")
+        self.drops.update(summary["drops"])
+        # one pass checks for a duplicate before it parses the components and
+        # before the norm: a record of a token kept earlier is a duplicate
+        for token, cause in summary["undecided"]:
+            if token in self.tokens:
+                self.drops["duplicates_ignored"] += 1
+                if cause:
+                    self.drops[cause] -= 1
+            elif cause is None:
+                raise _Doubt(f"a record of {token!r} in a later range does not parse")
+        return self.keep(summary["tokens"], itertools.repeat(True))
 
     def records(self, records: list[tuple[int, str, str]]) -> None:
         """Walk the `records` of one block in line order for their width and
@@ -365,13 +398,9 @@ class _TextLoad:
         self.rows(tokens, np.array(vecs))
 
     def write(self, rows: np.ndarray, norms: np.ndarray) -> None:
-        """Divide the kept `rows` by their `norms` in place, check that they are
-        unit rows and write them to the staging file."""
+        """Divide the kept `rows` by their `norms` in place, which makes them unit
+        rows, and write them to the staging file."""
         rows /= norms[:, None]
-        try:
-            _check_unit_rows(rows)
-        except ValueError as exc:  # the check `VectorStore` would make
-            raise DataError(f"{self.path}: {exc}") from exc
         with writing(self.out):
             try:
                 self.staging.write(rows.astype("<f8", copy=False).data)
@@ -446,15 +475,16 @@ def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
     Records are parsed `BLOCK_LINES` lines at a time by `_TextLoad.block`.
     With `processes` above 1, a file of at least two `MIN_RANGE_BYTES` is cut
     into up to `processes` byte ranges (`_split`). This process parses the
-    first, a child process each of the others, and `_Merge` joins them in range
-    order. Ranges that hold an error, or whose merge might differ from one
-    pass, are dropped and the file is parsed again in one pass, so the cache
-    bytes, report and error are one pass's. Only the kept tokens and one block
-    of rows are held. The unit rows are staged in nameless files in `out`'s
-    directory (`_staging`), about the matrix's bytes, which are gone when the
-    parse ends, however it ends; once it has succeeded, they are copied by the
-    kernel (`_copy_rows`) after the header and the tokens. The new cache replaces
-    `out` only once it is whole; a failed write is an OSError naming `out`."""
+    first, a child process each of the others, and the first range's loader
+    merges the others in range order (`_TextLoad.absorb`). Ranges that hold an
+    error, or whose merge might differ from one pass, are dropped and the file
+    is parsed again in one pass, so the cache bytes, report and error are one
+    pass's. Only the kept tokens and one block of rows are held. The unit rows
+    are staged in nameless files in `out`'s directory (`_staging`), about the
+    matrix's bytes, which are gone when the parse ends, however it ends; once
+    it has succeeded, they are copied by the kernel (`_copy_rows`) after the
+    header and the tokens. The new cache replaces `out` only once it is whole;
+    a failed write is an OSError naming `out`."""
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     path, out = Path(path), Path(out)
@@ -465,17 +495,6 @@ def cache_vectors(path: str | Path, out: str | Path, fold_case: bool = True,
         except (DataError, _Doubt) as why:
             logger.debug("%s: byte ranges not merged, parsing it in one pass: %s", path, why)
     return _cache(path, out, fold_case, [0, None])
-
-
-def _cache(path: Path, out: Path, fold_case: bool,
-           cuts: list[int | None]) -> tuple[LoadReport, int]:
-    """`cache_vectors`, parsing the byte ranges of `path` between `cuts`."""
-    with _parse(path, out, fold_case, cuts) as (merge, parts):
-        if not merge.tokens:
-            raise DataError(f"{path}: no usable vector records")
-        _write_cache(out, merge.tokens, merge.dimension, str(path),
-                     lambda fh: _copy_rows(parts, fh, merge.dimension * 8))
-    return LoadReport(accepted=len(merge.tokens), **merge.drops), merge.dimension
 
 
 def _split(path: Path, processes: int) -> list[int | None]:
@@ -515,17 +534,17 @@ class _Doubt(Exception):
     """Byte ranges whose merge might not be one pass's, and why."""
 
 
-@contextmanager
-def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
-    """Parse the byte ranges of `path` between `cuts`: each after the first in a
-    child process, started first, and the first in this process; then merge
-    them in range order. It yields the `_Merge` and the staged rows, as
-    (staging file, skipped rows) pairs. Each range stages its rows in a
-    `_staging` file, which a child inherits as a descriptor; a child's other
-    results, its kept tokens too, come in its summary. A `_Doubt` if the first
-    range read no non-blank line, since the header may follow it. On leaving,
-    the children still running are killed; the kernel kills them once this
-    thread, which starts and waits for all of them, ends (`_end_with_parent`)."""
+def _cache(path: Path, out: Path, fold_case: bool,
+           cuts: list[int | None]) -> tuple[LoadReport, int]:
+    """`cache_vectors`, parsing the byte ranges of `path` between `cuts`: each
+    after the first in a child process, started first, and the first in this
+    process, whose loader then merges the others in range order through
+    `_TextLoad.absorb`. Each range stages its rows in a `_staging` file, which a
+    child inherits as a descriptor; a child's other results, its kept tokens
+    too, come in its summary. A `_Doubt` if the first range read no non-blank
+    line, since the header may follow it. On leaving, the children still
+    running are killed; the kernel kills them once this thread, which starts
+    and waits for all of them, ends (`_end_with_parent`)."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     root = str(Path(__file__).resolve().parents[1])
     children = []
@@ -544,20 +563,23 @@ def _parse(path: Path, out: Path, fold_case: bool, cuts: list[int | None]):
                 logger.debug("%s: %d byte ranges, %d of them in child processes",
                              path, len(cuts) - 1, len(children))
             staging = stack.enter_context(_staging(out))
-            first = _TextLoad(path, fold_case, staging, out, 0, cuts[1])
-            first.parse()
-            if children and not first.started:
+            load = _TextLoad(path, fold_case, staging, out, 0, cuts[1])
+            load.parse()
+            if children and not load.started:
                 raise _Doubt("the first range holds only blank lines")
-            merge = _Merge(first)
             parts = [(staging, [])]
             for child, start, stop, rows in children:
-                parts.append((rows, merge.add(_summary(child, path, start, stop))))
-            yield merge, parts
+                parts.append((rows, load.absorb(_summary(child, path, start, stop))))
+            if not load.tokens:
+                raise DataError(f"{path}: no usable vector records")
+            _write_cache(out, load.tokens, load.dimension, str(path),
+                         lambda fh: _copy_rows(parts, fh, load.dimension * 8))
         finally:
             for child, *_ in children:
                 if child.returncode is None:
                     child.kill()
                     child.communicate()
+    return LoadReport(accepted=len(load.tokens), **load.drops), load.dimension
 
 
 def _summary(child: subprocess.Popen, path: Path, start: int, stop: int) -> dict:
@@ -587,7 +609,7 @@ def _range_child(args: str) -> None:
     """A child process of `cache_vectors`, which ends with the process `parent`.
     The JSON list `args` gives the bytes ``[start, stop)`` of `path` to parse, and
     the inherited descriptor `staging` that gets their unit rows, for the cache
-    `out`. It prints the summary that `_Merge.add` reads as one JSON line: the
+    `out`. It prints the summary that `_TextLoad.absorb` reads as one JSON line: the
     dimension of the range's records, the drop counts, the undecided records, and
     its first error, named by its range, or else its kept tokens in row order."""
     path, start, stop, fold_case, out, parent, staging = json.loads(args)
@@ -602,50 +624,6 @@ def _range_child(args: str) -> None:
     print(json.dumps({"dimension": load.dimension, "drops": load.drops,
                       "undecided": load.undecided, "error": error,
                       "tokens": None if error else list(load.tokens)}))
-
-
-class _Merge:
-    """Byte ranges' results, merged in range order into what one pass over the
-    whole file gives: the kept tokens, where the first occurrence wins across
-    ranges, and the drop counts. It starts from the `first` range, parsed in
-    this process, whose tokens it takes over."""
-
-    def __init__(self, first: _TextLoad):
-        self.dimension, self.tokens, self.drops = first.dimension, first.tokens, first.drops
-
-    def add(self, summary: dict) -> list[int]:
-        """Merge the next range, given its `_range_child` summary, which holds its
-        kept tokens in row order. It returns the numbers of the range's rows whose
-        token an earlier range kept; they are duplicates. A `_Doubt` if one
-        pass might read the range otherwise: it holds an error, its records
-        have another dimension than the file's, or a record of a token that no
-        earlier range kept does not parse."""
-        if summary["error"] is not None:
-            raise _Doubt(summary["error"])
-        if self.dimension is None:
-            self.dimension = summary["dimension"]
-        if summary["dimension"] not in (None, self.dimension):
-            raise _Doubt(f"a range's records have {summary['dimension']} components, "
-                         f"not {self.dimension}")
-        kept, drops = self.tokens, Counter(summary["drops"])
-        # one pass checks for a duplicate before it parses the components and
-        # before the norm: a record of a token kept earlier is a duplicate
-        for token, cause in summary["undecided"]:
-            if token in kept:
-                drops["duplicates_ignored"] += 1
-                if cause:
-                    drops[cause] -= 1
-            elif cause is None:
-                raise _Doubt(f"a record of {token!r} in a later range does not parse")
-        skipped = []
-        for row, token in enumerate(summary["tokens"]):
-            if token in kept:
-                skipped.append(row)
-            else:
-                kept[token] = None
-        drops["duplicates_ignored"] += len(skipped)
-        self.drops.update(drops)
-        return skipped
 
 
 def _copy_rows(parts: list[tuple[BinaryIO, list[int]]], out: BinaryIO, row_bytes: int) -> None:

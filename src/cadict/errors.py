@@ -9,7 +9,7 @@ import io
 import json
 import os
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -100,8 +100,9 @@ def output(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """A new hidden file beside the output `path`, UTF-8 text unless `binary`, that
     replaces it whole when the block ends, after removing `path`'s stale `sidecar`,
     or is removed if the block raises (KeyboardInterrupt too). It has `open`'s mode
-    or a regular `path`'s, and replaces a symlink's target; a FIFO or other
-    non-regular file is written in place. A failed write is an OSError naming `path`."""
+    or a regular `path`'s, and its owner and group where this process may give
+    them, and replaces a symlink's target; a FIFO or other non-regular file is
+    written in place. A failed write is an OSError naming `path`."""
     mode, encoding = ("b", None) if binary else ("", "utf-8")
     with writing(path):
         old = os.stat(path) if os.path.exists(path) else None
@@ -115,6 +116,10 @@ def output(path: str | Path, binary: bool = False) -> Iterator[IO]:
         try:
             with fh:
                 if old is not None:
+                    new = os.fstat(fh.fileno())
+                    if (new.st_uid, new.st_gid) != (old.st_uid, old.st_gid):
+                        with suppress(PermissionError):  # a user may give only its groups
+                            os.chown(fh.fileno(), old.st_uid, old.st_gid)
                     os.chmod(fh.fileno(), stat.S_IMODE(old.st_mode))
                 yield fh
             if os.path.lexists(sidecar(path)):  # False, not an error, for a name too long

@@ -54,8 +54,9 @@ class FrequencyList:
 
     def __init__(self, entries: dict[str, int], report: LoadReport | None = None):
         for token, count in entries.items():
-            if count < 0:
-                raise ValueError(f"negative count for {token!r}: {count}")
+            if not count >= 0:  # NaN is no count, and would misorder `select_base`'s sort
+                kind = "negative" if count < 0 else "NaN"
+                raise ValueError(f"{kind} count for {token!r}: {count}")
         self._entries = dict(entries)
         self.report = report or LoadReport(len(self._entries))
 

@@ -4,9 +4,10 @@
 # valid text must be cached from merged byte ranges, with the cache and
 # manifest of one process. The same text with one bad record in its second half
 # must exit 2 with one process's single `error:` line at both counts, leave the
-# valid cache already at its --out as it was, and leave no manifest, staging,
-# tokens or hidden temporary file. A run killed by SIGKILL while its child
-# parses must leave no file either, and its child must end within 2 s.
+# valid cache already at its --out as it was, and leave no other file. After
+# each step the directory must hold exactly the files named, hidden ones
+# included. A run killed by SIGKILL while its child parses must leave no file
+# either, and its child must end within 2 s.
 # It runs the installed `cadict` script, or the command in $CADICT, such as
 #   CADICT="python -m cadict.cli" PYTHONPATH="$PWD/src" sh tests/byte_ranges.sh
 # in a temporary directory that it removes on exit.
@@ -15,6 +16,10 @@ cadict=${CADICT:-cadict}
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 cd "$dir"
+only() {  # the directory holds these files and no other, hidden ones included
+    test "$(LC_ALL=C ls -A)" = "$(printf '%s\n' "$@" | LC_ALL=C sort)" || {
+        echo "files left: $(ls -A | tr '\n' ' ')" >&2; exit 1; }
+}
 python -c 'import numpy as np
 from cadict.embeddings import MIN_RANGE_BYTES
 rows = np.random.default_rng(2).normal(size=(1000, 50))
@@ -33,6 +38,8 @@ grep -q ': 2 byte ranges, 1 of them in child processes$' err.txt
 test "$(grep -c 'byte ranges not merged' err.txt)" -eq 0
 cmp big1.cavs big2.cavs
 cmp big1.cavs.manifest.json big2.cavs.manifest.json
+only big.vec bad.vec err.txt big1.cavs big1.cavs.manifest.json big2.cavs \
+    big2.cavs.manifest.json
 cp big1.cavs bad.cavs
 for processes in 1 2; do
     code=0
@@ -45,9 +52,9 @@ for processes in 1 2; do
 done
 cmp bad1.txt bad2.txt
 cmp big1.cavs bad.cavs
-# the writer's temporary file is hidden: .<name>.<random>.tmp
-test "$(ls -A | grep -c -e '^bad\.cavs\.' -e '\.staging\.' -e '\.tokens\.' -e '^\..*\.tmp$')" \
-    -eq 0
+# no manifest of bad.cavs, and no writer's hidden .<name>.<random>.tmp
+only big.vec bad.vec err.txt big1.cavs big1.cavs.manifest.json big2.cavs \
+    big2.cavs.manifest.json bad.cavs bad1.txt bad2.txt
 # the child is started with the path, so `pgrep -f` finds it once orphaned
 $cadict -v cache-vectors --vectors "$dir/big.vec" --out killed.cavs --processes 2 \
     2> killed.txt &
@@ -68,6 +75,6 @@ while pgrep -f "$dir/big.vec" > /dev/null; do  # the kernel kills it with its pa
     test "$tries" -le 20 || { pkill -9 -f "$dir/big.vec"; exit 1; }  # 2 s
     sleep 0.1
 done
-test "$(ls -A | grep -c -e '^killed\.cavs' -e '\.staging\.' -e '\.tokens\.' -e '^\..*\.tmp$')" \
-    -eq 0
+only big.vec bad.vec err.txt big1.cavs big1.cavs.manifest.json big2.cavs \
+    big2.cavs.manifest.json bad.cavs bad1.txt bad2.txt killed.txt
 echo "byte ranges: ok"

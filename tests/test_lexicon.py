@@ -110,10 +110,12 @@ class TestLoadFrequencies:
             FrequencyList({"the": 5, "x": -1})
 
     def test_constructor_checks_counts_beside_nan(self):
-        # a NaN count is not negative, and does not hide a negative one behind it
-        assert len(FrequencyList({"the": 5, "nan": math.nan})) == 2
+        # a NaN count is refused by name, as it would misorder `select_base`'s
+        # sort; a negative count before it keeps its own message
+        with pytest.raises(ValueError, match="NaN count for 'nan': nan"):
+            FrequencyList({"the": 5, "nan": math.nan, "x": -1})
         with pytest.raises(ValueError, match="negative count for 'x': -1"):
-            FrequencyList({"nan": math.nan, "the": 5, "x": -1, "y": -2})
+            FrequencyList({"the": 5, "x": -1, "nan": math.nan})
 
     def test_non_integer_rejected(self, tmp_path):
         rows = [("x", "1.5")] + [(f"w{i}", 5) for i in range(20)]

@@ -94,6 +94,17 @@ def test_a_regular_file_keeps_its_mode_and_a_hard_link_its_old_bytes(tmp_path):
     assert listing(tmp_path) == ["link.json", "out.json"]
 
 
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root gives a file another owner")
+def test_a_regular_file_keeps_its_owner_and_group(tmp_path):
+    out = tmp_path / "out.json"
+    out.write_text("old\n")
+    os.chown(out, 65534, 65534)
+    write_json(out, {"new": 1})
+    assert (out.stat().st_uid, out.stat().st_gid) == (65534, 65534)
+    assert out.read_text() == '{\n  "new": 1\n}\n'
+    assert listing(tmp_path) == ["out.json"]
+
+
 @pytest.mark.parametrize("name", ["x" * 255, "\u00e9" * 127])
 def test_a_name_as_long_as_open_takes(tmp_path, name):
     # the hidden file's name holds at most 60 characters of it, 240 bytes in UTF-8
